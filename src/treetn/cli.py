@@ -51,13 +51,9 @@ def gss_main(argv=None) -> int:
         want_obs = flags.single_site or flags.two_site
         flags.directory.mkdir(parents=True, exist_ok=True)
         result = gss_run(model, config, want_observables=want_obs)
-        manifest = RunManifest(
-            command="gss",
-            config_path=Path(args.config),
-            out_dir=flags.directory,
-            n_stages=len(result.stages),
+        write_gss_outputs(
+            RunManifest(out_dir=flags.directory), result.state, result.stages, flags
         )
-        write_gss_outputs(manifest, result.state, result.stages, flags)
         if args.verify:
             _verify(result.state)
         print(f"energy: {result.energy:.12e}")

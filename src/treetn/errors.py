@@ -10,7 +10,12 @@ class LoadError(TreetnError):
 
 
 class InvariantViolation(TreetnError):
-    """Raised when an internal structural contract is broken."""
+    """Raised when an internal structural contract is broken; ``tensor``
+    names the index of the network tensor at fault, if there is one."""
+
+    def __init__(self, message: str, tensor: int | None = None):
+        super().__init__(message)
+        self.tensor = tensor
 
 
 class NumericalError(TreetnError):

@@ -10,13 +10,14 @@ isometry), which locally maximizes the overlap with the target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import InvariantViolation, NumericalError
 from .linalg import full_svd, truncate_spectrum
-from .state import TTNState, cooled_temperature, merge_center
-from .sweeps import SelectionSettings, StepInfo, SweepReport, run_sweep
+from .state import TTNState, merge_center
+from .sweeps import Stage, StepInfo, SweepReport, run_stage, run_sweep
 from .topology import build_mpn, set_distance
 
 __all__ = [
@@ -53,7 +54,6 @@ class FactorizeConfig:
     fidelity_chi_schedule: list[int] = field(default_factory=list)
     fidelity_n_max: list[int] = field(default_factory=list)
     eps_f: float = 1e-10
-    fidelity_opt_all_stages: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
@@ -162,46 +162,19 @@ def sequential_svd_to_mpn(
     )
 
 
-def _converged(prev: SweepReport, cur: SweepReport, eps_s: float, eps_f: float | None):
-    if prev.structure_snapshot != cur.structure_snapshot:
-        return False
-    shared = prev.entropies.keys() & cur.entropies.keys()
-    if any(abs(cur.entropies[b] - prev.entropies[b]) >= eps_s for b in shared):
-        return False
-    if eps_f is not None:
-        shared_f = prev.fidelities.keys() & cur.fidelities.keys()
-        if any(abs(cur.fidelities[b] - prev.fidelities[b]) >= eps_f for b in shared_f):
-            return False
-    return True
-
-
 def reconstruct_sweep(
     state: TTNState, config: FactorizeConfig, observers=()
 ) -> tuple[TTNState, list[SweepReport]]:
     """SVD-only sweeps reshaping the network until structure and entropies
     settle. The bond-dimension cap follows the input network."""
-    chi = max(config.chi_init, 1)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    reports: list[SweepReport] = []
-    prev = None
-    for n in range(config.n_max):
-        temp = 0.0
-        if config.opt_mode == 1 and config.t0 > 0.0:
-            temp = cooled_temperature(config.t0, n, config.n_tau)
-        sel = SelectionSettings(
-            chi=chi,
-            mode=config.opt_mode,
-            temperature=temp,
-            rng=rng,
-            eps_s=config.eps_s,
-            sigma=config.sigma,
-            delta_s=config.delta_s,
-        )
-        rep = run_sweep(state, sel, observers=observers)
-        reports.append(rep)
-        if prev is not None and _converged(prev, rep, config.eps_s, None):
-            break
-        prev = rep
+    stage = Stage(
+        max(config.chi_init, 1), config.n_max, config.opt_mode, config.t0, config.n_tau
+    )
+    sweep = partial(run_sweep, state, observers=observers)
+    reports, _ = run_stage(
+        stage, sweep, rng, config.eps_s, config.delta_s, config.sigma
+    )
     return state, reports
 
 
@@ -265,7 +238,7 @@ def fidelity_sweep_run(
     Each step replaces the merged center with the normalized environment;
     the per-bond running fidelity is the environment norm reduced by the
     truncation at the following split. Structure moves only during the first
-    stage unless overridden.
+    stage.
     """
     if not config.fidelity_enabled:
         raise ValueError("fidelity sweeps are disabled in this configuration")
@@ -281,32 +254,16 @@ def fidelity_sweep_run(
             raise NumericalError("degenerate environment: state orthogonal to target")
         return env / nrm, {"fidelity_scale": nrm}
 
+    sweep = partial(run_sweep, state, update_psi=update, observers=observers)
     stage_reports: list[list[SweepReport]] = []
     for m, (chi, n_max) in enumerate(
-        zip(config.fidelity_chi_schedule, config.fidelity_n_max), 1
+        zip(config.fidelity_chi_schedule, config.fidelity_n_max)
     ):
-        mode = config.fidelity_opt_mode
-        if m > 1 and not config.fidelity_opt_all_stages:
-            mode = 0
-        reports: list[SweepReport] = []
-        prev = None
-        for n in range(n_max):
-            temp = 0.0
-            if mode == 1 and config.fidelity_t0 > 0.0:
-                temp = cooled_temperature(config.fidelity_t0, n, config.fidelity_n_tau)
-            sel = SelectionSettings(
-                chi=chi,
-                mode=mode,
-                temperature=temp,
-                rng=rng,
-                eps_s=config.eps_s,
-                sigma=config.sigma,
-                delta_s=config.delta_s,
-            )
-            rep = run_sweep(state, sel, update_psi=update, observers=observers)
-            reports.append(rep)
-            if prev is not None and _converged(prev, rep, config.eps_s, config.eps_f):
-                break
-            prev = rep
+        mode = config.fidelity_opt_mode if m == 0 else 0
+        stage = Stage(chi, n_max, mode, config.fidelity_t0, config.fidelity_n_tau)
+        reports, _ = run_stage(
+            stage, sweep, rng, config.eps_s, config.delta_s, config.sigma,
+            eps_f=config.eps_f,
+        )
         stage_reports.append(reports)
     return state, stage_reports

@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import LoadError
+from .errors import InvariantViolation, LoadError
 from .factorize import FactorizeConfig
 from .gss import CORRELATION_ORDER, GssConfig, Observables, StageResult
 from .spinmodel import SpinModel, parse_spin_size
-from .state import TTNState
+from .state import TTNState, audit_state
 from .sweeps import SweepReport
-from .topology import Topology
+from .topology import Topology, audit_topology
 
 __all__ = [
     "OutputFlags",
@@ -52,10 +52,7 @@ class OutputFlags:
 
 @dataclass
 class RunManifest:
-    command: str
-    config_path: Path
     out_dir: Path
-    n_stages: int
 
     def stage_dir(self, m: int) -> Path:
         return self.out_dir / f"run{m}"
@@ -436,14 +433,20 @@ def save_tensor_bundle(directory: Path, state: TTNState) -> None:
 
 
 def load_tensor_bundle(directory: Path) -> TTNState:
-    """Reload a saved network; the site count is implied by the tensor count."""
+    """Reload a saved network; the site count is implied by the tensor count.
+    A bundle that fails the topology or state audit raises ``LoadError``
+    naming the file at fault."""
     directory = Path(directory)
     graph_path = directory / "graph.dat"
     if not graph_path.exists():
         raise LoadError(f"tensor bundle {directory} lacks graph.dat")
     lines = graph_path.read_text()
     n_tensors = len([ln for ln in lines.splitlines() if ln.strip()])
-    topo = Topology.from_graph_lines(lines, n_sites=n_tensors + 2)
+    try:
+        topo = Topology.from_graph_lines(lines, n_sites=n_tensors + 2)
+        audit_topology(topo)
+    except InvariantViolation as exc:
+        raise LoadError(f"tensor bundle {directory}: graph.dat: {exc}") from exc
     tensors = []
     for i in range(n_tensors):
         path = directory / f"isometry{i}.npy"
@@ -452,6 +455,15 @@ def load_tensor_bundle(directory: Path) -> TTNState:
         tensors.append(np.load(path))
     weights = np.load(directory / "singular_values.npy")
     norm = float(np.load(directory / "norm.npy"))
-    return TTNState(
+    state = TTNState(
         topology=topo, tensors=tensors, center_weights=weights, norm_scale=norm
     )
+    try:
+        state.bond_dimensions()
+        audit_state(state)
+    except InvariantViolation as exc:
+        bad = f"isometry{exc.tensor}.npy"
+        if exc.tensor is None:
+            bad = "singular_values.npy"
+        raise LoadError(f"tensor bundle {directory}: {bad}: {exc}") from exc
+    return state

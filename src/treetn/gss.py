@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import InvariantViolation
 from .linalg import full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
+    _apply_axis,
     build_block_two_child,
     build_superblock_plan,
     get_operator,
@@ -25,8 +27,10 @@ from .operators import (
     refresh_bond,
 )
 from .spinmodel import SpinModel, local_spin_matrices
-from .state import TTNState, cooled_temperature, decompose_tensor
-from .sweeps import SelectionSettings, StepInfo, SweepReport, run_sweep
+from .state import TTNState, decompose_tensor
+from .sweeps import (
+    SelectionSettings, Stage, StepInfo, SweepReport, run_stage, run_sweep
+)
 from .topology import Topology, build_initial_topology, set_distance
 
 __all__ = [
@@ -63,7 +67,6 @@ class GssConfig:
     eps_s: float = 1e-8
     delta_e: float = 1e-8
     delta_s: float = 1e-8
-    convergence_streak: int = 2
     lanczos_tol: float = 1e-12
     max_krylov: int = 200
     lanczos_noise: float = 1e-7
@@ -250,22 +253,6 @@ def sweep(
     )
 
 
-def _structure_same(a: SweepReport, b: SweepReport) -> bool:
-    return a.structure_snapshot == b.structure_snapshot
-
-
-def _energies_converged(prev, cur, eps_e) -> bool:
-    shared = prev.energies.keys() & cur.energies.keys()
-    return all(
-        abs(1.0 - prev.energies[b] / cur.energies[b]) < eps_e for b in shared
-    )
-
-
-def _entropies_converged(prev, cur, eps_s) -> bool:
-    shared = prev.entropies.keys() & cur.entropies.keys()
-    return all(abs(cur.entropies[b] - prev.entropies[b]) < eps_s for b in shared)
-
-
 def run(
     model: SpinModel,
     config: GssConfig,
@@ -290,85 +277,40 @@ def run(
         lanczos_noise=config.lanczos_noise,
     )
     rng = np.random.Generator(np.random.Philox(config.seed))
-    stages: list[StageResult] = []
-    for m, (chi, n_max) in enumerate(zip(config.chi_schedule, config.sweep_limits), 1):
-        mode = config.opt_mode if m == 1 else 0
-        reports: list[SweepReport] = []
-        streak = 0
-        converged = False
-        prev: SweepReport | None = None
-        for n in range(n_max):
-            temp = 0.0
-            if mode == 1 and config.t0 > 0.0:
-                temp = cooled_temperature(config.t0, n, config.n_tau)
-            sel = SelectionSettings(
-                chi=chi,
-                mode=mode,
-                temperature=temp,
-                rng=rng,
-                eps_s=config.eps_s,
-                delta_s=config.delta_s,
-            )
-            rep = sweep(
-                state,
-                cache,
-                model,
-                sel,
-                lanczos_tol=config.lanczos_tol,
-                max_krylov=config.max_krylov,
-                lanczos_noise=config.lanczos_noise,
-                observers=observers,
-            )
-            reports.append(rep)
-            if prev is not None:
-                if _structure_same(prev, rep):
-                    if _energies_converged(
-                        prev, rep, config.eps_e
-                    ) and _entropies_converged(prev, rep, config.eps_s):
-                        streak += 1
-                        if streak > config.convergence_streak:
-                            converged = True
-                else:
-                    streak = 0
-            prev = rep
-            if converged:
-                break
 
+    run_one = partial(
+        sweep,
+        state,
+        cache,
+        model,
+        lanczos_tol=config.lanczos_tol,
+        max_krylov=config.max_krylov,
+        lanczos_noise=config.lanczos_noise,
+        observers=observers,
+    )
+    stages: list[StageResult] = []
+    for m, (chi, n_max) in enumerate(zip(config.chi_schedule, config.sweep_limits)):
+        mode = config.opt_mode if m == 0 else 0
+        stage = Stage(chi, n_max, mode, config.t0, config.n_tau)
+        reports, converged = run_stage(
+            stage, run_one, rng, config.eps_s, config.delta_s, eps_e=config.eps_e
+        )
         observables = None
-        final_report = reports[-1]
         if want_observables:
             collector = ObservableCollector(model, cache)
-            sel = SelectionSettings(
-                chi=chi, mode=0, eps_s=config.eps_s, delta_s=config.delta_s
-            )
-            final_report = sweep(
-                state,
-                cache,
-                model,
-                sel,
-                lanczos_tol=config.lanczos_tol,
-                max_krylov=config.max_krylov,
-                lanczos_noise=config.lanczos_noise,
-                observers=(*observers, collector.on_step),
-            )
-            reports.append(final_report)
-            observables = collector.finish(
-                final_report.energies[state.topology.origin]
-            )
+            sel = SelectionSettings(chi=chi, eps_s=config.eps_s, delta_s=config.delta_s)
+            reports.append(run_one(sel, observers=(*observers, collector.on_step)))
+            observables = collector.finish(reports[-1].energies[state.topology.origin])
         stages.append(
             StageResult(
                 chi=chi,
                 reports=reports,
-                final_report=final_report,
+                final_report=reports[-1],
                 observables=observables,
                 converged=converged,
             )
         )
     return GssResult(state=state, cache=cache, stages=stages, initial_energy=e_init)
-
-
-def _apply_axis(psi, m, axis):
-    return np.moveaxis(np.tensordot(m, psi, axes=[[1], [axis]]), 0, axis)
 
 
 def _real_expectation(value: complex, what: str) -> float:

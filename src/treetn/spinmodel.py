@@ -246,6 +246,3 @@ class SpinModel:
             "z": sz.astype(self.dtype),
             "+": sp.astype(self.dtype),
         }
-
-    def total_dimension(self) -> int:
-        return int(np.prod([self.site_dimension(i) for i in range(self.n_sites)]))

@@ -68,12 +68,14 @@ class TTNState:
 
     def bond_dimensions(self) -> dict[int, int]:
         dims: dict[int, int] = {}
-        for e, t in zip(self.topology.edges, self.tensors):
+        for i, (e, t) in enumerate(zip(self.topology.edges, self.tensors)):
+            if t.ndim != 3:
+                raise InvariantViolation(f"tensor has {t.ndim} legs, want 3", tensor=i)
             for label, d in zip(e, t.shape):
                 prev = dims.get(label)
                 if prev is not None and prev != d:
                     raise InvariantViolation(
-                        f"bond {label} carries dims {prev} and {d}"
+                        f"bond {label} carries dims {prev} and {d}", tensor=i
                     )
                 dims[label] = d
         return dims
@@ -281,7 +283,9 @@ def audit_state(
     for i in indices:
         defect = isometry_defect(state.tensors[i])
         if defect > iso_tol:
-            raise InvariantViolation(f"tensor {i} isometry defect {defect:.3e}")
+            raise InvariantViolation(
+                f"tensor {i} isometry defect {defect:.3e}", tensor=i
+            )
     w = state.center_weights
     if abs(float(np.sum(w**2)) - 1.0) > weight_tol:
         raise InvariantViolation("center weights do not square-sum to one")

@@ -21,6 +21,7 @@ from .state import (
     PAIRINGS,
     ReconnectChoice,
     TTNState,
+    cooled_temperature,
     decompose_tensor,
     merge_center,
     merge_moving,
@@ -28,7 +29,13 @@ from .state import (
 )
 from .topology import candidate_edge_indices, local_two_tensor, set_distance
 
-__all__ = ["SelectionSettings", "SweepReport", "StepInfo", "run_sweep"]
+__all__ = [
+    "SETTLED_SWEEPS", "SelectionSettings", "SweepReport", "StepInfo", "Stage",
+    "run_sweep", "run_stage", "settled",
+]
+
+# consecutive settled sweep pairs that end a stage
+SETTLED_SWEEPS = 3
 
 
 @dataclass
@@ -101,30 +108,32 @@ def run_sweep(
     dist = set_distance(topo, o_c)
     report = SweepReport()
 
-    if not candidate_edge_indices(topo, o_c, flags):
-        # two-tensor networks have no walk; update the center pair in place
-        _static_step(state, selection, update_psi, observers, report)
-        report.structure_snapshot = topo.snapshot()
-        return report
-
+    # two-tensor networks have no walk; one step updates the center pair in place
+    static = not candidate_edge_indices(topo, o_c, flags)
     e_c = o_c
     steps = 0
     max_steps = 4 * topo.n_tensors
-    while candidate_edge_indices(topo, e_c, flags):
+    while static or candidate_edge_indices(topo, e_c, flags):
         steps += 1
         if steps > max_steps:
             raise InvariantViolation(
                 f"sweep did not terminate within {max_steps} steps"
             )
-        e_new, t, t_conn, t_prev = local_two_tensor(topo, e_c, flags, dist)
-        prev_children = topo.edges[t_prev][:2]
-        if all(flags[e] == 1 for e in prev_children) and e_c != o_c:
-            flags[e_c] = 1
-        if prepare_step is not None:
-            prepare_step(state, t_prev, e_c)
-
-        psi, new_et = merge_moving(state, t, t_conn, e_c, e_new)
-        merge_bonds = (new_et[0], new_et[1], *topo.edges[t_conn][:2])
+        if static:
+            static = False
+            t, t_conn = topo.center_tensors()
+            e_new, t_prev = e_c, None
+            psi = merge_center(state, t, t_conn)
+            merge_bonds = (*topo.edges[t][:2], *topo.edges[t_conn][:2])
+        else:
+            e_new, t, t_conn, t_prev = local_two_tensor(topo, e_c, flags, dist)
+            prev_children = topo.edges[t_prev][:2]
+            if all(flags[e] == 1 for e in prev_children) and e_c != o_c:
+                flags[e_c] = 1
+            if prepare_step is not None:
+                prepare_step(state, t_prev, e_c)
+            psi, new_et = merge_moving(state, t, t_conn, e_c, e_new)
+            merge_bonds = (new_et[0], new_et[1], *topo.edges[t_conn][:2])
         info = StepInfo(
             e_c=e_c,
             e_new=e_new,
@@ -154,32 +163,6 @@ def run_sweep(
         )
     report.structure_snapshot = topo.snapshot()
     return report
-
-
-def _static_step(state, selection, update_psi, observers, report):
-    topo = state.topology
-    t, t_conn = topo.center_tensors()
-    psi = merge_center(state, t, t_conn)
-    merge_bonds = (*topo.edges[t][:2], *topo.edges[t_conn][:2])
-    info = StepInfo(
-        e_c=topo.center,
-        e_new=topo.center,
-        t=t,
-        t_conn=t_conn,
-        t_prev=None,
-        merge_bonds=merge_bonds,
-        center_bonds=merge_bonds,
-        choice=None,
-        psi_center=psi,
-        extras={},
-    )
-    if update_psi is not None:
-        psi, info.extras = update_psi(psi, info)
-    _decompose_and_record(
-        state, psi, t, t_conn, topo.center, merge_bonds, selection, info, report
-    )
-    for obs in observers:
-        obs(state, info)
 
 
 def _decompose_and_record(
@@ -220,3 +203,76 @@ def _decompose_and_record(
     for axis, bond in enumerate(info.center_bonds):
         if topo.is_physical(bond):
             report.entropies[bond] = site_ee(info.psi_center, axis)
+
+
+@dataclass
+class Stage:
+    """One schedule entry: bond-dimension cap, sweep limit, selection mode
+    and the annealing of heat-bath selection."""
+
+    chi: int
+    n_max: int
+    mode: int = 0
+    t0: float = 0.0
+    n_tau: int = 1
+
+
+def settled(
+    prev: SweepReport,
+    cur: SweepReport,
+    eps_s: float,
+    eps_e: float = 0.0,
+    eps_f: float = 0.0,
+) -> bool:
+    """Whether two consecutive sweeps agree: same structure, and every bond
+    quantity both recorded within its tolerance (energies relative to their
+    magnitude, entropies and fidelities absolute)."""
+    return (
+        prev.structure_snapshot == cur.structure_snapshot
+        and _agree(prev.entropies, cur.entropies, eps_s)
+        and _agree(prev.energies, cur.energies, eps_e, relative=True)
+        and _agree(prev.fidelities, cur.fidelities, eps_f)
+    )
+
+
+def _agree(a: dict, b: dict, tol: float, relative: bool = False) -> bool:
+    return all(
+        abs(b[k] - a[k]) <= (tol * max(abs(a[k]), abs(b[k])) if relative else tol)
+        for k in a.keys() & b.keys()
+    )
+
+
+def run_stage(
+    stage: Stage,
+    sweep: Callable[[SelectionSettings], SweepReport],
+    rng: np.random.Generator | None,
+    eps_s: float,
+    delta_s: float,
+    sigma: float = 0.0,
+    eps_e: float = 0.0,
+    eps_f: float = 0.0,
+) -> tuple[list[SweepReport], bool]:
+    """Sweep at the stage's bond dimension until ``SETTLED_SWEEPS``
+    consecutive pairs of reports are ``settled`` or ``stage.n_max`` sweeps
+    have run. Returns the reports and whether the stage converged.
+
+    ``sweep(selection)`` runs one sweep. Under heat-bath selection (mode 1)
+    the temperature of sweep ``n`` is ``cooled_temperature(t0, n, n_tau)``.
+    """
+    reports: list[SweepReport] = []
+    streak = 0
+    for n in range(stage.n_max):
+        temperature = 0.0
+        if stage.mode == 1 and stage.t0 > 0.0:
+            temperature = cooled_temperature(stage.t0, n, stage.n_tau)
+        selection = SelectionSettings(
+            stage.chi, stage.mode, temperature, rng, eps_s, sigma, delta_s
+        )
+        reports.append(sweep(selection))
+        if len(reports) > 1 and settled(reports[-2], reports[-1], eps_s, eps_e, eps_f):
+            streak += 1
+            if streak == SETTLED_SWEEPS:
+                return reports, True
+        else:
+            streak = 0
+    return reports, False

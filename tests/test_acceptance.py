@@ -372,10 +372,7 @@ class TestCriterion7FileContracts:
         cfg = GssConfig(chi_init=4, chi_schedule=[4, 8], sweep_limits=[3, 3])
         result = run(model, cfg, want_observables=True)
         flags = OutputFlags(directory=tmp_path / "out", single_site=True, two_site=True)
-        manifest = RunManifest(
-            command="gss", config_path=tmp_path / "in.yml",
-            out_dir=flags.directory, n_stages=2,
-        )
+        manifest = RunManifest(out_dir=flags.directory)
         write_gss_outputs(manifest, result.state, result.stages, flags)
 
         for m in (1, 2):

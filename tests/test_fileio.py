@@ -199,12 +199,7 @@ class TestOutputs:
         cfg = GssConfig(chi_init=4, chi_schedule=schedule, sweep_limits=limits)
         result = run(model, cfg, want_observables=True)
         flags = OutputFlags(directory=tmp_path / "out", single_site=True, two_site=True)
-        manifest = RunManifest(
-            command="gss",
-            config_path=tmp_path / "input.yml",
-            out_dir=flags.directory,
-            n_stages=stages,
-        )
+        manifest = RunManifest(out_dir=flags.directory)
         write_gss_outputs(manifest, result.state, result.stages, flags)
         return result, flags
 
@@ -296,3 +291,53 @@ class TestTensorBundle:
         (tmp_path / "bundle" / "isometry1.npy").unlink()
         with pytest.raises(LoadError):
             load_tensor_bundle(tmp_path / "bundle")
+
+    def test_truncated_state_round_trip(self, tmp_path, rng):
+        t = normalize_target(rng.standard_normal((2,) * 8))
+        state = sequential_svd_to_mpn(t, 3)
+        assert state.max_bond_dimension() == 3
+        save_tensor_bundle(tmp_path / "bundle", state)
+        back = load_tensor_bundle(tmp_path / "bundle")
+        np.testing.assert_array_equal(to_dense(back), to_dense(state))
+
+
+def _rewrite(directory, name, change):
+    np.save(directory / name, change(np.load(directory / name)))
+
+
+def _narrow_third_leg(tensor):
+    d1, d2, d3 = tensor.shape
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((d1 * d2, d3 - 1)))
+    return q.reshape(d1, d2, d3 - 1)
+
+
+class TestBundleValidation:
+    """A bundle that breaks a network invariant fails to load with a
+    LoadError naming the file at fault."""
+
+    @pytest.mark.parametrize(
+        "name, change, problem",
+        [
+            ("isometry1.npy", lambda v: 1.5 * v, "isometry defect"),
+            ("isometry3.npy", _narrow_third_leg, "carries dims"),
+            ("isometry2.npy", lambda v: v[:, :, 0], "legs"),
+            ("singular_values.npy", lambda w: 2.0 * w, "square-sum"),
+        ],
+    )
+    def test_corrupt_piece_rejected(self, tmp_path, rng, name, change, problem):
+        state = sequential_svd_to_mpn(normalize_target(rng.standard_normal((2,) * 6)), 8)
+        bundle = tmp_path / "bundle"
+        save_tensor_bundle(bundle, state)
+        _rewrite(bundle, name, change)
+        with pytest.raises(LoadError, match=problem) as err:
+            load_tensor_bundle(bundle)
+        assert name in str(err.value)
+        assert str(bundle) in str(err.value)
+
+    def test_broken_graph_rejected(self, tmp_path, rng):
+        state = sequential_svd_to_mpn(normalize_target(rng.standard_normal((2,) * 6)), 8)
+        bundle = tmp_path / "bundle"
+        save_tensor_bundle(bundle, state)
+        (bundle / "graph.dat").write_text("0 1 6\n6 2 7\n8 3 7\n4 4 8\n")
+        with pytest.raises(LoadError, match="graph.dat"):
+            load_tensor_bundle(bundle)

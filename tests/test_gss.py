@@ -123,6 +123,14 @@ class TestRun:
         assert res.stages[0].converged
         assert len(res.stages[0].reports) < 20
 
+    def test_zero_energy_hamiltonian(self):
+        rows = [(i, i + 1, 0.0, 0.0) for i in range(5)]
+        model = SpinModel(n_sites=6, spin_sizes=[0.5] * 6, exchange_rows=rows)
+        cfg = GssConfig(chi_init=4, chi_schedule=[4], sweep_limits=[6])
+        res = run(model, cfg)
+        assert res.energy == 0.0
+        assert res.stages[0].converged
+
     def test_two_stage_schedule(self):
         model = heisenberg_chain(8, delta=0.5)
         cfg = GssConfig(chi_init=4, chi_schedule=[4, 16], sweep_limits=[4, 6])

@@ -1,0 +1,102 @@
+"""Tests for the staged sweeps (`run_stage`) and their convergence rule (`settled`)."""
+
+import pytest
+
+from treetn.state import cooled_temperature
+from treetn.sweeps import SETTLED_SWEEPS, Stage, SweepReport, run_stage, settled
+
+CHAIN = ((0, 1, 6), (6, 2, 7), (8, 3, 7), (4, 5, 8))
+RECONNECTED = ((0, 2, 6), (6, 1, 7), (8, 3, 7), (4, 5, 8))
+
+
+def report(energy=-1.0, entropy=0.5, fidelity=None, structure=CHAIN):
+    return SweepReport(
+        energies={7: energy},
+        entropies={7: entropy},
+        fidelities={} if fidelity is None else {7: fidelity},
+        structure_snapshot=structure,
+    )
+
+
+def scripted(reports):
+    """A fake sweep returning the given reports in order and recording the
+    selection settings it was called with."""
+    calls = []
+
+    def sweep(selection):
+        calls.append(selection)
+        return reports[len(calls) - 1]
+
+    return sweep, calls
+
+
+def drive(reports, **stage):
+    sweep, calls = scripted(reports)
+    stage = Stage(chi=4, n_max=len(reports), **stage)
+    out, converged = run_stage(
+        stage, sweep, None, eps_s=1e-8, delta_s=1e-8, eps_e=1e-8, eps_f=1e-10
+    )
+    return out, converged, calls
+
+
+class TestRunStage:
+    def test_stops_after_three_settled_pairs(self):
+        assert SETTLED_SWEEPS == 3
+        reports = [report(structure=RECONNECTED)] + [report() for _ in range(9)]
+        out, converged, _ = drive(reports)
+        # pair (0, 1) differs in structure; pairs (1, 2), (2, 3), (3, 4) settle
+        assert converged
+        assert len(out) == 5
+
+    def test_sweep_limit_without_three_pairs(self):
+        out, converged, _ = drive([report() for _ in range(3)])
+        assert not converged
+        assert len(out) == 3
+
+    @pytest.mark.parametrize(
+        "quantity, before, after", [("energy", -1.0, -2.0), ("fidelity", 0.5, 0.6)]
+    )
+    def test_disagreement_resets_count(self, quantity, before, after):
+        values = [before] * 3 + [after] * 5
+        out, converged, _ = drive([report(**{quantity: v}) for v in values])
+        # settled, settled, reset by the jump, then three settled pairs
+        assert converged
+        assert len(out) == 7
+
+    def test_zero_energies_settle(self):
+        out, converged, _ = drive([report(energy=0.0) for _ in range(6)])
+        assert converged
+        assert len(out) == 4
+
+    @pytest.mark.parametrize(
+        "mode, t0, annealed",
+        [(1, 0.8, True), (1, 0.0, False), (0, 0.8, False), (2, 0.8, False)],
+    )
+    def test_cooled_temperature_per_sweep(self, mode, t0, annealed):
+        structures = [CHAIN, RECONNECTED] * 3  # never settles
+        reports = [report(structure=s) for s in structures]
+        _, converged, calls = drive(reports, mode=mode, t0=t0, n_tau=2)
+        assert not converged
+        expected = [
+            cooled_temperature(t0, n, 2) if annealed else 0.0
+            for n in range(len(reports))
+        ]
+        assert [c.temperature for c in calls] == expected
+        assert all(c.chi == 4 and c.mode == mode for c in calls)
+
+
+class TestSettled:
+    def test_entropy_tolerance(self):
+        assert settled(report(entropy=0.5), report(entropy=0.5 + 1e-9), eps_s=1e-8)
+        assert not settled(report(entropy=0.5), report(entropy=0.6), eps_s=1e-8)
+
+    def test_energy_relative_and_zero_safe(self):
+        assert settled(report(energy=0.0), report(energy=0.0), 1e-8, eps_e=1e-8)
+        assert not settled(report(energy=0.0), report(energy=1e-12), 1e-8, eps_e=1e-8)
+        assert settled(report(energy=-1e6), report(energy=-1e6 - 1e-3), 1e-8, eps_e=1e-8)
+
+    def test_only_shared_bonds_compared(self):
+        other = SweepReport(
+            energies={9: -3.0}, entropies={7: 0.5}, structure_snapshot=CHAIN
+        )
+        assert settled(report(), other, 1e-8, eps_e=1e-8)
