@@ -4,7 +4,8 @@ A target tensor is normalized, peeled into a chain network by sequential
 SVD, and then improved by sweeps: reconstruction sweeps re-split the local
 two-tensor by SVD alone, while fidelity sweeps replace it with the
 normalized environment (the target contracted with every other conjugated
-isometry), which locally maximizes the overlap with the target.
+isometry), which locally maximizes the overlap with the target. Partial
+contractions of the target with fixed subtrees are reused between steps.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import InvariantViolation, NumericalError
 from .linalg import full_svd, truncate_spectrum
 from .state import TTNState, merge_center
 from .sweeps import Stage, StepInfo, SweepReport, run_stage, run_sweep
-from .topology import build_mpn, set_distance
+from .topology import build_mpn
 
 __all__ = [
     "FactorizeConfig",
@@ -74,10 +75,15 @@ class FactorizeConfig:
 
 @dataclass
 class TargetTensor:
-    """A normalized dense target plus its original Frobenius norm."""
+    """A normalized dense target plus its original Frobenius norm.
+
+    ``envs`` memoizes the target contracted with subtrees of a network, keyed
+    by the tensor at the subtree's root (see ``contract_with_conjugates``).
+    """
 
     data: np.ndarray
     norm: float
+    envs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def normalize_target(raw: np.ndarray) -> TargetTensor:
@@ -179,39 +185,96 @@ def reconstruct_sweep(
 
 
 def contract_with_conjugates(
-    target: TargetTensor, state: TTNState, exclude: tuple[int, ...], root_bond: int
+    target: TargetTensor, state: TTNState, pair: tuple[int, int]
 ) -> tuple[np.ndarray, list[int]]:
-    """Contract the target with the conjugates of all isometries except
-    ``exclude``, leaves first. Returns the result and its leg labels."""
+    """Contract the target with the conjugates of all isometries except the
+    two adjacent tensors of ``pair``. Returns the result and its leg labels,
+    the outer bonds of the pair.
+
+    Every other tensor's third bond points towards the pair, so the rest of
+    the network splits into the subtrees behind the (up to four) outer
+    bonds. The contraction starts from ``T_B``, the target contracted with
+    the subtree behind the outer bond ``B`` holding the most sites, and
+    folds the other subtrees onto it, leaves first. ``T_b`` is built from
+    ``T`` of the larger child of the tensor owning ``b``, with the smaller
+    child's subtree and that tensor folded in, and is memoized on the target
+    while every isometry of its subtree is the same array with the same
+    bonds. Entries larger than a quarter of the target are not kept.
+    """
     topo = state.topology
-    dist = set_distance(topo, root_bond)
-    legs = list(range(topo.n_sites))
-    acc = target.data
-    order = sorted(
-        (i for i in range(topo.n_tensors) if i not in exclude),
-        key=lambda i: -dist[topo.edges[i][2]],
-    )
-    for i in order:
-        e1, e2, e3 = topo.edges[i]
-        ax1, ax2 = legs.index(e1), legs.index(e2)
-        acc = np.tensordot(acc, state.tensors[i].conj(), axes=[[ax1, ax2], [0, 1]])
-        legs = [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [e3]
+    t, t_conn = pair
+    shared = set(topo.edges[t]) & set(topo.edges[t_conn])
+    if len(shared) != 1:
+        raise InvariantViolation(f"tensors {t},{t_conn} do not share one bond")
+    outer = [b for b in (*topo.edges[t], *topo.edges[t_conn]) if b not in shared]
+    owner = {e[2]: i for i, e in enumerate(topo.edges) if i not in pair}
+    members: dict[int, list[int]] = {}
+
+    def subtree(b: int) -> list[int]:
+        """Tensors behind ``b``, children before parents; one fewer than
+        the sites behind ``b``."""
+        if b not in members:
+            members[b] = [] if topo.is_physical(b) else [
+                *subtree(topo.edges[owner[b]][0]),
+                *subtree(topo.edges[owner[b]][1]),
+                owner[b],
+            ]
+        return members[b]
+
+    def fold(acc, legs, b):
+        for i in subtree(b):
+            acc, legs = _absorb(acc, legs, state.tensors[i], topo.edges[i])
+        return acc, legs
+
+    def behind(b):
+        if topo.is_physical(b):
+            return target.data, list(range(topo.n_sites))
+        o = owner[b]
+        deps = [(state.tensors[i], tuple(topo.edges[i])) for i in subtree(b)]
+        hit = target.envs.get(o)
+        if hit is not None and len(hit[0]) == len(deps) and all(
+            a is x and e == f for (a, e), (x, f) in zip(hit[0], deps)
+        ):
+            return hit[1], hit[2]
+        big, small = sorted(topo.edges[o][:2], key=lambda c: -len(subtree(c)))
+        acc, legs = fold(*behind(big), small)
+        acc, legs = _absorb(acc, legs, state.tensors[o], topo.edges[o])
+        if 4 * acc.size <= target.data.size:
+            acc.flags.writeable = False
+            target.envs[o] = (deps, acc, legs)
+        else:
+            target.envs.pop(o, None)
+        return acc, legs
+
+    outer.sort(key=lambda c: -len(subtree(c)))
+    acc, legs = behind(outer[0])
+    for b in outer[1:]:
+        acc, legs = fold(acc, legs, b)
     return acc, legs
 
 
+def _absorb(acc, legs, tensor, edges):
+    """Contract a conjugated isometry over its first two bonds; its third
+    bond becomes the last leg."""
+    ax1, ax2 = legs.index(edges[0]), legs.index(edges[1])
+    acc = np.tensordot(acc, tensor.conj(), axes=[[ax1, ax2], [0, 1]])
+    return acc, [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [edges[2]]
+
+
 def environment(
-    target: TargetTensor, state: TTNState, t: int, t_conn: int
+    target: TargetTensor,
+    state: TTNState,
+    t: int,
+    t_conn: int,
+    bonds: tuple[int, ...] | None = None,
 ) -> np.ndarray:
-    """Environment of the two center tensors: the target contracted with
-    every other conjugated isometry, legs ordered (e1(t), e2(t), e1(t'),
-    e2(t'))."""
-    topo = state.topology
-    if topo.edges[t][2] != topo.edges[t_conn][2]:
-        raise InvariantViolation("environment tensors must share their third bond")
-    root = topo.edges[t][2]
-    acc, legs = contract_with_conjugates(target, state, (t, t_conn), root)
-    want = [*topo.edges[t][:2], *topo.edges[t_conn][:2]]
-    return acc.transpose([legs.index(b) for b in want])
+    """Environment of two adjacent tensors: the target contracted with every
+    other conjugated isometry, legs ordered as ``bonds`` (by default
+    (e1(t), e2(t), e1(t'), e2(t')) of the center pair)."""
+    acc, legs = contract_with_conjugates(target, state, (t, t_conn))
+    if bonds is None:
+        bonds = (*state.topology.edges[t][:2], *state.topology.edges[t_conn][:2])
+    return acc.transpose([legs.index(b) for b in bonds])
 
 
 def embed_environment(env: np.ndarray) -> np.ndarray:
@@ -245,14 +308,8 @@ def fidelity_sweep_run(
     rng = np.random.Generator(np.random.Philox(config.fidelity_seed))
 
     def update(psi, info: StepInfo):
-        acc, legs = contract_with_conjugates(
-            target, state, (info.t, info.t_conn), info.e_new
-        )
-        env = acc.transpose([legs.index(b) for b in info.merge_bonds])
-        nrm = float(np.linalg.norm(env))
-        if nrm == 0.0:
-            raise NumericalError("degenerate environment: state orthogonal to target")
-        return env / nrm, {"fidelity_scale": nrm}
+        env = environment(target, state, info.t, info.t_conn, info.merge_bonds)
+        return embed_environment(env), {"fidelity_scale": float(np.linalg.norm(env))}
 
     sweep = partial(run_sweep, state, update_psi=update, observers=observers)
     stage_reports: list[list[SweepReport]] = []

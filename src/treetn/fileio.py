@@ -447,16 +447,13 @@ def load_tensor_bundle(directory: Path) -> TTNState:
         audit_topology(topo)
     except InvariantViolation as exc:
         raise LoadError(f"tensor bundle {directory}: graph.dat: {exc}") from exc
-    tensors = []
-    for i in range(n_tensors):
-        path = directory / f"isometry{i}.npy"
-        if not path.exists():
-            raise LoadError(f"tensor bundle {directory} lacks {path.name}")
-        tensors.append(np.load(path))
-    weights = np.load(directory / "singular_values.npy")
-    norm = float(np.load(directory / "norm.npy"))
+    tensors = [_load_array(directory, f"isometry{i}.npy") for i in range(n_tensors)]
+    weights = _load_array(directory, "singular_values.npy")
+    norm = _load_array(directory, "norm.npy")
+    if norm.ndim != 0:
+        raise LoadError(f"tensor bundle {directory}: norm.npy holds shape {norm.shape}")
     state = TTNState(
-        topology=topo, tensors=tensors, center_weights=weights, norm_scale=norm
+        topology=topo, tensors=tensors, center_weights=weights, norm_scale=float(norm)
     )
     try:
         state.bond_dimensions()
@@ -467,3 +464,14 @@ def load_tensor_bundle(directory: Path) -> TTNState:
             bad = "singular_values.npy"
         raise LoadError(f"tensor bundle {directory}: {bad}: {exc}") from exc
     return state
+
+
+def _load_array(directory: Path, name: str) -> np.ndarray:
+    """One array of a tensor bundle; a missing or unreadable file raises
+    ``LoadError`` naming it."""
+    try:
+        return np.load(directory / name)
+    except FileNotFoundError:
+        raise LoadError(f"tensor bundle {directory} lacks {name}") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise LoadError(f"tensor bundle {directory}: {name}: {exc}") from exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import AuditObserver, leaf_partitions
+from treetn import factorize
 from treetn.benchmarks import balanced_tree_edges, gen_multivariate_normal
 from treetn.errors import NumericalError
 from treetn.factorize import (
@@ -17,7 +18,7 @@ from treetn.factorize import (
     sequential_svd_to_mpn,
 )
 from treetn.state import audit_state, merge_center, to_dense
-from treetn.topology import audit_topology
+from treetn.topology import audit_topology, set_distance
 
 
 def rainbow_target(n):
@@ -28,6 +29,39 @@ def rainbow_target(n):
         idx = tuple(bits) + tuple(reversed(bits))
         psi[idx] = 1.0
     return normalize_target(psi)
+
+
+def full_rebuild(target, state, pair):
+    """Reference environment contraction without memoization: the whole
+    target contracted with every isometry outside ``pair``, farthest from
+    the pair's shared bond first. Returns the result and its leg labels."""
+    topo = state.topology
+    (root,) = set(topo.edges[pair[0]]) & set(topo.edges[pair[1]])
+    dist = set_distance(topo, root)
+    legs = list(range(topo.n_sites))
+    acc = target.data
+    order = sorted(
+        (i for i in range(topo.n_tensors) if i not in pair),
+        key=lambda i: -dist[topo.edges[i][2]],
+    )
+    for i in order:
+        e1, e2, e3 = topo.edges[i]
+        ax1, ax2 = legs.index(e1), legs.index(e2)
+        acc = np.tensordot(acc, state.tensors[i].conj(), axes=[[ax1, ax2], [0, 1]])
+        legs = [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [e3]
+    return acc, legs
+
+
+def assert_matches_full_rebuild(target, state, pair, acc, legs):
+    ref, ref_legs = full_rebuild(target, state, pair)
+    assert sorted(legs) == sorted(ref_legs)
+    np.testing.assert_allclose(
+        acc, ref.transpose([ref_legs.index(b) for b in legs]), rtol=0, atol=1e-12
+    )
+
+
+def assert_entries_bounded(target):
+    assert all(4 * acc.size <= target.data.size for _, acc, _ in target.envs.values())
 
 
 class TestNormalizeTarget:
@@ -280,3 +314,92 @@ class TestFidelitySweeps:
         f_opt = fidelity(t, opt_state)
         assert f_opt >= 1 - 1e-8
         assert f_opt > f_fixed + 0.05
+
+
+class TestCachedEnvironment:
+    """The memoized environment against the full rebuild from the target."""
+
+    @pytest.mark.parametrize(
+        "n, mode, t0, seed, complex_",
+        [
+            (8, 1, 0.5, 0, False),
+            (9, 2, 0.0, 1, False),
+            (10, 1, 1.0, 2, False),
+            (10, 2, 0.0, 3, False),
+            (8, 1, 0.5, 4, True),
+        ],
+    )
+    def test_every_step_matches_full_rebuild(
+        self, monkeypatch, n, mode, t0, seed, complex_
+    ):
+        gen = np.random.default_rng(seed)
+        raw = gen.standard_normal((2,) * n)
+        if complex_:
+            raw = raw + 1j * gen.standard_normal((2,) * n)
+        t = normalize_target(raw)
+        state = sequential_svd_to_mpn(t, 2)
+        cached = factorize.contract_with_conjugates
+        calls = []
+
+        def checked(target, st, pair):
+            acc, legs = cached(target, st, pair)
+            assert_matches_full_rebuild(target, st, pair, acc, legs)
+            calls.append(pair)
+            return acc, legs
+
+        monkeypatch.setattr(factorize, "contract_with_conjugates", checked)
+        pairings = []
+        cfg = FactorizeConfig(
+            chi_init=2,
+            fidelity_enabled=True,
+            fidelity_opt_mode=mode,
+            fidelity_t0=t0,
+            fidelity_seed=seed,
+            fidelity_chi_schedule=[2, 4],
+            fidelity_n_max=[4, 2],
+        )
+        fidelity_sweep_run(
+            t, state, cfg, observers=[lambda s, info: pairings.append(info.choice.pairing)]
+        )
+        assert len(calls) == len(pairings) > 0
+        assert any(p != 0 for p in pairings), "no reconnection happened"
+        assert t.envs, "nothing was memoized"
+        assert_entries_bounded(t)
+
+    def test_unchanged_network_reuses_entries(self, rng):
+        t = normalize_target(rng.standard_normal((2,) * 10))
+        state = sequential_svd_to_mpn(t, 4)
+        p, q = state.topology.center_tensors()
+        first = environment(t, state, p, q)
+        entries = {o: entry[1] for o, entry in t.envs.items()}
+        assert entries
+        second = environment(t, state, p, q)
+        assert all(t.envs[o][1] is acc for o, acc in entries.items())
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("change", ["array", "edges"])
+    def test_changed_leaf_is_not_reused(self, rng, change):
+        t = normalize_target(rng.standard_normal((2,) * 10))
+        state = sequential_svd_to_mpn(t, 4)
+        p, q = state.topology.center_tensors()
+        environment(t, state, p, q)
+        assert t.envs
+        # the leaf of a memoized subtree gets a fresh same-shape array, or
+        # its two sites swapped without touching the array
+        deps = next(iter(t.envs.values()))[0]
+        leaf = next(i for i, v in enumerate(state.tensors) if v is deps[0][0])
+        if change == "array":
+            state.tensors[leaf] = rng.standard_normal(state.tensors[leaf].shape)
+        else:
+            e1, e2, e3 = state.topology.edges[leaf]
+            state.topology.edges[leaf] = [e2, e1, e3]
+        acc, legs = factorize.contract_with_conjugates(t, state, (p, q))
+        assert_matches_full_rebuild(t, state, (p, q), acc, legs)
+        assert_entries_bounded(t)
+
+    def test_entries_are_read_only(self, rng):
+        t = normalize_target(rng.standard_normal((2,) * 10))
+        state = sequential_svd_to_mpn(t, 4)
+        environment(t, state, *state.topology.center_tensors())
+        assert t.envs
+        assert not any(acc.flags.writeable for _, acc, _ in t.envs.values())

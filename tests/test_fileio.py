@@ -341,3 +341,31 @@ class TestBundleValidation:
         (bundle / "graph.dat").write_text("0 1 6\n6 2 7\n8 3 7\n4 4 8\n")
         with pytest.raises(LoadError, match="graph.dat"):
             load_tensor_bundle(bundle)
+
+    @pytest.mark.parametrize("name", ["norm.npy", "singular_values.npy", "isometry2.npy"])
+    def test_missing_array_rejected(self, tmp_path, rng, name):
+        state = sequential_svd_to_mpn(normalize_target(rng.standard_normal((2,) * 6)), 8)
+        bundle = tmp_path / "bundle"
+        save_tensor_bundle(bundle, state)
+        (bundle / name).unlink()
+        with pytest.raises(LoadError, match=f"lacks {name}") as err:
+            load_tensor_bundle(bundle)
+        assert str(bundle) in str(err.value)
+
+    @pytest.mark.parametrize("junk", [b"not an npy file", b""])
+    def test_unreadable_array_rejected(self, tmp_path, rng, junk):
+        state = sequential_svd_to_mpn(normalize_target(rng.standard_normal((2,) * 6)), 8)
+        bundle = tmp_path / "bundle"
+        save_tensor_bundle(bundle, state)
+        (bundle / "isometry1.npy").write_bytes(junk)
+        with pytest.raises(LoadError, match="isometry1.npy") as err:
+            load_tensor_bundle(bundle)
+        assert str(bundle) in str(err.value)
+
+    def test_non_scalar_norm_rejected(self, tmp_path, rng):
+        state = sequential_svd_to_mpn(normalize_target(rng.standard_normal((2,) * 6)), 8)
+        bundle = tmp_path / "bundle"
+        save_tensor_bundle(bundle, state)
+        np.save(bundle / "norm.npy", np.ones(3))
+        with pytest.raises(LoadError, match="norm.npy"):
+            load_tensor_bundle(bundle)
