@@ -46,7 +46,9 @@ from .state import (
     site_ee,
     to_dense,
 )
-from .sweeps import SelectionSettings, StepInfo, SweepReport, run_sweep
+from .sweeps import (
+    SelectionSettings, Stage, StepInfo, SweepReport, run_sweep, schedule
+)
 from .topology import (
     Topology,
     build_initial_topology,
@@ -68,7 +70,7 @@ __all__ = [
     "TTNState", "ReconnectChoice", "merge_center", "decompose_tensor",
     "site_ee", "cooled_temperature", "to_dense",
     "SpinModel", "local_spin_matrices", "parse_spin_size",
-    "SelectionSettings", "SweepReport", "StepInfo", "run_sweep",
+    "SelectionSettings", "SweepReport", "StepInfo", "run_sweep", "Stage", "schedule",
     "GssConfig", "GssResult", "Observables", "initialize_ttn", "sweep", "run",
     "one_site_expectations", "two_site_correlations",
     "FactorizeConfig", "TargetTensor", "normalize_target",

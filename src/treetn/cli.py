@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .factorize import (
 )
 from .fileio import (
     RunManifest,
+    load_array,
     load_tensor_bundle,
     parse_ft_config,
     parse_gss_config,
@@ -77,23 +79,21 @@ def ft_main(argv=None) -> int:
         flags.directory.mkdir(parents=True, exist_ok=True)
         with_fidelity = False
         if target_spec.kind == "tensor":
-            raw = np.load(target_spec.path)
-            target = normalize_target(raw)
+            target = normalize_target(load_array(target_spec.path))
             state = sequential_svd_to_mpn(
                 target, config.chi_init, config.sigma, config.delta_s
             )
             reports = []
             if config.opt_mode in (1, 2):
                 state, reports = reconstruct_sweep(state, config)
-            if config.fidelity_enabled:
+            if config.fidelity:
                 state, stage_reports = fidelity_sweep_run(target, state, config)
                 reports = [r for stage in stage_reports for r in stage]
                 with_fidelity = True
             if not reports:
                 # fixed-structure networks still need one report for outputs
-                state, reports = reconstruct_sweep(
-                    state, _frozen_copy(config)
-                )
+                frozen = replace(config, opt_mode=0, n_max=1, fidelity=[])
+                state, reports = reconstruct_sweep(state, frozen)
             final_report = reports[-1]
             print(f"fidelity: {fidelity(target, state):.12e}")
         else:
@@ -112,12 +112,6 @@ def ft_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _frozen_copy(config):
-    from dataclasses import replace
-
-    return replace(config, opt_mode=0, n_max=1, fidelity_enabled=False)
 
 
 def bench_main(argv=None) -> int:

@@ -36,7 +36,9 @@ __all__ = [
 
 @dataclass
 class FactorizeConfig:
-    """Settings for factorization, reconstruction, and fidelity sweeps."""
+    """Settings for factorization, reconstruction (one stage, see
+    ``reconstruction()``), and fidelity sweeps (``fidelity``, the stages
+    built by ``sweeps.schedule``; empty when they are off)."""
 
     chi_init: int
     opt_mode: int = 0
@@ -47,30 +49,18 @@ class FactorizeConfig:
     eps_s: float = 1e-8
     sigma: float = 0.0
     delta_s: float = 1e-8
-    fidelity_enabled: bool = False
-    fidelity_opt_mode: int = 0
-    fidelity_t0: float = 0.0
-    fidelity_n_tau: int | None = None
+    fidelity: list[Stage] = field(default_factory=list)
     fidelity_seed: int = 0
-    fidelity_chi_schedule: list[int] = field(default_factory=list)
-    fidelity_n_max: list[int] = field(default_factory=list)
     eps_f: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError("sigma must lie in [0, 1)")
-        if self.chi_init < 1:
-            raise ValueError("chi_init must be positive")
-        if self.n_tau is None:
-            self.n_tau = max(1, self.n_max // 2)
-        if self.fidelity_enabled:
-            if len(self.fidelity_chi_schedule) != len(self.fidelity_n_max):
-                raise ValueError("fidelity schedules differ in length")
-            if not self.fidelity_chi_schedule:
-                raise ValueError("fidelity sweeps need a bond-dimension schedule")
-        if self.fidelity_n_tau is None:
-            first = self.fidelity_n_max[0] if self.fidelity_n_max else self.n_max
-            self.fidelity_n_tau = max(1, first // 2)
+        self.reconstruction()
+
+    def reconstruction(self) -> Stage:
+        """The one stage of reconstruction sweeps, capped at ``chi_init``."""
+        return Stage(self.chi_init, self.n_max, self.opt_mode, self.t0, self.n_tau)
 
 
 @dataclass
@@ -174,12 +164,9 @@ def reconstruct_sweep(
     """SVD-only sweeps reshaping the network until structure and entropies
     settle. The bond-dimension cap follows the input network."""
     rng = np.random.Generator(np.random.Philox(config.seed))
-    stage = Stage(
-        max(config.chi_init, 1), config.n_max, config.opt_mode, config.t0, config.n_tau
-    )
     sweep = partial(run_sweep, state, observers=observers)
     reports, _ = run_stage(
-        stage, sweep, rng, config.eps_s, config.delta_s, config.sigma
+        config.reconstruction(), sweep, rng, config.eps_s, config.delta_s, config.sigma
     )
     return state, reports
 
@@ -300,10 +287,10 @@ def fidelity_sweep_run(
 
     Each step replaces the merged center with the normalized environment;
     the per-bond running fidelity is the environment norm reduced by the
-    truncation at the following split. Structure moves only during the first
-    stage.
+    truncation at the following split. Each stage of ``config.fidelity``
+    runs to convergence or its sweep limit.
     """
-    if not config.fidelity_enabled:
+    if not config.fidelity:
         raise ValueError("fidelity sweeps are disabled in this configuration")
     rng = np.random.Generator(np.random.Philox(config.fidelity_seed))
 
@@ -313,11 +300,7 @@ def fidelity_sweep_run(
 
     sweep = partial(run_sweep, state, update_psi=update, observers=observers)
     stage_reports: list[list[SweepReport]] = []
-    for m, (chi, n_max) in enumerate(
-        zip(config.fidelity_chi_schedule, config.fidelity_n_max)
-    ):
-        mode = config.fidelity_opt_mode if m == 0 else 0
-        stage = Stage(chi, n_max, mode, config.fidelity_t0, config.fidelity_n_tau)
+    for stage in config.fidelity:
         reports, _ = run_stage(
             stage, sweep, rng, config.eps_s, config.delta_s, config.sigma,
             eps_f=config.eps_f,

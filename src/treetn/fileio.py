@@ -24,7 +24,7 @@ from .factorize import FactorizeConfig
 from .gss import CORRELATION_ORDER, GssConfig, Observables, StageResult
 from .spinmodel import SpinModel, parse_spin_size
 from .state import TTNState, audit_state
-from .sweeps import SweepReport
+from .sweeps import ScheduleError, Stage, SweepReport, schedule
 from .topology import Topology, audit_topology
 
 __all__ = [
@@ -37,9 +37,17 @@ __all__ = [
     "write_ft_outputs",
     "save_tensor_bundle",
     "load_tensor_bundle",
+    "load_array",
 ]
 
 GSS_DEFAULT_THRESHOLD = 1e-8
+
+# YAML keys of the Stage fields in a schedule section, and in the flat
+# reconstruction settings of an ft config
+SCHEDULE_KEYS = {"chi": "max_bond_dimensions", "n_max": "max_num_sweeps",
+                 "t0": "opt_structure.temperature", "n_tau": "opt_structure.tau"}
+RECONSTRUCTION_KEYS = {**SCHEDULE_KEYS, "chi": "initial_bond_dimension",
+                       "n_max": "max_sweep_num"}
 
 
 @dataclass
@@ -131,18 +139,53 @@ def _spin_sizes(value, n: int, base: Path) -> list[float]:
     return [parse_spin_size(text)] * n
 
 
-def _opt_structure(section: dict, where: str):
+def _opt_structure(section, where: str):
+    if not isinstance(section, dict):
+        raise LoadError(f"{where} must be a mapping, got {section!r}")
     known = {"type", "temperature", "tau", "seed", "active"}
     _warn_unknown(section, known, where)
-    mode = int(section.get("type", 0))
-    if mode not in (0, 1, 2):
-        raise LoadError(f"{where}.type must be 0, 1, or 2, got {mode}")
-    return {
-        "mode": mode,
-        "t0": float(section.get("temperature", 0.0)),
-        "n_tau": int(section["tau"]) if "tau" in section else None,
-        "seed": int(section.get("seed", 0)),
-    }
+    try:
+        opt = {
+            "mode": int(section.get("type", 0)),
+            "t0": float(section.get("temperature", 0.0)),
+            "n_tau": int(section["tau"]) if "tau" in section else None,
+            "seed": int(section.get("seed", 0)),
+        }
+    except (TypeError, ValueError) as exc:
+        raise LoadError(f"{where}: {exc}") from exc
+    if opt["mode"] not in (0, 1, 2):
+        raise LoadError(f"{where}.type must be 0, 1, or 2, got {opt['mode']}")
+    return opt
+
+
+def _int_list(section: dict, key: str, where: str) -> list[int]:
+    """A required YAML list of integers; anything else raises ``LoadError``
+    naming the key."""
+    value = section.get(key)
+    if not isinstance(value, list):
+        raise LoadError(f"{where}.{key} must be a list of integers, got {value!r}")
+    try:
+        return [int(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise LoadError(f"{where}.{key}: {exc}") from exc
+
+
+def _schedule_error(exc: ScheduleError, where: str, keys=SCHEDULE_KEYS) -> LoadError:
+    key = keys.get(exc.field, f"{keys['chi']}/{keys['n_max']}")
+    return LoadError(f"{where}.{key}: {exc}")
+
+
+def _schedule(section: dict, where: str) -> tuple[list[Stage], int]:
+    """The stages of a schedule section (gss ``numerics`` or ``fidelity``)
+    and the seed of its ``opt_structure`` block."""
+    opt = _opt_structure(section.get("opt_structure") or {}, f"{where}.opt_structure")
+    chis = _int_list(section, "max_bond_dimensions", where)
+    limits = _int_list(section, "max_num_sweeps", where)
+    try:
+        stages = schedule(chis, limits, opt["mode"], opt["t0"], opt["n_tau"])
+    except ScheduleError as exc:
+        raise _schedule_error(exc, where) from exc
+    return stages, opt["seed"]
 
 
 def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
@@ -216,29 +259,20 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
         "energy_degeneracy_threshold", "entanglement_degeneracy_threshold",
     }
     _warn_unknown(numerics, known_numerics, "numerics")
-    try:
-        chi_schedule = [int(c) for c in numerics["max_bond_dimensions"]]
-        sweep_limits = [int(c) for c in numerics["max_num_sweeps"]]
-        chi_init = int(numerics["initial_bond_dimension"])
-    except KeyError as exc:
-        raise LoadError(f"missing required numerics key {exc}") from exc
-    opt = _opt_structure(numerics.get("opt_structure", {}) or {}, "opt_structure")
-
+    stages, seed = _schedule(numerics, "numerics")
     try:
         config = GssConfig(
-            chi_init=chi_init,
-            chi_schedule=chi_schedule,
-            sweep_limits=sweep_limits,
+            chi_init=int(numerics["initial_bond_dimension"]),
+            stages=stages,
             init_tree="pbt" if int(numerics.get("init_tree", 0)) == 1 else "mpn",
-            opt_mode=opt["mode"],
-            t0=opt["t0"],
-            n_tau=opt["n_tau"],
-            seed=opt["seed"],
+            seed=seed,
             eps_e=float(numerics.get("energy_convergence_threshold", GSS_DEFAULT_THRESHOLD)),
             eps_s=float(numerics.get("entanglement_convergence_threshold", GSS_DEFAULT_THRESHOLD)),
             delta_e=float(numerics.get("energy_degeneracy_threshold", GSS_DEFAULT_THRESHOLD)),
             delta_s=float(numerics.get("entanglement_degeneracy_threshold", GSS_DEFAULT_THRESHOLD)),
         )
+    except KeyError as exc:
+        raise LoadError(f"missing required numerics key {exc}") from exc
     except ValueError as exc:
         raise LoadError(str(exc)) from exc
 
@@ -278,12 +312,14 @@ def parse_ft_config(path) -> tuple[TargetSpec, FactorizeConfig, OutputFlags]:
         "max_truncated_singularvalue", "fidelity",
     }
     _warn_unknown(numerics, known_numerics, "numerics")
-    opt = _opt_structure(numerics.get("opt_structure", {}) or {}, "opt_structure")
+    opt = _opt_structure(numerics.get("opt_structure") or {}, "numerics.opt_structure")
 
     fid = numerics.get("fidelity") or {}
+    if not isinstance(fid, dict):
+        raise LoadError(f"numerics.fidelity must be a mapping, got {fid!r}")
     fid_known = {"opt_structure", "max_bond_dimensions", "max_num_sweeps", "convergence_threshold"}
     _warn_unknown(fid, fid_known, "fidelity")
-    fid_opt = _opt_structure(fid.get("opt_structure", {}) or {}, "fidelity.opt_structure")
+    fid_stages, fid_seed = _schedule(fid, "numerics.fidelity") if fid else ([], 0)
 
     try:
         config = FactorizeConfig(
@@ -296,17 +332,14 @@ def parse_ft_config(path) -> tuple[TargetSpec, FactorizeConfig, OutputFlags]:
             eps_s=float(numerics.get("entanglement_convergence_threshold", GSS_DEFAULT_THRESHOLD)),
             sigma=float(numerics.get("max_truncated_singularvalue", 0.0)),
             delta_s=float(numerics.get("entanglement_degeneracy_threshold", GSS_DEFAULT_THRESHOLD)),
-            fidelity_enabled=bool(fid),
-            fidelity_opt_mode=fid_opt["mode"],
-            fidelity_t0=fid_opt["t0"],
-            fidelity_n_tau=fid_opt["n_tau"],
-            fidelity_seed=fid_opt["seed"],
-            fidelity_chi_schedule=[int(c) for c in fid.get("max_bond_dimensions", [])],
-            fidelity_n_max=[int(c) for c in fid.get("max_num_sweeps", [])],
+            fidelity=fid_stages,
+            fidelity_seed=fid_seed,
             eps_f=float(fid.get("convergence_threshold", 1e-10)),
         )
     except KeyError as exc:
         raise LoadError(f"missing required numerics key {exc}") from exc
+    except ScheduleError as exc:
+        raise _schedule_error(exc, "numerics", RECONSTRUCTION_KEYS) from exc
     except ValueError as exc:
         raise LoadError(str(exc)) from exc
 
@@ -447,9 +480,9 @@ def load_tensor_bundle(directory: Path) -> TTNState:
         audit_topology(topo)
     except InvariantViolation as exc:
         raise LoadError(f"tensor bundle {directory}: graph.dat: {exc}") from exc
-    tensors = [_load_array(directory, f"isometry{i}.npy") for i in range(n_tensors)]
-    weights = _load_array(directory, "singular_values.npy")
-    norm = _load_array(directory, "norm.npy")
+    tensors = [load_array(directory / f"isometry{i}.npy") for i in range(n_tensors)]
+    weights = load_array(directory / "singular_values.npy")
+    norm = load_array(directory / "norm.npy")
     if norm.ndim != 0:
         raise LoadError(f"tensor bundle {directory}: norm.npy holds shape {norm.shape}")
     state = TTNState(
@@ -466,12 +499,12 @@ def load_tensor_bundle(directory: Path) -> TTNState:
     return state
 
 
-def _load_array(directory: Path, name: str) -> np.ndarray:
-    """One array of a tensor bundle; a missing or unreadable file raises
-    ``LoadError`` naming it."""
+def load_array(path: Path) -> np.ndarray:
+    """One ``.npy`` file (a dense target or a piece of a tensor bundle); a
+    missing or unreadable file raises ``LoadError`` naming it."""
     try:
-        return np.load(directory / name)
+        return np.load(path)
     except FileNotFoundError:
-        raise LoadError(f"tensor bundle {directory} lacks {name}") from None
+        raise LoadError(f"{path.parent} lacks {path.name}") from None
     except (OSError, ValueError, EOFError) as exc:
-        raise LoadError(f"tensor bundle {directory}: {name}: {exc}") from exc
+        raise LoadError(f"{path}: {exc}") from exc

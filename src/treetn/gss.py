@@ -50,37 +50,28 @@ __all__ = [
 # column order of the two-site correlation components
 CORRELATION_ORDER = ("xx", "yy", "zz", "yz", "zy", "zx", "xz", "xy", "yx")
 
+# size of the fixed direction mixed into every Lanczos start vector
+LANCZOS_NOISE = 1e-7
+
 
 @dataclass
 class GssConfig:
-    """Numerical settings for one ground-state search."""
+    """Numerical settings for one ground-state search; ``stages`` is the
+    bond-dimension schedule, built by ``sweeps.schedule``."""
 
     chi_init: int
-    chi_schedule: list[int]
-    sweep_limits: list[int]
+    stages: list[Stage]
     init_tree: str = "mpn"
-    opt_mode: int = 0
-    t0: float = 0.0
-    n_tau: int | None = None
     seed: int = 0
     eps_e: float = 1e-8
     eps_s: float = 1e-8
     delta_e: float = 1e-8
     delta_s: float = 1e-8
-    lanczos_tol: float = 1e-12
-    max_krylov: int = 200
-    lanczos_noise: float = 1e-7
 
     def __post_init__(self):
-        if len(self.chi_schedule) != len(self.sweep_limits):
-            raise ValueError("bond-dimension and sweep-limit lists differ in length")
-        if any(b <= a for a, b in zip(self.chi_schedule, self.chi_schedule[1:])):
-            raise ValueError("bond-dimension schedule must be strictly ascending")
         for name in ("eps_e", "eps_s", "delta_e", "delta_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_tau is None:
-            self.n_tau = max(1, self.sweep_limits[0] // 2)
 
 
 @dataclass
@@ -141,22 +132,21 @@ def degenerate_keep_count(eigenvalues: np.ndarray, chi: int, delta_e: float) -> 
     return m
 
 
-def _perturb(psi: np.ndarray, scale: float) -> np.ndarray:
-    """Mix a fixed pseudo-random direction into a normalized vector.
+def _perturb(psi: np.ndarray) -> np.ndarray:
+    """Mix a fixed pseudo-random direction of size ``LANCZOS_NOISE`` into a
+    normalized vector.
 
     Symmetric Hamiltonians trap an exactly symmetric start vector in its
     invariant subspace, where Lanczos converges to an excited sector; a tiny
     deterministic admixture lets the solver reach the true ground state
     while changing the Rayleigh quotient only at second order.
     """
-    if scale <= 0.0:
-        return psi
     rng = np.random.Generator(np.random.Philox(0x5EED))
     noise = rng.standard_normal(psi.shape)
     if np.iscomplexobj(psi):
         noise = noise + 1j * rng.standard_normal(psi.shape)
     noise /= np.linalg.norm(noise)
-    out = psi + scale * noise.astype(psi.dtype)
+    out = psi + LANCZOS_NOISE * noise.astype(psi.dtype)
     return out / np.linalg.norm(out)
 
 
@@ -177,9 +167,6 @@ def initialize_ttn(
     chi_init: int,
     delta_e: float = 1e-8,
     delta_s: float = 1e-8,
-    lanczos_tol: float = 1e-12,
-    max_krylov: int = 200,
-    lanczos_noise: float = 1e-7,
 ) -> tuple[TTNState, OperatorCache, float]:
     """Real-space renormalization-group initialization.
 
@@ -215,8 +202,7 @@ def initialize_ttn(
     phi0 = np.tensordot(
         state.tensors[p][:, :, :k], state.tensors[q][:, :, :k], axes=[2, 2]
     )
-    phi0 = _perturb(phi0 / np.linalg.norm(phi0), lanczos_noise)
-    energy, psi = lanczos_lowest(plan.apply, phi0, max_krylov, lanczos_tol)
+    energy, psi = lanczos_lowest(plan.apply, _perturb(phi0 / np.linalg.norm(phi0)))
 
     v_p, weights, v_q, _ = decompose_tensor(
         psi, chi_init, mode=0, sigma=0.0, delta_s=delta_s
@@ -232,9 +218,6 @@ def sweep(
     cache: OperatorCache,
     model: SpinModel,
     selection: SelectionSettings,
-    lanczos_tol: float = 1e-12,
-    max_krylov: int = 200,
-    lanczos_noise: float = 1e-7,
     observers=(),
 ) -> SweepReport:
     """One ground-state sweep: cache refreshes plus Lanczos updates."""
@@ -244,8 +227,7 @@ def sweep(
 
     def update(psi, info: StepInfo):
         plan = build_superblock_plan(model, cache, info.merge_bonds)
-        psi = _perturb(psi / np.linalg.norm(psi), lanczos_noise)
-        energy, psi = lanczos_lowest(plan.apply, psi, max_krylov, lanczos_tol)
+        energy, psi = lanczos_lowest(plan.apply, _perturb(psi / np.linalg.norm(psi)))
         return psi, {"energy": energy}
 
     return run_sweep(
@@ -261,49 +243,32 @@ def run(
 ) -> GssResult:
     """Full staged ground-state search.
 
-    Structural optimization is active only during the first stage. When
+    Each stage of ``config.stages`` runs to convergence or its sweep limit
+    (``sweeps.schedule`` puts structural selection on the first only). When
     observables are requested, each stage ends with one extra fixed-structure
     sweep that collects them (the structure is frozen there by contract).
     """
     topology = build_initial_topology(model.n_sites, config.init_tree)
     state, cache, e_init = initialize_ttn(
-        model,
-        topology,
-        config.chi_init,
-        delta_e=config.delta_e,
-        delta_s=config.delta_s,
-        lanczos_tol=config.lanczos_tol,
-        max_krylov=config.max_krylov,
-        lanczos_noise=config.lanczos_noise,
+        model, topology, config.chi_init, config.delta_e, config.delta_s
     )
     rng = np.random.Generator(np.random.Philox(config.seed))
 
-    run_one = partial(
-        sweep,
-        state,
-        cache,
-        model,
-        lanczos_tol=config.lanczos_tol,
-        max_krylov=config.max_krylov,
-        lanczos_noise=config.lanczos_noise,
-        observers=observers,
-    )
+    run_one = partial(sweep, state, cache, model, observers=observers)
     stages: list[StageResult] = []
-    for m, (chi, n_max) in enumerate(zip(config.chi_schedule, config.sweep_limits)):
-        mode = config.opt_mode if m == 0 else 0
-        stage = Stage(chi, n_max, mode, config.t0, config.n_tau)
+    for stage in config.stages:
         reports, converged = run_stage(
             stage, run_one, rng, config.eps_s, config.delta_s, eps_e=config.eps_e
         )
         observables = None
         if want_observables:
             collector = ObservableCollector(model, cache)
-            sel = SelectionSettings(chi=chi, eps_s=config.eps_s, delta_s=config.delta_s)
+            sel = SelectionSettings(stage.chi, eps_s=config.eps_s, delta_s=config.delta_s)
             reports.append(run_one(sel, observers=(*observers, collector.on_step)))
             observables = collector.finish(reports[-1].energies[state.topology.origin])
         stages.append(
             StageResult(
-                chi=chi,
+                chi=stage.chi,
                 reports=reports,
                 final_report=reports[-1],
                 observables=observables,

@@ -62,10 +62,6 @@ class TTNState:
     center_weights: np.ndarray
     norm_scale: float = 1.0
 
-    @property
-    def dtype(self):
-        return np.result_type(*(t.dtype for t in self.tensors))
-
     def bond_dimensions(self) -> dict[int, int]:
         dims: dict[int, int] = {}
         for i, (e, t) in enumerate(zip(self.topology.edges, self.tensors)):

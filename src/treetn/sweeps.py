@@ -31,7 +31,7 @@ from .topology import candidate_edge_indices, local_two_tensor, set_distance
 
 __all__ = [
     "SETTLED_SWEEPS", "SelectionSettings", "SweepReport", "StepInfo", "Stage",
-    "run_sweep", "run_stage", "settled",
+    "ScheduleError", "schedule", "run_sweep", "run_stage", "settled",
 ]
 
 # consecutive settled sweep pairs that end a stage
@@ -205,16 +205,53 @@ def _decompose_and_record(
             report.entropies[bond] = site_ee(info.psi_center, axis)
 
 
+class ScheduleError(ValueError):
+    """A broken schedule rule; ``field`` names the ``Stage`` field at fault,
+    or is None for a rule on the whole list."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass
 class Stage:
     """One schedule entry: bond-dimension cap, sweep limit, selection mode
-    and the annealing of heat-bath selection."""
+    and the annealing of heat-bath selection. The temperature halves every
+    ``n_tau`` sweeps, by default every ``max(1, n_max // 2)``."""
 
     chi: int
     n_max: int
     mode: int = 0
     t0: float = 0.0
-    n_tau: int = 1
+    n_tau: int | None = None
+
+    def __post_init__(self):
+        if self.n_tau is None:
+            self.n_tau = max(1, self.n_max // 2)
+        for name, low in (("chi", 1), ("n_max", 1), ("n_tau", 1), ("t0", 0)):
+            if (value := getattr(self, name)) < low:
+                raise ScheduleError(f"{name} must be at least {low}, got {value}", name)
+
+
+def schedule(
+    chis: Sequence[int], limits: Sequence[int], mode: int = 0, t0: float = 0.0,
+    n_tau: int | None = None,
+) -> list[Stage]:
+    """Stages of a schedule: bond dimensions ``chis`` with sweep limits
+    ``limits``, non-empty, of equal length, and strictly ascending in bond
+    dimension. Structural selection (``mode``, ``t0``, ``n_tau``) applies to
+    the first stage only; later stages keep the structure fixed."""
+    if not chis or len(chis) != len(limits):
+        raise ScheduleError(
+            f"need one sweep limit per bond dimension, got {list(chis)}, {list(limits)}"
+        )
+    if any(b <= a for a, b in zip(chis, chis[1:])):
+        raise ScheduleError(f"bond dimensions must strictly ascend, got {list(chis)}")
+    return [
+        Stage(chis[0], limits[0], mode, t0, n_tau),
+        *(Stage(chi, n_max) for chi, n_max in zip(chis[1:], limits[1:])),
+    ]
 
 
 def settled(

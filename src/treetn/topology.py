@@ -23,7 +23,6 @@ __all__ = [
     "build_pbt",
     "build_initial_topology",
     "subtree_sites",
-    "region_sites",
     "audit_topology",
 ]
 
@@ -70,13 +69,6 @@ class Topology:
 
     def tensors_of_bond(self, bond: int) -> list[int]:
         return [i for i, e in enumerate(self.edges) if bond in e]
-
-    def defining_tensor(self, bond: int) -> int:
-        """The tensor whose third slot is ``bond`` (away-from-center side)."""
-        owners = [i for i, e in enumerate(self.edges) if e[2] == bond]
-        if len(owners) != 1:
-            raise InvariantViolation(f"bond {bond} has {len(owners)} slot-3 owners")
-        return owners[0]
 
     def copy(self) -> "Topology":
         return Topology(
@@ -280,13 +272,6 @@ def subtree_sites(topology: Topology, bond: int, via_tensor: int) -> tuple[int, 
                     if j != tensor:
                         stack.append((leg, j))
     return tuple(sorted(sites))
-
-
-def region_sites(topology: Topology, bond: int) -> tuple[int, ...]:
-    """Sites renormalized into ``bond`` by its defining (slot-3) tensor."""
-    if topology.is_physical(bond):
-        return (bond,)
-    return subtree_sites(topology, bond, topology.defining_tensor(bond))
 
 
 def audit_topology(topology: Topology) -> None:

@@ -37,6 +37,7 @@ from treetn.fileio import (
     write_gss_outputs,
 )
 from treetn.gss import GssConfig, run
+from treetn.sweeps import schedule
 from treetn.spinmodel import SpinModel
 from treetn.state import state_bond_entropy_dense, to_dense
 from treetn.topology import build_pbt
@@ -124,8 +125,7 @@ class TestCriterion1EdEquivalence:
             chi = 2 ** ((model.n_sites + 1) // 2)
             cfg = GssConfig(
                 chi_init=min(chi, 8),
-                chi_schedule=[chi],
-                sweep_limits=[20],
+                stages=schedule([chi], [20]),
                 eps_e=1e-10,
                 eps_s=1e-10,
             )
@@ -165,9 +165,7 @@ class TestCriterion2HierarchicalDesk:
         start = time.time()
         model = hierarchical_chain_model(4, 1.0, 0.5)
         audit = AuditObserver()
-        cfg = GssConfig(
-            chi_init=4, chi_schedule=[16], sweep_limits=[30], opt_mode=1
-        )
+        cfg = GssConfig(chi_init=4, stages=schedule([16], [30], mode=1))
         res = run(model, cfg, observers=[audit])
         assert leaf_partitions(res.state.topology) == leaf_partitions(build_pbt(16))
         ed = ed_oracle(model, n_states=1)
@@ -194,9 +192,7 @@ class TestCriterion3HierarchicalPaperScale:
         model = hierarchical_chain_model(8, 1.0, alpha)
         cfg = GssConfig(
             chi_init=4,
-            chi_schedule=[20],
-            sweep_limits=[50],
-            opt_mode=1,
+            stages=schedule([20], [50], mode=1),
             delta_e=1e-11,
             delta_s=1e-10,
         )
@@ -234,11 +230,7 @@ class TestCriterion4QuanticsCompression:
             for mode, label in ((0, "mpn"), (1, "ttn")):
                 state = sequential_svd_to_mpn(target, chi)
                 cfg = FactorizeConfig(
-                    chi_init=chi,
-                    fidelity_enabled=True,
-                    fidelity_opt_mode=mode,
-                    fidelity_chi_schedule=[chi],
-                    fidelity_n_max=[8],
+                    chi_init=chi, fidelity=schedule([chi], [8], mode=mode)
                 )
                 state, _ = fidelity_sweep_run(target, state, cfg, observers=[audit])
                 cfg_report = FactorizeConfig(chi_init=chi, opt_mode=0, n_max=1)
@@ -257,10 +249,7 @@ class TestCriterion4QuanticsCompression:
         cfg = FactorizeConfig(
             chi_init=4,
             eps_s=1e-14,
-            fidelity_enabled=True,
-            fidelity_opt_mode=2,
-            fidelity_chi_schedule=[4, 8, 16],
-            fidelity_n_max=[10, 10, 10],
+            fidelity=schedule([4, 8, 16], [10, 10, 10], mode=2),
         )
         opt_state, _ = fidelity_sweep_run(target, state, cfg, observers=[audit])
         parts = leaf_partitions(opt_state.topology)
@@ -327,11 +316,7 @@ class TestCriterion6InvariantSuite:
         audit = AuditObserver()
         cfg = GssConfig(
             chi_init=4,
-            chi_schedule=[8],
-            sweep_limits=[6],
-            opt_mode=1,
-            t0=0.5,
-            n_tau=3,
+            stages=schedule([8], [6], mode=1, t0=0.5, n_tau=3),
             seed=0,
         )
         run(model, cfg, observers=[audit])
@@ -349,11 +334,7 @@ class TestCriterion6InvariantSuite:
             seen = []
             cfg = GssConfig(
                 chi_init=4,
-                chi_schedule=[8],
-                sweep_limits=[4],
-                opt_mode=1,
-                t0=0.8,
-                n_tau=2,
+                stages=schedule([8], [4], mode=1, t0=0.8, n_tau=2),
                 seed=123,
             )
             run(model, cfg, observers=[lambda s, i: seen.append(i.choice.pairing)])
@@ -369,7 +350,7 @@ class TestCriterion7FileContracts:
             spin_sizes=[0.5] * 4,
             exchange_rows=[(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5), (2, 3, 1.0, 0.5)],
         )
-        cfg = GssConfig(chi_init=4, chi_schedule=[4, 8], sweep_limits=[3, 3])
+        cfg = GssConfig(chi_init=4, stages=schedule([4, 8], [3, 3]))
         result = run(model, cfg, want_observables=True)
         flags = OutputFlags(directory=tmp_path / "out", single_site=True, two_site=True)
         manifest = RunManifest(out_dir=flags.directory)

@@ -131,6 +131,16 @@ output:
         )
         assert ft_main([str(ft_workspace / "recon.yml")]) == 1
 
+    @pytest.mark.parametrize("junk", [b"not an npy file", b"", None])
+    def test_unreadable_target_fails(self, ft_workspace, capsys, junk):
+        target = ft_workspace / "psi.npy"
+        if junk is None:
+            target.unlink()
+        else:
+            target.write_bytes(junk)
+        assert ft_main([str(ft_workspace / "input.yml")]) == 1
+        assert "psi.npy" in capsys.readouterr().err
+
     def test_fidelity_column_present(self, ft_workspace):
         (ft_workspace / "fid.yml").write_text(
             """

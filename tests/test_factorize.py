@@ -18,6 +18,7 @@ from treetn.factorize import (
     sequential_svd_to_mpn,
 )
 from treetn.state import audit_state, merge_center, to_dense
+from treetn.sweeps import schedule
 from treetn.topology import audit_topology, set_distance
 
 
@@ -257,12 +258,7 @@ class TestFidelitySweeps:
     def test_full_rank_reaches_unity(self, rng):
         t = normalize_target(rng.standard_normal((2,) * 6))
         state = sequential_svd_to_mpn(t, 2)
-        cfg = FactorizeConfig(
-            chi_init=2,
-            fidelity_enabled=True,
-            fidelity_chi_schedule=[2, 4, 8],
-            fidelity_n_max=[6, 6, 6],
-        )
+        cfg = FactorizeConfig(chi_init=2, fidelity=schedule([2, 4, 8], [6, 6, 6]))
         state, _ = fidelity_sweep_run(t, state, cfg)
         assert fidelity(t, state) >= 1 - 1e-8
 
@@ -277,13 +273,7 @@ class TestFidelitySweeps:
         t = normalize_target(rng.standard_normal((2,) * 6))
         state = sequential_svd_to_mpn(t, 3)
         history = [fidelity(t, state)]
-        cfg = FactorizeConfig(
-            chi_init=3,
-            fidelity_enabled=True,
-            fidelity_opt_mode=0,
-            fidelity_chi_schedule=[3],
-            fidelity_n_max=[1],
-        )
+        cfg = FactorizeConfig(chi_init=3, fidelity=schedule([3], [1], mode=0))
         for _ in range(4):
             state, _ = fidelity_sweep_run(t, state, cfg)
             history.append(fidelity(t, state))
@@ -294,20 +284,8 @@ class TestFidelitySweeps:
     def test_structure_optimization_helps_rainbow(self):
         t = rainbow_target(6)
         mpn = sequential_svd_to_mpn(t, 2)
-        fixed_cfg = FactorizeConfig(
-            chi_init=2,
-            fidelity_enabled=True,
-            fidelity_opt_mode=0,
-            fidelity_chi_schedule=[2],
-            fidelity_n_max=[8],
-        )
-        opt_cfg = FactorizeConfig(
-            chi_init=2,
-            fidelity_enabled=True,
-            fidelity_opt_mode=1,
-            fidelity_chi_schedule=[2],
-            fidelity_n_max=[8],
-        )
+        fixed_cfg = FactorizeConfig(chi_init=2, fidelity=schedule([2], [8], mode=0))
+        opt_cfg = FactorizeConfig(chi_init=2, fidelity=schedule([2], [8], mode=1))
         fixed_state, _ = fidelity_sweep_run(t, mpn.copy(), fixed_cfg)
         opt_state, _ = fidelity_sweep_run(t, mpn.copy(), opt_cfg)
         f_fixed = fidelity(t, fixed_state)
@@ -351,12 +329,8 @@ class TestCachedEnvironment:
         pairings = []
         cfg = FactorizeConfig(
             chi_init=2,
-            fidelity_enabled=True,
-            fidelity_opt_mode=mode,
-            fidelity_t0=t0,
+            fidelity=schedule([2, 4], [4, 2], mode=mode, t0=t0),
             fidelity_seed=seed,
-            fidelity_chi_schedule=[2, 4],
-            fidelity_n_max=[4, 2],
         )
         fidelity_sweep_run(
             t, state, cfg, observers=[lambda s, info: pairings.append(info.choice.pairing)]

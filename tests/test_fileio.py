@@ -18,6 +18,7 @@ from treetn.fileio import (
 from treetn.gss import GssConfig, run
 from treetn.spinmodel import SpinModel
 from treetn.state import to_dense
+from treetn.sweeps import schedule
 
 
 def write_gss_inputs(tmp_path, extra_system="", extra_numerics="", output=""):
@@ -54,9 +55,9 @@ class TestParseGssConfig:
         assert model.exchange_rows[0] == (0, 1, 1.0, 0.5)
         assert config.eps_e == config.eps_s == 1e-8
         assert config.delta_e == config.delta_s == 1e-8
-        assert config.seed == 0 and config.t0 == 0.0
-        assert config.n_tau == 3  # floor(n_max_1 / 2)
-        assert config.opt_mode == 0
+        assert config.seed == 0 and config.stages[0].t0 == 0.0
+        assert config.stages[0].n_tau == 3  # floor(n_max_1 / 2)
+        assert config.stages[0].mode == 0
         assert flags.single_site is False
 
     def test_fraction_spin(self, tmp_path):
@@ -123,8 +124,41 @@ class TestParseGssConfig:
                 "    seed: 9\n"
             ),
         )
+        path.write_text(
+            path.read_text()
+            .replace("max_bond_dimensions: [8]", "max_bond_dimensions: [8, 16]")
+            .replace("max_num_sweeps: [6]", "max_num_sweeps: [6, 4]")
+        )
         _, config, _ = parse_gss_config(path)
-        assert (config.opt_mode, config.t0, config.n_tau, config.seed) == (1, 0.5, 4, 9)
+        first = config.stages[0]
+        assert (first.mode, first.t0, first.n_tau, config.seed) == (1, 0.5, 4, 9)
+        assert [s.mode for s in config.stages[1:]] == [0]
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("max_bond_dimensions: [8]", "max_bond_dimensions: 8", "max_bond_dimensions"),
+            ("max_num_sweeps: [6]", "max_num_sweeps: 4", "max_num_sweeps"),
+            ("max_num_sweeps: [6]", "max_num_sweeps: [6]\n  opt_structure: 1", "opt_structure"),
+            ("max_bond_dimensions: [8]\n  max_num_sweeps: [6]",
+             "max_bond_dimensions: []\n  max_num_sweeps: []", "max_bond_dimensions"),
+            ("max_num_sweeps: [6]", "max_num_sweeps: [0]", "max_num_sweeps"),
+            ("max_num_sweeps: [6]",
+             "max_num_sweeps: [6]\n  opt_structure: {type: 1, tau: 0}", "opt_structure.tau"),
+            ("max_num_sweeps: [6]",
+             "max_num_sweeps: [6]\n  opt_structure: {type: 1, temperature: -1}",
+             "opt_structure.temperature"),
+            ("max_num_sweeps: [6]", "max_num_sweeps: [6]\n  opt_structure: {type: one}",
+             "opt_structure"),
+        ],
+        ids=["scalar-chis", "scalar-limits", "opt-not-mapping", "empty", "zero-limit",
+             "zero-tau", "negative-temperature", "opt-not-a-number"],
+    )
+    def test_malformed_schedule_rejected(self, tmp_path, old, new, key):
+        path = write_gss_inputs(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(LoadError, match=f"numerics\\.{key}"):
+            parse_gss_config(path)
 
     def test_xyz_column_count(self, tmp_path):
         path = write_gss_inputs(tmp_path)
@@ -181,10 +215,43 @@ output:
             ),
         )
         _, config, _ = parse_ft_config(path)
-        assert config.fidelity_enabled
-        assert config.fidelity_chi_schedule == [4, 8]
+        assert [stage.chi for stage in config.fidelity] == [4, 8]
+        assert [stage.mode for stage in config.fidelity] == [1, 0]
         assert config.eps_f == 1e-9
         assert config.fidelity_seed == 3
+
+    @pytest.mark.parametrize(
+        "numerics, key",
+        [
+            ("fidelity: {max_bond_dimensions: 8, max_num_sweeps: [4]}",
+             "fidelity.max_bond_dimensions"),
+            ("fidelity: {max_bond_dimensions: [8], max_num_sweeps: 4}",
+             "fidelity.max_num_sweeps"),
+            ("fidelity: {opt_structure: 1, max_bond_dimensions: [8], max_num_sweeps: [4]}",
+             "fidelity.opt_structure"),
+            ("opt_structure: 1", "numerics.opt_structure"),
+            ("fidelity: {max_bond_dimensions: [8], max_num_sweeps: [0]}",
+             "fidelity.max_num_sweeps"),
+            ("fidelity: {opt_structure: {type: 1, tau: 0}, max_bond_dimensions: [8], "
+             "max_num_sweeps: [4]}", "fidelity.opt_structure.tau"),
+            ("fidelity: {max_bond_dimensions: [8, 4], max_num_sweeps: [4, 4]}",
+             "fidelity.max_bond_dimensions"),
+            ("opt_structure: {type: 1, tau: 0}", "numerics.opt_structure.tau"),
+        ],
+        ids=["fidelity-scalar-chis", "fidelity-scalar-limits", "fidelity-opt-not-mapping",
+             "opt-not-mapping", "fidelity-zero-limit", "fidelity-zero-tau",
+             "fidelity-descending", "zero-tau"],
+    )
+    def test_malformed_schedule_rejected(self, tmp_path, numerics, key):
+        path = self.write(tmp_path, "  tensor: psi.npy", numerics_extra=f"  {numerics}")
+        with pytest.raises(LoadError, match=key.replace(".", "\\.")):
+            parse_ft_config(path)
+
+    def test_zero_sweep_limit_rejected(self, tmp_path):
+        path = self.write(tmp_path, "  tensors: bundle")
+        path.write_text(path.read_text().replace("max_sweep_num: 5", "max_sweep_num: 0"))
+        with pytest.raises(LoadError, match="numerics\\.max_sweep_num"):
+            parse_ft_config(path)
 
 
 class TestOutputs:
@@ -194,9 +261,9 @@ class TestOutputs:
             spin_sizes=[0.5] * 4,
             exchange_rows=[(0, 1, 1.0, 0.5), (1, 2, 1.0, 0.5), (2, 3, 1.0, 0.5)],
         )
-        schedule = [4, 8][:stages]
+        chis = [4, 8][:stages]
         limits = [4, 4][:stages]
-        cfg = GssConfig(chi_init=4, chi_schedule=schedule, sweep_limits=limits)
+        cfg = GssConfig(chi_init=4, stages=schedule(chis, limits))
         result = run(model, cfg, want_observables=True)
         flags = OutputFlags(directory=tmp_path / "out", single_site=True, two_site=True)
         manifest = RunManifest(out_dir=flags.directory)

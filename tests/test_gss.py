@@ -5,6 +5,7 @@ import pytest
 
 from conftest import AuditObserver, heisenberg_chain, leaf_partitions
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
+from treetn.factorize import FactorizeConfig
 from treetn.gss import (
     GssConfig,
     degenerate_keep_count,
@@ -17,7 +18,7 @@ from treetn.gss import (
 from treetn.linalg import full_eigh
 from treetn.spinmodel import SpinModel, local_spin_matrices
 from treetn.state import audit_state, state_bond_entropy_dense
-from treetn.sweeps import SelectionSettings
+from treetn.sweeps import SelectionSettings, schedule
 from treetn.topology import audit_topology, build_mpn, build_pbt
 
 
@@ -111,14 +112,14 @@ class TestSweepWalk:
 class TestRun:
     def test_single_stage_single_sweep(self):
         model = heisenberg_chain(6)
-        cfg = GssConfig(chi_init=4, chi_schedule=[8], sweep_limits=[1])
+        cfg = GssConfig(chi_init=4, stages=schedule([8], [1]))
         res = run(model, cfg)
         assert len(res.stages) == 1
         assert len(res.stages[0].reports) == 1
 
     def test_converged_fixed_point_stops_early(self):
         model = heisenberg_chain(6)
-        cfg = GssConfig(chi_init=8, chi_schedule=[8], sweep_limits=[20])
+        cfg = GssConfig(chi_init=8, stages=schedule([8], [20]))
         res = run(model, cfg)
         assert res.stages[0].converged
         assert len(res.stages[0].reports) < 20
@@ -126,27 +127,37 @@ class TestRun:
     def test_zero_energy_hamiltonian(self):
         rows = [(i, i + 1, 0.0, 0.0) for i in range(5)]
         model = SpinModel(n_sites=6, spin_sizes=[0.5] * 6, exchange_rows=rows)
-        cfg = GssConfig(chi_init=4, chi_schedule=[4], sweep_limits=[6])
+        cfg = GssConfig(chi_init=4, stages=schedule([4], [6]))
         res = run(model, cfg)
         assert res.energy == 0.0
         assert res.stages[0].converged
 
     def test_two_stage_schedule(self):
         model = heisenberg_chain(8, delta=0.5)
-        cfg = GssConfig(chi_init=4, chi_schedule=[4, 16], sweep_limits=[4, 6])
+        cfg = GssConfig(chi_init=4, stages=schedule([4, 16], [4, 6]))
         res = run(model, cfg)
         ed = ed_oracle(model)
         assert res.energy == pytest.approx(ed.energy, rel=1e-9)
 
-    def test_descending_schedule_rejected(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GssConfig(chi_init=4, stages=schedule([8, 4], [2, 2])),
+            lambda: GssConfig(chi_init=4, stages=schedule([8, 8], [2, 2])),
+            lambda: FactorizeConfig(chi_init=4, fidelity=schedule([8, 4], [2, 2], mode=2)),
+            lambda: GssConfig(chi_init=4, stages=schedule([4, 8], [2])),
+            lambda: GssConfig(chi_init=4, stages=schedule([], [])),
+        ],
+        ids=["gss-descending", "gss-repeated", "fidelity-descending",
+             "length-mismatch", "empty"],
+    )
+    def test_bad_schedule_rejected(self, build):
         with pytest.raises(ValueError):
-            GssConfig(chi_init=4, chi_schedule=[8, 4], sweep_limits=[2, 2])
+            build()
 
     def test_structure_recovery_small_hierarchical(self):
         model = hierarchical_chain_model(3, 1.0, 0.5)  # 8 sites
-        cfg = GssConfig(
-            chi_init=4, chi_schedule=[8], sweep_limits=[20], opt_mode=1
-        )
+        cfg = GssConfig(chi_init=4, stages=schedule([8], [20], mode=1))
         res = run(model, cfg)
         assert leaf_partitions(res.state.topology) == leaf_partitions(build_pbt(8))
         ed = ed_oracle(model)
@@ -161,14 +172,14 @@ class TestRun:
             exchange_rows=rows,
             field_tables={"z": {i: float(rng.uniform(-0.4, 0.4)) for i in range(8)}},
         )
-        cfg = GssConfig(chi_init=8, chi_schedule=[16], sweep_limits=[12])
+        cfg = GssConfig(chi_init=8, stages=schedule([16], [12]))
         res = run(model, cfg)
         ed = ed_oracle(model)
         assert res.energy == pytest.approx(ed.energy, rel=1e-8)
 
     def test_reported_entropies_match_dense(self):
         model = heisenberg_chain(8, delta=0.3)
-        cfg = GssConfig(chi_init=4, chi_schedule=[16], sweep_limits=[10], eps_s=1e-10)
+        cfg = GssConfig(chi_init=4, stages=schedule([16], [10]), eps_s=1e-10)
         res = run(model, cfg)
         rep = res.stages[-1].final_report
         for b in rep.entropies:
@@ -220,7 +231,7 @@ class TestExpectationFunctions:
 class TestObservablePass:
     def test_full_coverage_and_ed_match(self):
         model = heisenberg_chain(6, delta=0.8)
-        cfg = GssConfig(chi_init=8, chi_schedule=[8], sweep_limits=[8])
+        cfg = GssConfig(chi_init=8, stages=schedule([8], [8]))
         res = run(model, cfg, want_observables=True)
         obs = res.observables
         ed = ed_oracle(model)
@@ -237,6 +248,6 @@ class TestObservablePass:
 
     def test_stage_observables_written_per_stage(self):
         model = heisenberg_chain(6)
-        cfg = GssConfig(chi_init=4, chi_schedule=[4, 8], sweep_limits=[3, 3])
+        cfg = GssConfig(chi_init=4, stages=schedule([4, 8], [3, 3]))
         res = run(model, cfg, want_observables=True)
         assert all(stage.observables is not None for stage in res.stages)

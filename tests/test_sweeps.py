@@ -3,7 +3,9 @@
 import pytest
 
 from treetn.state import cooled_temperature
-from treetn.sweeps import SETTLED_SWEEPS, Stage, SweepReport, run_stage, settled
+from treetn.sweeps import (
+    SETTLED_SWEEPS, ScheduleError, Stage, SweepReport, run_stage, schedule, settled
+)
 
 CHAIN = ((0, 1, 6), (6, 2, 7), (8, 3, 7), (4, 5, 8))
 RECONNECTED = ((0, 2, 6), (6, 1, 7), (8, 3, 7), (4, 5, 8))
@@ -100,3 +102,28 @@ class TestSettled:
             energies={9: -3.0}, entropies={7: 0.5}, structure_snapshot=CHAIN
         )
         assert settled(report(), other, 1e-8, eps_e=1e-8)
+
+
+class TestSchedule:
+    def test_selection_on_first_stage_only(self):
+        stages = schedule([4, 8, 16], [6, 3, 1], mode=1, t0=0.5)
+        assert [(s.chi, s.n_max, s.mode, s.t0) for s in stages] == [
+            (4, 6, 1, 0.5), (8, 3, 0, 0.0), (16, 1, 0, 0.0)
+        ]
+        # the annealing interval defaults to half the stage's sweep limit
+        assert [s.n_tau for s in stages] == [3, 1, 1]
+
+    @pytest.mark.parametrize(
+        "fields, bad",
+        [
+            ({"chi": 0, "n_max": 2}, "chi"),
+            ({"chi": 4, "n_max": 0}, "n_max"),
+            ({"chi": 4, "n_max": 2, "n_tau": 0}, "n_tau"),
+            ({"chi": 4, "n_max": 2, "t0": -0.1}, "t0"),
+        ],
+    )
+    def test_stage_rejects(self, fields, bad):
+        with pytest.raises(ScheduleError, match=bad) as err:
+            Stage(**fields)
+        assert err.value.field == bad
+

@@ -11,7 +11,6 @@ from treetn.topology import (
     build_pbt,
     candidate_edge_indices,
     local_two_tensor,
-    region_sites,
     set_distance,
     subtree_sites,
 )
@@ -149,12 +148,6 @@ class TestBuilders:
 
 
 class TestSiteSets:
-    def test_mpn_regions(self):
-        topo = build_mpn(6)
-        # tensor 0 renormalizes sites {0, 1} into its third bond
-        assert region_sites(topo, topo.edges[0][2]) == (0, 1)
-        assert region_sites(topo, 3) == (3,)
-
     def test_subtree_sides(self):
         topo = build_mpn(6)
         b = topo.center
