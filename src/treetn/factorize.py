@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvariantViolation, NumericalError
 from .linalg import full_svd, truncate_spectrum
 from .state import TTNState, merge_center
-from .sweeps import Stage, StepInfo, SweepReport, run_stage, run_sweep
+from .sweeps import Stage, StepInfo, SweepReport, check_schedule, run_stage, run_sweep
 from .topology import build_mpn
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
 @dataclass
 class FactorizeConfig:
     """Settings for factorization, reconstruction (one stage, see
-    ``reconstruction()``), and fidelity sweeps (``fidelity``, the stages
-    built by ``sweeps.schedule``; empty when they are off)."""
+    ``reconstruction()``), and fidelity sweeps (``fidelity``, stages that
+    obey ``sweeps.check_schedule``; empty when they are off)."""
 
     chi_init: int
     opt_mode: int = 0
@@ -57,6 +57,8 @@ class FactorizeConfig:
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError("sigma must lie in [0, 1)")
         self.reconstruction()
+        if self.fidelity:
+            check_schedule(self.fidelity)
 
     def reconstruction(self) -> Stage:
         """The one stage of reconstruction sweeps, capped at ``chi_init``."""

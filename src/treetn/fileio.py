@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 GSS_DEFAULT_THRESHOLD = 1e-8
+_REQUIRED = object()  # default of a config key that must be present
 
 # YAML keys of the Stage fields in a schedule section, and in the flat
 # reconstruction settings of an ft config
@@ -139,20 +140,18 @@ def _spin_sizes(value, n: int, base: Path) -> list[float]:
     return [parse_spin_size(text)] * n
 
 
-def _opt_structure(section, where: str):
-    if not isinstance(section, dict):
-        raise LoadError(f"{where} must be a mapping, got {section!r}")
+def _opt_structure(parent: dict, where: str):
+    """The ``opt_structure`` block of the section ``where``."""
+    section = _mapping(parent, "opt_structure", where)
+    where = f"{where}.opt_structure"
     known = {"type", "temperature", "tau", "seed", "active"}
     _warn_unknown(section, known, where)
-    try:
-        opt = {
-            "mode": int(section.get("type", 0)),
-            "t0": float(section.get("temperature", 0.0)),
-            "n_tau": int(section["tau"]) if "tau" in section else None,
-            "seed": int(section.get("seed", 0)),
-        }
-    except (TypeError, ValueError) as exc:
-        raise LoadError(f"{where}: {exc}") from exc
+    opt = {
+        "mode": _scalar(section, "type", where, int, 0),
+        "t0": _scalar(section, "temperature", where, float, 0.0),
+        "n_tau": _scalar(section, "tau", where, int, None),
+        "seed": _scalar(section, "seed", where, int, 0),
+    }
     if opt["mode"] not in (0, 1, 2):
         raise LoadError(f"{where}.type must be 0, 1, or 2, got {opt['mode']}")
     return opt
@@ -170,6 +169,34 @@ def _int_list(section: dict, key: str, where: str) -> list[int]:
         raise LoadError(f"{where}.{key}: {exc}") from exc
 
 
+def _mapping(section: dict, key: str, where: str = "", required: bool = False):
+    """The YAML mapping under ``key``, empty when an optional key is absent or
+    blank; anything else raises ``LoadError`` naming the key."""
+    name = f"{where}.{key}" if where else key
+    if required and key not in section:
+        raise LoadError(f"missing section {name}")
+    value = {} if section.get(key) is None else section[key]
+    if not isinstance(value, dict):
+        raise LoadError(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
+def _scalar(section: dict, key: str, where: str, kind, default=_REQUIRED):
+    """A YAML scalar read as ``kind`` (``int`` or ``float``), or ``default``
+    when the key is absent; a missing required key or a value ``kind`` cannot
+    read raises ``LoadError`` naming the key."""
+    if key not in section:
+        if default is _REQUIRED:
+            raise LoadError(f"missing required key {where}.{key}")
+        return default
+    value = section[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise LoadError(f"{where}.{key} must be {what}, got {value!r}") from None
+
+
 def _schedule_error(exc: ScheduleError, where: str, keys=SCHEDULE_KEYS) -> LoadError:
     key = keys.get(exc.field, f"{keys['chi']}/{keys['n_max']}")
     return LoadError(f"{where}.{key}: {exc}")
@@ -178,7 +205,7 @@ def _schedule_error(exc: ScheduleError, where: str, keys=SCHEDULE_KEYS) -> LoadE
 def _schedule(section: dict, where: str) -> tuple[list[Stage], int]:
     """The stages of a schedule section (gss ``numerics`` or ``fidelity``)
     and the seed of its ``opt_structure`` block."""
-    opt = _opt_structure(section.get("opt_structure") or {}, f"{where}.opt_structure")
+    opt = _opt_structure(section, where)
     chis = _int_list(section, "max_bond_dimensions", where)
     limits = _int_list(section, "max_num_sweeps", where)
     try:
@@ -194,12 +221,9 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     base = path.parent
     data = _load_yaml(path)
     _warn_unknown(data, {"system", "numerics", "output"}, str(path))
-    try:
-        system = data["system"]
-        numerics = data["numerics"]
-    except KeyError as exc:
-        raise LoadError(f"missing section {exc} in {path}") from exc
-    output = data.get("output", {})
+    system = _mapping(data, "system", required=True)
+    numerics = _mapping(data, "numerics", required=True)
+    output = _mapping(data, "output")
 
     known_system = {
         "N", "spin_size", "model",
@@ -212,10 +236,10 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
         )
     _warn_unknown(system, known_system, "system")
 
+    n = _scalar(system, "N", "system", int)
+    model_sec = _mapping(system, "model", "system", required=True)
     try:
-        n = int(system["N"])
         spins = _spin_sizes(system["spin_size"], n, base)
-        model_sec = system["model"]
         exchange_type = str(model_sec["type"]).upper()
         model_file = base / str(model_sec["file"])
     except KeyError as exc:
@@ -260,27 +284,33 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     }
     _warn_unknown(numerics, known_numerics, "numerics")
     stages, seed = _schedule(numerics, "numerics")
+    chi_init = _scalar(numerics, "initial_bond_dimension", "numerics", int)
+    init_tree = _scalar(numerics, "init_tree", "numerics", int, 0)
+    thresholds = {
+        name: _scalar(numerics, key, "numerics", float, GSS_DEFAULT_THRESHOLD)
+        for name, key in (
+            ("eps_e", "energy_convergence_threshold"),
+            ("eps_s", "entanglement_convergence_threshold"),
+            ("delta_e", "energy_degeneracy_threshold"),
+            ("delta_s", "entanglement_degeneracy_threshold"),
+        )
+    }
     try:
         config = GssConfig(
-            chi_init=int(numerics["initial_bond_dimension"]),
+            chi_init=chi_init,
             stages=stages,
-            init_tree="pbt" if int(numerics.get("init_tree", 0)) == 1 else "mpn",
+            init_tree="pbt" if init_tree == 1 else "mpn",
             seed=seed,
-            eps_e=float(numerics.get("energy_convergence_threshold", GSS_DEFAULT_THRESHOLD)),
-            eps_s=float(numerics.get("entanglement_convergence_threshold", GSS_DEFAULT_THRESHOLD)),
-            delta_e=float(numerics.get("energy_degeneracy_threshold", GSS_DEFAULT_THRESHOLD)),
-            delta_s=float(numerics.get("entanglement_degeneracy_threshold", GSS_DEFAULT_THRESHOLD)),
+            **thresholds,
         )
-    except KeyError as exc:
-        raise LoadError(f"missing required numerics key {exc}") from exc
     except ValueError as exc:
         raise LoadError(str(exc)) from exc
 
     _warn_unknown(output, {"dir", "single_site", "two_site"}, "output")
     flags = OutputFlags(
         directory=base / str(output.get("dir", "output")),
-        single_site=bool(int(output.get("single_site", 0))),
-        two_site=bool(int(output.get("two_site", 0))),
+        single_site=bool(_scalar(output, "single_site", "output", int, 0)),
+        two_site=bool(_scalar(output, "two_site", "output", int, 0)),
     )
     return model, config, flags
 
@@ -291,12 +321,9 @@ def parse_ft_config(path) -> tuple[TargetSpec, FactorizeConfig, OutputFlags]:
     base = path.parent
     data = _load_yaml(path)
     _warn_unknown(data, {"target", "numerics", "output"}, str(path))
-    try:
-        target_sec = data["target"]
-        numerics = data["numerics"]
-    except KeyError as exc:
-        raise LoadError(f"missing section {exc} in {path}") from exc
-    output = data.get("output", {})
+    target_sec = _mapping(data, "target", required=True)
+    numerics = _mapping(data, "numerics", required=True)
+    output = _mapping(data, "output")
 
     _warn_unknown(target_sec, {"tensor", "tensors"}, "target")
     if ("tensor" in target_sec) == ("tensors" in target_sec):
@@ -312,32 +339,32 @@ def parse_ft_config(path) -> tuple[TargetSpec, FactorizeConfig, OutputFlags]:
         "max_truncated_singularvalue", "fidelity",
     }
     _warn_unknown(numerics, known_numerics, "numerics")
-    opt = _opt_structure(numerics.get("opt_structure") or {}, "numerics.opt_structure")
-
-    fid = numerics.get("fidelity") or {}
-    if not isinstance(fid, dict):
-        raise LoadError(f"numerics.fidelity must be a mapping, got {fid!r}")
+    opt = _opt_structure(numerics, "numerics")
+    fid = _mapping(numerics, "fidelity", "numerics")
     fid_known = {"opt_structure", "max_bond_dimensions", "max_num_sweeps", "convergence_threshold"}
     _warn_unknown(fid, fid_known, "fidelity")
     fid_stages, fid_seed = _schedule(fid, "numerics.fidelity") if fid else ([], 0)
 
+    settings = dict(
+        chi_init=_scalar(numerics, "initial_bond_dimension", "numerics", int),
+        n_max=_scalar(numerics, "max_sweep_num", "numerics", int, 10),
+        eps_s=_scalar(numerics, "entanglement_convergence_threshold", "numerics",
+                      float, GSS_DEFAULT_THRESHOLD),
+        sigma=_scalar(numerics, "max_truncated_singularvalue", "numerics", float, 0.0),
+        delta_s=_scalar(numerics, "entanglement_degeneracy_threshold", "numerics",
+                        float, GSS_DEFAULT_THRESHOLD),
+        eps_f=_scalar(fid, "convergence_threshold", "numerics.fidelity", float, 1e-10),
+    )
     try:
         config = FactorizeConfig(
-            chi_init=int(numerics["initial_bond_dimension"]),
             opt_mode=opt["mode"],
             t0=opt["t0"],
             n_tau=opt["n_tau"],
             seed=opt["seed"],
-            n_max=int(numerics.get("max_sweep_num", 10)),
-            eps_s=float(numerics.get("entanglement_convergence_threshold", GSS_DEFAULT_THRESHOLD)),
-            sigma=float(numerics.get("max_truncated_singularvalue", 0.0)),
-            delta_s=float(numerics.get("entanglement_degeneracy_threshold", GSS_DEFAULT_THRESHOLD)),
             fidelity=fid_stages,
             fidelity_seed=fid_seed,
-            eps_f=float(fid.get("convergence_threshold", 1e-10)),
+            **settings,
         )
-    except KeyError as exc:
-        raise LoadError(f"missing required numerics key {exc}") from exc
     except ScheduleError as exc:
         raise _schedule_error(exc, "numerics", RECONSTRUCTION_KEYS) from exc
     except ValueError as exc:
@@ -346,7 +373,7 @@ def parse_ft_config(path) -> tuple[TargetSpec, FactorizeConfig, OutputFlags]:
     _warn_unknown(output, {"dir", "tensors"}, "output")
     flags = OutputFlags(
         directory=base / str(output.get("dir", "output")),
-        tensors=bool(int(output.get("tensors", 0))),
+        tensors=bool(_scalar(output, "tensors", "output", int, 0)),
     )
     return target, config, flags
 

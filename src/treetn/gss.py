@@ -29,7 +29,8 @@ from .operators import (
 from .spinmodel import SpinModel, local_spin_matrices
 from .state import TTNState, decompose_tensor
 from .sweeps import (
-    SelectionSettings, Stage, StepInfo, SweepReport, run_stage, run_sweep
+    SelectionSettings, Stage, StepInfo, SweepReport, check_schedule, run_stage,
+    run_sweep,
 )
 from .topology import Topology, build_initial_topology, set_distance
 
@@ -57,7 +58,8 @@ LANCZOS_NOISE = 1e-7
 @dataclass
 class GssConfig:
     """Numerical settings for one ground-state search; ``stages`` is the
-    bond-dimension schedule, built by ``sweeps.schedule``."""
+    bond-dimension schedule, built by ``sweeps.schedule`` or obeying
+    ``sweeps.check_schedule``."""
 
     chi_init: int
     stages: list[Stage]
@@ -69,6 +71,7 @@ class GssConfig:
     delta_s: float = 1e-8
 
     def __post_init__(self):
+        check_schedule(self.stages)
         for name in ("eps_e", "eps_s", "delta_e", "delta_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

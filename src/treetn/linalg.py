@@ -28,6 +28,7 @@ __all__ = [
 
 DEFAULT_MAX_KRYLOV = 200
 DEFAULT_LANCZOS_TOL = 1e-12
+KRYLOV_ROWS = 32  # rows of a fresh Krylov basis; it doubles when full
 ZERO_FLOOR = 1e-14  # relative size below which singular values count as rank noise
 
 
@@ -199,12 +200,6 @@ def lanczos_lowest(
         raise ValueError("initial vector must be normalized and finite")
     vec = vec / nrm
 
-    if dim == 1:
-        h = apply(vec)
-        energy = float(np.vdot(vec, h).real)
-        return energy, vec
-
-    energy = None
     for _ in range(max_restarts):
         energy, vec, residual = _lanczos_cycle(apply, vec, min(max_krylov, dim), tol)
         if residual <= tol * max(1.0, abs(energy)):
@@ -219,44 +214,41 @@ def lanczos_lowest(
 
 
 def _lanczos_cycle(apply, v0, max_krylov, tol):
-    """One restarted Lanczos pass; returns (energy, vector, residual norm)."""
+    """One restarted Lanczos pass; returns (energy, vector, residual norm).
+    The Krylov vectors are rows of one array that doubles when full and turns
+    complex when a product does; reorthogonalization and the Ritz vector are
+    matrix-vector products on it."""
     shape = v0.shape
-    basis = [v0]
-    alphas: list[float] = []
+    w = _apply_checked(apply, v0).ravel()
+    basis = np.empty((min(max_krylov, KRYLOV_ROWS), w.size), np.result_type(v0, w))
+    basis[0] = v0.ravel()
+    alphas = [float(np.vdot(basis[0], w).real)]
     betas: list[float] = []
+    w = w - alphas[0] * basis[0]
 
-    w = _apply_checked(apply, v0)
-    alpha = float(np.vdot(v0, w).real)
-    alphas.append(alpha)
-    w = w - alpha * v0
-
-    theta = alpha
     s = np.array([1.0])
-    for _ in range(1, max_krylov):
-        # full reorthogonalization keeps the basis numerically orthonormal
-        for b in basis:
-            w = w - np.vdot(b, w) * b
+    for k in range(1, max_krylov):
+        w = _reorthogonalize(basis[:k], w)
         beta = float(np.linalg.norm(w))
         if beta < 1e-14:
             # invariant subspace: the tridiagonal problem is exact
-            theta, s = _tridiag_ground(alphas, betas)
             break
-        v = w / beta
+        if k == len(basis) or not np.can_cast(w.dtype, basis.dtype):
+            grown = np.empty((min(2 * k, max_krylov), w.size), np.result_type(basis, w))
+            grown[:k] = basis[:k]
+            basis = grown
+        basis[k] = w / beta
         betas.append(beta)
-        basis.append(v)
-        w = _apply_checked(apply, v)
-        alpha = float(np.vdot(v, w).real)
-        alphas.append(alpha)
-        w = w - alpha * v - beta * basis[-2]
+        w = _apply_checked(apply, basis[k].reshape(shape)).ravel()
+        alphas.append(float(np.vdot(basis[k], w).real))
+        w = w - alphas[-1] * basis[k] - beta * basis[k - 1]
 
         theta, s = _tridiag_ground(alphas, betas)
-        est = beta_next_estimate(w, s)
-        if est <= 0.5 * tol * max(1.0, abs(theta)):
+        # residual estimate |beta_{k+1} s_k| of the current Ritz pair
+        if np.linalg.norm(w) * abs(s[-1]) <= 0.5 * tol * max(1.0, abs(theta)):
             break
 
-    vec = np.zeros(shape, dtype=basis[0].dtype)
-    for coeff, b in zip(s, basis):
-        vec = vec + coeff * b
+    vec = (s @ basis[: len(s)]).reshape(shape)
     vec = vec / np.linalg.norm(vec)
     hv = _apply_checked(apply, vec)
     energy = float(np.vdot(vec, hv).real)
@@ -264,27 +256,31 @@ def _lanczos_cycle(apply, v0, max_krylov, tol):
     return energy, vec, residual
 
 
-def beta_next_estimate(w: np.ndarray, s: np.ndarray) -> float:
-    """Residual estimate |beta_{j+1} * s_j| for the current Ritz pair."""
-    return float(np.linalg.norm(w) * abs(s[-1]))
+def _reorthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove the span of the orthonormal rows of ``basis`` from ``w`` by
+    classical Gram-Schmidt, repeated once when the pass cancelled more than
+    ``1 - 1/sqrt(2)`` of the norm (Daniel-Gragg-Kaufman-Stewart)."""
+    before = np.linalg.norm(w)
+    for _ in range(2):
+        w = w - (basis @ w.conj()).conj() @ basis
+        after = np.linalg.norm(w)
+        if after > before / np.sqrt(2):
+            break
+        before = after
+    return w
 
 
 def _tridiag_ground(alphas, betas):
-    if len(alphas) == 1:
-        return alphas[0], np.array([1.0])
-    vals, vecs = eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas), select="i", select_range=(0, 0)
-    )
+    # the coefficients come from checked, finite operator products
+    vals, vecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas), select="i",
+                                  select_range=(0, 0), check_finite=False)
     return float(vals[0]), vecs[:, 0]
 
 
 def _apply_checked(apply, v):
-    out = apply(v)
-    out = np.asarray(out)
+    out = np.asarray(apply(v))
     if out.shape != v.shape:
         raise ValueError(f"operator changed shape {v.shape} -> {out.shape}")
-    if not np.all(np.isfinite(out.real)) or (
-        np.iscomplexobj(out) and not np.all(np.isfinite(out.imag))
-    ):
+    if not np.all(np.isfinite(out)):
         raise NumericalError("operator application produced non-finite values")
     return out

@@ -10,6 +10,7 @@ never as standalone matrices, so products survive truncation exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -208,8 +209,11 @@ def refresh_bond(
 
 
 def _apply_axis(phi: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(m, phi, axes=[[1], [axis]])
-    return np.moveaxis(out, 0, axis)
+    """``m`` acting on leg ``axis`` of ``phi``: one matmul, no transpose."""
+    if axis == phi.ndim - 1:
+        return (phi.reshape(-1, phi.shape[-1]) @ m.T).reshape(phi.shape)
+    out = np.matmul(m, phi.reshape(math.prod(phi.shape[:axis]), phi.shape[axis], -1))
+    return out.reshape(phi.shape)
 
 
 @dataclass

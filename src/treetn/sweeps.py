@@ -31,7 +31,7 @@ from .topology import candidate_edge_indices, local_two_tensor, set_distance
 
 __all__ = [
     "SETTLED_SWEEPS", "SelectionSettings", "SweepReport", "StepInfo", "Stage",
-    "ScheduleError", "schedule", "run_sweep", "run_stage", "settled",
+    "ScheduleError", "schedule", "check_schedule", "run_sweep", "run_stage", "settled",
 ]
 
 # consecutive settled sweep pairs that end a stage
@@ -239,19 +239,35 @@ def schedule(
     n_tau: int | None = None,
 ) -> list[Stage]:
     """Stages of a schedule: bond dimensions ``chis`` with sweep limits
-    ``limits``, non-empty, of equal length, and strictly ascending in bond
-    dimension. Structural selection (``mode``, ``t0``, ``n_tau``) applies to
-    the first stage only; later stages keep the structure fixed."""
-    if not chis or len(chis) != len(limits):
+    ``limits``, one per bond dimension. Structural selection (``mode``,
+    ``t0``, ``n_tau``) applies to the first stage only; later stages keep the
+    structure fixed. The result obeys ``check_schedule``."""
+    if len(chis) != len(limits):
         raise ScheduleError(
             f"need one sweep limit per bond dimension, got {list(chis)}, {list(limits)}"
         )
-    if any(b <= a for a, b in zip(chis, chis[1:])):
-        raise ScheduleError(f"bond dimensions must strictly ascend, got {list(chis)}")
-    return [
-        Stage(chis[0], limits[0], mode, t0, n_tau),
-        *(Stage(chi, n_max) for chi, n_max in zip(chis[1:], limits[1:])),
+    stages = [
+        Stage(chi, n_max, mode, t0, n_tau) if i == 0 else Stage(chi, n_max)
+        for i, (chi, n_max) in enumerate(zip(chis, limits))
     ]
+    check_schedule(stages)
+    return stages
+
+
+def check_schedule(stages: Sequence[Stage]) -> None:
+    """The rules of every stage list: ``Stage`` records, at least one,
+    strictly ascending in bond dimension, and structural selection on the
+    first stage only. A broken rule raises ``ScheduleError``."""
+    if not stages or not all(isinstance(s, Stage) for s in stages):
+        raise ScheduleError(f"a schedule needs one or more Stage records, got {stages!r}")
+    chis = [s.chi for s in stages]
+    if any(b <= a for a, b in zip(chis, chis[1:])):
+        raise ScheduleError(f"bond dimensions must strictly ascend, got {chis}", "chi")
+    if any(s.mode != 0 for s in stages[1:]):
+        raise ScheduleError(
+            f"structural selection applies to the first stage only, got modes "
+            f"{[s.mode for s in stages]}", "mode"
+        )
 
 
 def settled(

@@ -160,6 +160,55 @@ class TestParseGssConfig:
         with pytest.raises(LoadError, match=f"numerics\\.{key}"):
             parse_gss_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("initial_bond_dimension: 4", "initial_bond_dimension: abc",
+             "numerics.initial_bond_dimension"),
+            ("initial_bond_dimension: 4", "initial_bond_dimension: 4\n  init_tree: pbt",
+             "numerics.init_tree"),
+            ("initial_bond_dimension: 4",
+             "initial_bond_dimension: 4\n  energy_convergence_threshold: tiny",
+             "numerics.energy_convergence_threshold"),
+            ("initial_bond_dimension: 4",
+             "initial_bond_dimension: 4\n  entanglement_degeneracy_threshold: [1]",
+             "numerics.entanglement_degeneracy_threshold"),
+            ("N: 4", "N: four", "system.N"),
+            ("dir: out", "dir: out\n  two_site: yes please", "output.two_site"),
+            ("max_num_sweeps: [6]", "max_num_sweeps: [6]\n  opt_structure: {seed: s}",
+             "numerics.opt_structure.seed"),
+            ("  initial_bond_dimension: 4\n", "", "numerics.initial_bond_dimension"),
+        ],
+        ids=["chi-init", "init-tree", "energy-threshold", "degeneracy-list", "n-sites",
+             "two-site-flag", "seed", "chi-init-missing"],
+    )
+    def test_bad_scalar_names_key(self, tmp_path, old, new, key):
+        path = write_gss_inputs(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(LoadError, match=key.replace(".", "\\.")):
+            parse_gss_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("system:\n  N: 4\n  spin_size: 1/2\n  model:\n    type: XXZ\n"
+             "    file: couplings.dat\n", "system: [4]\n", "system"),
+            ("  model:\n    type: XXZ\n    file: couplings.dat\n", "  model: XXZ\n",
+             "system.model"),
+            ("numerics:\n  initial_bond_dimension: 4\n  max_bond_dimensions: [8]\n"
+             "  max_num_sweeps: [6]\n", "numerics: 4\n", "numerics"),
+            ("output:\n  dir: out", "output: out", "output"),
+        ],
+        ids=["system", "model", "numerics", "output"],
+    )
+    def test_non_mapping_section_named(self, tmp_path, old, new, key):
+        path = write_gss_inputs(tmp_path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(LoadError, match=f"^{key} must be a mapping"):
+            parse_gss_config(path)
+
     def test_xyz_column_count(self, tmp_path):
         path = write_gss_inputs(tmp_path)
         (tmp_path / "couplings.dat").write_text("0 1 1.0 0.5 0.3\n")
@@ -245,6 +294,48 @@ output:
     def test_malformed_schedule_rejected(self, tmp_path, numerics, key):
         path = self.write(tmp_path, "  tensor: psi.npy", numerics_extra=f"  {numerics}")
         with pytest.raises(LoadError, match=key.replace(".", "\\.")):
+            parse_ft_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("initial_bond_dimension: 4", "initial_bond_dimension: abc",
+             "numerics.initial_bond_dimension"),
+            ("max_sweep_num: 5", "max_sweep_num: 5.5.5", "numerics.max_sweep_num"),
+            ("max_sweep_num: 5", "max_sweep_num: 5\n  max_truncated_singularvalue: abc",
+             "numerics.max_truncated_singularvalue"),
+            ("max_sweep_num: 5", "max_sweep_num: 5\n  entanglement_convergence_threshold: x",
+             "numerics.entanglement_convergence_threshold"),
+            ("max_sweep_num: 5", "max_sweep_num: 5\n  fidelity: {max_bond_dimensions: [8], "
+             "max_num_sweeps: [4], convergence_threshold: tight}",
+             "numerics.fidelity.convergence_threshold"),
+            ("tensors: 1", "tensors: all", "output.tensors"),
+        ],
+        ids=["chi-init", "sweep-limit", "sigma", "entropy-threshold", "fidelity-threshold",
+             "tensors-flag"],
+    )
+    def test_bad_scalar_names_key(self, tmp_path, old, new, key):
+        path = self.write(tmp_path, "  tensor: psi.npy")
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(LoadError, match=key.replace(".", "\\.")):
+            parse_ft_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("target:\n  tensor: psi.npy", "target: psi.npy", "target"),
+            ("numerics:\n  initial_bond_dimension: 4\n  max_sweep_num: 5\n",
+             "numerics: 4\n", "numerics"),
+            ("output:\n  dir: out\n  tensors: 1", "output: 1", "output"),
+        ],
+        ids=["target", "numerics", "output"],
+    )
+    def test_non_mapping_section_named(self, tmp_path, old, new, key):
+        path = self.write(tmp_path, "  tensor: psi.npy")
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(LoadError, match=f"^{key} must be a mapping"):
             parse_ft_config(path)
 
     def test_zero_sweep_limit_rejected(self, tmp_path):

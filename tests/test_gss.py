@@ -18,7 +18,7 @@ from treetn.gss import (
 from treetn.linalg import full_eigh
 from treetn.spinmodel import SpinModel, local_spin_matrices
 from treetn.state import audit_state, state_bond_entropy_dense
-from treetn.sweeps import SelectionSettings, schedule
+from treetn.sweeps import ScheduleError, SelectionSettings, Stage, schedule
 from treetn.topology import audit_topology, build_mpn, build_pbt
 
 
@@ -147,12 +147,21 @@ class TestRun:
             lambda: FactorizeConfig(chi_init=4, fidelity=schedule([8, 4], [2, 2], mode=2)),
             lambda: GssConfig(chi_init=4, stages=schedule([4, 8], [2])),
             lambda: GssConfig(chi_init=4, stages=schedule([], [])),
+            # stage lists built by hand obey the same rules
+            lambda: GssConfig(chi_init=4, stages=[]),
+            lambda: GssConfig(chi_init=4, stages=[Stage(8, 2), Stage(4, 2)]),
+            lambda: GssConfig(chi_init=4, stages=[Stage(4, 2), Stage(8, 2, mode=1)]),
+            lambda: GssConfig(chi_init=4, stages=[(4, 2)]),
+            lambda: FactorizeConfig(chi_init=4, fidelity=[Stage(8, 2), Stage(4, 2)]),
+            lambda: FactorizeConfig(chi_init=4, fidelity=[Stage(4, 2), Stage(8, 2, mode=2)]),
         ],
         ids=["gss-descending", "gss-repeated", "fidelity-descending",
-             "length-mismatch", "empty"],
+             "length-mismatch", "empty", "hand-empty", "hand-descending",
+             "hand-late-selection", "hand-not-a-stage", "fidelity-hand-descending",
+             "fidelity-hand-late-selection"],
     )
     def test_bad_schedule_rejected(self, build):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScheduleError):
             build()
 
     def test_structure_recovery_small_hierarchical(self):

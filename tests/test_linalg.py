@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from treetn.errors import NumericalError
 from treetn.linalg import (
+    _reorthogonalize,
     entanglement_entropy,
     full_eigh,
     full_svd,
@@ -200,7 +203,7 @@ class TestLanczos:
         assert energy <= rq + 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("dim", [2, 5, 17, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 17, 64])
     def test_matches_eigh_lowest(self, seed, dim):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -212,6 +215,98 @@ class TestLanczos:
         assert energy == pytest.approx(exact, abs=1e-9)
         resid = np.linalg.norm(h @ vec - energy * vec)
         assert resid <= 1e-12 * max(1.0, abs(energy)) * 10
+
+    def test_complex_operator_from_real_start(self, rng):
+        """The operator returns a real array while its product is real; here
+        the first product is real and later ones complex, so the Krylov basis
+        must turn complex on the way."""
+        dim = 40
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (a + a.conj().T) / 2
+        h[:, 0] = h[:, 0].real
+        h[0, :] = h[:, 0]
+        dtypes = []
+
+        def apply(v):
+            out = h @ v
+            out = out if np.any(out.imag) else out.real
+            dtypes.append(out.dtype)
+            return out
+
+        init = np.zeros(dim)
+        init[0] = 1.0
+        with warnings.catch_warnings():
+            # storing a complex vector in a real basis would drop its imaginary part
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            energy, vec = lanczos_lowest(apply, init)
+        assert dtypes[0] == float and dtypes[-1] == complex
+        assert np.iscomplexobj(vec)
+        assert energy == pytest.approx(full_eigh(h).eigenvalues[0], abs=1e-10)
+        assert np.linalg.norm(h @ vec - energy * vec) <= 1e-11 * max(1.0, abs(energy))
+
+    def test_exact_eigenvector_start_complex(self, rng):
+        """A start vector that is an exact eigenvector breaks down at once:
+        one product for the basis and one for the Ritz check."""
+        dim = 30
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (a + a.conj().T) / 2
+        h[0, :] = h[:, 0] = 0.0
+        h[0, 0] = -50.0
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return h @ v
+
+        init = np.zeros(dim, dtype=complex)
+        init[0] = 1j
+        energy, vec = lanczos_lowest(apply, init)
+        assert energy == -50.0
+        assert abs(vec[0]) == pytest.approx(1.0, abs=1e-15)
+        assert len(calls) == 2
+
+    def test_near_degenerate_ground_pair(self, rng):
+        dim = 60
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        lam = np.concatenate([[-1.0, -1.0 + 1e-9], np.linspace(0.0, 2.0, dim - 2)])
+        h = (q * lam) @ q.T
+        init = rng.standard_normal(dim)
+        init /= np.linalg.norm(init)
+        energy, vec = lanczos_lowest(lambda v: h @ v, init)
+        assert -1.0 - 1e-12 <= energy <= -1.0 + 1e-9 + 1e-12
+        # the Ritz vector lies in the two-dimensional ground space
+        assert np.linalg.norm(q[:, :2].T @ vec) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(h @ vec - energy * vec) <= 1e-11
+
+    def test_pinned_apply_count(self):
+        """The number of operator applications on a fixed problem, pinned so
+        that a change that grows the Krylov size shows. The spectrum has a
+        small gap, so the basis outgrows its first allocation; the residual
+        estimate crosses the threshold with a margin of 15% or more on either
+        side of the last step."""
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((400, 400)))
+        lam = np.concatenate([[-2.0, -1.9], rng.uniform(-1.8, 2.0, 398)])
+        h = (q * lam) @ q.T
+        init = rng.standard_normal(400)
+        init /= np.linalg.norm(init)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return h @ v
+
+        energy, _ = lanczos_lowest(apply, init)
+        assert energy == pytest.approx(-2.0, abs=1e-12)
+        assert len(calls) == 71
+
+    def test_reorthogonalize_second_pass(self, rng):
+        """A vector almost inside the span loses nearly all of its norm in
+        the first pass; the second pass restores orthogonality to rounding."""
+        basis = np.linalg.qr(rng.standard_normal((50, 5)))[0].T
+        w = rng.standard_normal(5) @ basis + 1e-10 * rng.standard_normal(50)
+        out = _reorthogonalize(basis, w)
+        assert np.linalg.norm(basis @ out) <= 1e-14 * np.linalg.norm(out)
 
     def test_non_finite_apply_rejected(self):
         def apply(v):

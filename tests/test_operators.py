@@ -9,6 +9,7 @@ from treetn.benchmarks import dense_hamiltonian
 from treetn.errors import InvariantViolation
 from treetn.linalg import full_eigh
 from treetn.operators import (
+    _apply_axis,
     build_block_interaction,
     build_block_two_child,
     build_superblock_plan,
@@ -171,6 +172,37 @@ def dense_plan_matrix(model, cache, legs):
     return np.stack(cols, axis=1)
 
 
+def reference_apply_axis(phi, m, axis):
+    """The contraction the matmul kernel replaces: contract, then move the
+    new leg back into place."""
+    return np.moveaxis(np.tensordot(m, phi, axes=[[1], [axis]]), 0, axis)
+
+
+class TestApplyAxis:
+    @pytest.mark.parametrize("axis", range(4))
+    @pytest.mark.parametrize("complex_phi", [False, True])
+    @pytest.mark.parametrize("complex_m", [False, True])
+    def test_matches_tensordot(self, rng, axis, complex_phi, complex_m):
+        shape = (3, 5, 2, 7)
+
+        def draw(*dims, complex_):
+            a = rng.standard_normal(dims)
+            return a + 1j * rng.standard_normal(dims) if complex_ else a
+
+        phi = draw(*shape, complex_=complex_phi)
+        m = draw(shape[axis], shape[axis], complex_=complex_m)
+        out = _apply_axis(phi, m, axis)
+        assert out.shape == shape
+        np.testing.assert_allclose(out, reference_apply_axis(phi, m, axis), atol=1e-13)
+
+    def test_non_contiguous_input(self, rng):
+        phi = rng.standard_normal((7, 2, 5, 3)).transpose(3, 2, 1, 0)
+        m = rng.standard_normal((5, 5))
+        np.testing.assert_allclose(
+            _apply_axis(phi, m, 1), reference_apply_axis(phi, m, 1), atol=1e-13
+        )
+
+
 class TestApplySuperblock:
     def test_zero_model(self, rng):
         model = SpinModel(n_sites=4, spin_sizes=[0.5] * 4)
@@ -188,6 +220,27 @@ class TestApplySuperblock:
             sia_table={1: 0.2},
         )
         cache = init_cache(model)
+        h = dense_plan_matrix(model, cache, (0, 1, 2, 3))
+        np.testing.assert_allclose(h, dense_hamiltonian(model).toarray(), atol=1e-12)
+
+    def test_unequal_legs_complex_matches_dense(self):
+        """Mixed spin sizes give legs of dimension 2, 3, 2 and 4; the x- and
+        z-axis DM terms make the Hamiltonian complex."""
+        model = SpinModel(
+            n_sites=4,
+            spin_sizes=[0.5, 1.0, 0.5, 1.5],
+            exchange_type="XYZ",
+            exchange_rows=[
+                (i, j, 1.0, 0.7 - 0.1 * j, 0.4 + 0.1 * i)
+                for i in range(4) for j in range(i + 1, 4)
+            ],
+            field_tables={"x": {1: 0.3}, "z": {i: 0.1 * i for i in range(4)}},
+            sia_table={3: 0.25},
+            dm_tables={"z": [(0, 2, 0.4)], "x": [(1, 3, -0.3)]},
+        )
+        assert model.dtype == complex
+        cache = init_cache(model)
+        assert [cache.dimension(b) for b in range(4)] == [2, 3, 2, 4]
         h = dense_plan_matrix(model, cache, (0, 1, 2, 3))
         np.testing.assert_allclose(h, dense_hamiltonian(model).toarray(), atol=1e-12)
 
