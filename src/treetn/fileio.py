@@ -144,7 +144,7 @@ def _opt_structure(parent: dict, where: str):
     """The ``opt_structure`` block of the section ``where``."""
     section = _mapping(parent, "opt_structure", where)
     where = f"{where}.opt_structure"
-    known = {"type", "temperature", "tau", "seed", "active"}
+    known = {"type", "temperature", "tau", "seed"}
     _warn_unknown(section, known, where)
     opt = {
         "mode": _scalar(section, "type", where, int, 0),
@@ -286,6 +286,8 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     stages, seed = _schedule(numerics, "numerics")
     chi_init = _scalar(numerics, "initial_bond_dimension", "numerics", int)
     init_tree = _scalar(numerics, "init_tree", "numerics", int, 0)
+    if init_tree not in (0, 1):
+        raise LoadError(f"numerics.init_tree must be 0 or 1, got {init_tree}")
     thresholds = {
         name: _scalar(numerics, key, "numerics", float, GSS_DEFAULT_THRESHOLD)
         for name, key in (
@@ -510,8 +512,8 @@ def load_tensor_bundle(directory: Path) -> TTNState:
     tensors = [load_array(directory / f"isometry{i}.npy") for i in range(n_tensors)]
     weights = load_array(directory / "singular_values.npy")
     norm = load_array(directory / "norm.npy")
-    if norm.ndim != 0:
-        raise LoadError(f"tensor bundle {directory}: norm.npy holds shape {norm.shape}")
+    if norm.ndim != 0 or not np.isfinite(norm):
+        raise LoadError(f"tensor bundle {directory}: norm.npy holds {norm!r}")
     state = TTNState(
         topology=topo, tensors=tensors, center_weights=weights, norm_scale=float(norm)
     )

@@ -20,7 +20,6 @@ from .linalg import full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
     _apply_axis,
-    build_block_two_child,
     build_superblock_plan,
     get_operator,
     init_cache,
@@ -156,10 +155,9 @@ def _perturb(psi: np.ndarray) -> np.ndarray:
 def _rsrg_isometry(model, cache, e1, e2, chi_init, delta_e):
     d1 = cache.dimension(e1)
     d2 = cache.dimension(e2)
-    h = build_block_two_child(model, cache, e1, e2)
-    if h is None:
-        h = np.zeros((d1 * d2, d1 * d2), dtype=model.dtype)
-    spec = full_eigh(h)
+    plan = build_superblock_plan(model, cache, (e1, e2))
+    h = plan.apply(np.eye(d1 * d2).reshape(d1, d2, d1 * d2))
+    spec = full_eigh(h.reshape(d1 * d2, d1 * d2))
     keep = degenerate_keep_count(spec.eigenvalues, chi_init, delta_e)
     return spec.eigenvectors[:, :keep].reshape(d1, d2, keep).astype(model.dtype)
 

@@ -6,6 +6,10 @@ Hamiltonian projected into the kept basis. Only ``z`` and ``+`` matrices are
 stored; lowering operators come from the conjugate transpose. Single-site
 squared operators are renormalized only as part of a block Hamiltonian,
 never as standalone matrices, so products survive truncation exactly.
+
+Every Hamiltonian on a set of legs is a ``SuperblockPlan``: the four-leg
+superblock of a sweep step, and the two-leg block whose projection through
+an isometry becomes the parent's block Hamiltonian.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ __all__ = [
     "init_cache",
     "get_operator",
     "renormalize_spin",
-    "build_block_interaction",
-    "build_block_two_child",
-    "project_block_h",
     "refresh_bond",
     "SuperblockPlan",
     "build_superblock_plan",
@@ -92,21 +93,23 @@ def _site_block(model: SpinModel, cache: OperatorCache, site: int):
     return h
 
 
+def _project(v: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    """``v† (H v)`` for an isometry ``v`` and ``hv = H v``, contracted over
+    the two child legs."""
+    k = v.shape[2]
+    return v.reshape(-1, k).conj().T @ hv.reshape(-1, k)
+
+
 def renormalize_spin(op: np.ndarray, v: np.ndarray, child_slot: int) -> np.ndarray:
     """Project an operator on one child leg into the parent bond basis."""
-    if child_slot == 1:
-        if op.shape[0] != v.shape[0]:
-            raise InvariantViolation(
-                f"operator dim {op.shape[0]} vs slot-1 dim {v.shape[0]}"
-            )
-        return np.einsum("aec,ab,bed->cd", v.conj(), op, v, optimize=True)
-    if child_slot == 2:
-        if op.shape[0] != v.shape[1]:
-            raise InvariantViolation(
-                f"operator dim {op.shape[0]} vs slot-2 dim {v.shape[1]}"
-            )
-        return np.einsum("eac,ab,ebd->cd", v.conj(), op, v, optimize=True)
-    raise ValueError(f"child_slot must be 1 or 2, got {child_slot}")
+    if child_slot not in (1, 2):
+        raise ValueError(f"child_slot must be 1 or 2, got {child_slot}")
+    dim = v.shape[child_slot - 1]
+    if op.shape[0] != dim:
+        raise InvariantViolation(
+            f"operator dim {op.shape[0]} vs slot-{child_slot} dim {dim}"
+        )
+    return _project(v, _apply_axis(v, op, child_slot - 1))
 
 
 def _cross_rows(model: SpinModel, sites_a, sites_b):
@@ -133,64 +136,12 @@ def _cross_rows(model: SpinModel, sites_a, sites_b):
     return groups
 
 
-def build_block_interaction(
-    model: SpinModel, cache: OperatorCache, e_left: int, e_right: int
-) -> np.ndarray:
-    """All Hamiltonian terms coupling the two regions, as a dense matrix on
-    the product space (left-region index fastest-varying last)."""
-    sites_l = cache.sites[e_left]
-    sites_r = cache.sites[e_right]
-    dim_l = cache.dimension(e_left)
-    dim_r = cache.dimension(e_right)
-    h = np.zeros((dim_l * dim_r, dim_l * dim_r), dtype=model.dtype)
-    for (ka, kb), rows in _cross_rows(model, sites_l, sites_r).items():
-        for sa, sb, coef in rows:
-            a = get_operator(cache, e_left, sa, ka)
-            b = get_operator(cache, e_right, sb, kb)
-            h += coef * np.kron(a, b)
-    return h
-
-
-def build_block_two_child(
-    model: SpinModel, cache: OperatorCache, e_left: int, e_right: int
-):
-    """Intra-region Hamiltonian of the two-child space: both child blocks
-    lifted by identities plus every cross coupling. Returns None when no
-    term touches the region."""
-    dim_l = cache.dimension(e_left)
-    dim_r = cache.dimension(e_right)
-    pieces = []
-    if e_left in cache.block_h:
-        pieces.append(np.kron(cache.block_h[e_left], np.eye(dim_r)))
-    if e_right in cache.block_h:
-        pieces.append(np.kron(np.eye(dim_l), cache.block_h[e_right]))
-    cross = build_block_interaction(model, cache, e_left, e_right)
-    if np.any(cross):
-        pieces.append(cross)
-    if not pieces:
-        return None
-    h = pieces[0]
-    for p in pieces[1:]:
-        h = h + p
-    return h.astype(model.dtype, copy=False)
-
-
-def project_block_h(h_two_child: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project a two-child-space Hamiltonian through an isometry."""
-    d1, d2, k = v.shape
-    if h_two_child.shape != (d1 * d2, d1 * d2):
-        raise InvariantViolation(
-            f"block shape {h_two_child.shape} vs isometry {(d1 * d2,)}"
-        )
-    w = v.reshape(d1 * d2, k)
-    return w.conj().T @ h_two_child @ w
-
-
 def refresh_bond(
     cache: OperatorCache, model: SpinModel, state: TTNState, tensor_idx: int
 ) -> None:
     """Renormalize operators and block Hamiltonian through one isometry
-    into its slot-3 bond."""
+    into its slot-3 bond; the block is the two-leg plan of the children,
+    projected, and is dropped when no term touches the region."""
     e1, e2, e3 = state.topology.edges[tensor_idx]
     v = state.tensors[tensor_idx]
     new_ops: dict[int, dict[str, np.ndarray]] = {}
@@ -201,11 +152,11 @@ def refresh_bond(
             }
     cache.spin_ops[e3] = new_ops
     cache.sites[e3] = tuple(sorted(cache.sites[e1] + cache.sites[e2]))
-    h = build_block_two_child(model, cache, e1, e2)
-    if h is None:
-        cache.block_h.pop(e3, None)
+    plan = build_superblock_plan(model, cache, (e1, e2))
+    if plan.single or plan.double:
+        cache.block_h[e3] = _project(v, plan.apply(v))
     else:
-        cache.block_h[e3] = project_block_h(h, v)
+        cache.block_h.pop(e3, None)
 
 
 def _apply_axis(phi: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
@@ -219,7 +170,8 @@ def _apply_axis(phi: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
 @dataclass
 class SuperblockPlan:
     """Precombined term list for repeatedly applying the superblock
-    Hamiltonian to a 4-leg tensor without forming the dense matrix."""
+    Hamiltonian to a tensor without forming the dense matrix. Leg ``i`` of
+    the tensor is the ``i``-th plan bond; trailing legs are spectators."""
 
     single: list[tuple[int, np.ndarray]]
     double: list[tuple[int, int, np.ndarray, np.ndarray]]
@@ -237,7 +189,7 @@ class SuperblockPlan:
 def build_superblock_plan(
     model: SpinModel, cache: OperatorCache, leg_bonds
 ) -> SuperblockPlan:
-    """Assemble the superblock Hamiltonian around four bonds.
+    """Assemble the Hamiltonian of the regions behind ``leg_bonds``.
 
     Couplings between two legs are grouped by operator kind; within a group
     the sum over the larger region is folded into a single matrix first, so
@@ -249,7 +201,7 @@ def build_superblock_plan(
         if b in cache.block_h
     ]
     double: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-    for ax_a, ax_b in combinations(range(4), 2):
+    for ax_a, ax_b in combinations(range(len(leg_bonds)), 2):
         ba, bb = leg_bonds[ax_a], leg_bonds[ax_b]
         groups = _cross_rows(model, cache.sites[ba], cache.sites[bb])
         for (ka, kb), rows in groups.items():

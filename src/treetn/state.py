@@ -273,17 +273,18 @@ def audit_state(
     """Check isometric conditions and weight normalization.
 
     ``tensors`` restricts the isometry check to a subset (used per sweep
-    step, where only two tensors changed).
+    step, where only two tensors changed). A non-finite value fails every
+    check.
     """
     indices = range(len(state.tensors)) if tensors is None else tensors
     for i in indices:
         defect = isometry_defect(state.tensors[i])
-        if defect > iso_tol:
+        if not defect <= iso_tol:
             raise InvariantViolation(
                 f"tensor {i} isometry defect {defect:.3e}", tensor=i
             )
     w = state.center_weights
-    if abs(float(np.sum(w**2)) - 1.0) > weight_tol:
+    if not abs(float(np.sum(w**2)) - 1.0) <= weight_tol:
         raise InvariantViolation("center weights do not square-sum to one")
     if np.any(np.diff(w) > 1e-14):
         raise InvariantViolation("center weights are not sorted descending")

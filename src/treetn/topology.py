@@ -96,10 +96,13 @@ class Topology:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 3:
+            try:
+                edge = [int(p) for p in line.split()]
+            except ValueError:
+                edge = []
+            if len(edge) != 3:
                 raise InvariantViolation(f"malformed graph line: {line!r}")
-            edges.append([int(p) for p in parts])
+            edges.append(edge)
         center = _find_center(edges)
         return cls(n_sites=n_sites, edges=edges, center=center)
 

@@ -1,5 +1,7 @@
 """Tests for configuration parsing and output file contracts."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,13 @@ class TestParseGssConfig:
         with pytest.warns(UserWarning, match="mystery_knob"):
             parse_gss_config(path)
 
+    def test_unread_opt_structure_key_warns(self, tmp_path):
+        path = write_gss_inputs(
+            tmp_path, extra_numerics="  opt_structure: {type: 1, active: 1}"
+        )
+        with pytest.warns(UserWarning, match="active"):
+            parse_gss_config(path)
+
     def test_opt_structure_block(self, tmp_path):
         path = write_gss_inputs(
             tmp_path,
@@ -167,6 +176,10 @@ class TestParseGssConfig:
              "numerics.initial_bond_dimension"),
             ("initial_bond_dimension: 4", "initial_bond_dimension: 4\n  init_tree: pbt",
              "numerics.init_tree"),
+            ("initial_bond_dimension: 4", "initial_bond_dimension: 4\n  init_tree: 2",
+             "numerics.init_tree"),
+            ("initial_bond_dimension: 4", "initial_bond_dimension: 4\n  init_tree: -1",
+             "numerics.init_tree"),
             ("initial_bond_dimension: 4",
              "initial_bond_dimension: 4\n  energy_convergence_threshold: tiny",
              "numerics.energy_convergence_threshold"),
@@ -179,8 +192,9 @@ class TestParseGssConfig:
              "numerics.opt_structure.seed"),
             ("  initial_bond_dimension: 4\n", "", "numerics.initial_bond_dimension"),
         ],
-        ids=["chi-init", "init-tree", "energy-threshold", "degeneracy-list", "n-sites",
-             "two-site-flag", "seed", "chi-init-missing"],
+        ids=["chi-init", "init-tree", "init-tree-two", "init-tree-negative",
+             "energy-threshold", "degeneracy-list", "n-sites", "two-site-flag", "seed",
+             "chi-init-missing"],
     )
     def test_bad_scalar_names_key(self, tmp_path, old, new, key):
         path = write_gss_inputs(tmp_path)
@@ -463,6 +477,12 @@ def _rewrite(directory, name, change):
     np.save(directory / name, change(np.load(directory / name)))
 
 
+def _poison(value, a):
+    a = np.array(a, dtype=float)
+    a.flat[0] = value
+    return a
+
+
 def _narrow_third_leg(tensor):
     d1, d2, d3 = tensor.shape
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((d1 * d2, d3 - 1)))
@@ -480,6 +500,10 @@ class TestBundleValidation:
             ("isometry3.npy", _narrow_third_leg, "carries dims"),
             ("isometry2.npy", lambda v: v[:, :, 0], "legs"),
             ("singular_values.npy", lambda w: 2.0 * w, "square-sum"),
+            ("isometry1.npy", partial(_poison, np.nan), "isometry defect"),
+            ("singular_values.npy", partial(_poison, np.nan), "square-sum"),
+            ("norm.npy", partial(_poison, np.nan), "norm.npy"),
+            ("norm.npy", partial(_poison, np.inf), "norm.npy"),
         ],
     )
     def test_corrupt_piece_rejected(self, tmp_path, rng, name, change, problem):
@@ -499,6 +523,15 @@ class TestBundleValidation:
         (bundle / "graph.dat").write_text("0 1 6\n6 2 7\n8 3 7\n4 4 8\n")
         with pytest.raises(LoadError, match="graph.dat"):
             load_tensor_bundle(bundle)
+
+    def test_non_integer_graph_label_rejected(self, tmp_path, rng):
+        state = sequential_svd_to_mpn(normalize_target(rng.standard_normal((2,) * 6)), 8)
+        bundle = tmp_path / "bundle"
+        save_tensor_bundle(bundle, state)
+        (bundle / "graph.dat").write_text("0 1 x\n6 2 7\n8 3 7\n4 5 8\n")
+        with pytest.raises(LoadError, match="graph.dat: malformed graph line") as err:
+            load_tensor_bundle(bundle)
+        assert str(bundle) in str(err.value)
 
     @pytest.mark.parametrize("name", ["norm.npy", "singular_values.npy", "isometry2.npy"])
     def test_missing_array_rejected(self, tmp_path, rng, name):

@@ -10,14 +10,11 @@ from treetn.errors import InvariantViolation
 from treetn.linalg import full_eigh
 from treetn.operators import (
     _apply_axis,
-    build_block_interaction,
-    build_block_two_child,
     build_superblock_plan,
     init_cache,
-    project_block_h,
     refresh_bond,
+    renormalize_spin,
 )
-from treetn.operators import renormalize_spin
 from treetn.spinmodel import SpinModel, local_spin_matrices
 from treetn.state import TTNState
 from treetn.topology import build_mpn
@@ -64,9 +61,67 @@ class TestRenormalizeSpin:
         v = random_isometry(rng, 3, 2, 4)
         with pytest.raises(InvariantViolation):
             renormalize_spin(np.eye(5), v, child_slot=1)
+        with pytest.raises(InvariantViolation):
+            renormalize_spin(np.eye(3), v, child_slot=2)
+
+    def test_bad_slot(self, rng):
+        v = random_isometry(rng, 2, 2, 3)
+        with pytest.raises(ValueError):
+            renormalize_spin(np.eye(2), v, child_slot=3)
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_einsum_reference(self, rng, slot, complex_):
+        v = random_isometry(rng, 3, 4, 5, complex_=complex_)
+        d = v.shape[slot - 1]
+        op = rng.standard_normal((d, d))
+        if complex_:
+            op = op + 1j * rng.standard_normal((d, d))
+        spec = "aec,ab,bed->cd" if slot == 1 else "eac,ab,ebd->cd"
+        want = np.einsum(spec, v.conj(), op, v)
+        np.testing.assert_allclose(renormalize_spin(op, v, slot), want, atol=1e-13)
+
+
+def dense_plan_matrix(model, cache, legs):
+    dims = [cache.dimension(b) for b in legs]
+    dim = int(np.prod(dims))
+    plan = build_superblock_plan(model, cache, legs)
+    cols = []
+    for k in range(dim):
+        e = np.zeros(dim, dtype=model.dtype)
+        e[k] = 1.0
+        cols.append(plan.apply(e.reshape(dims)).ravel())
+    return np.stack(cols, axis=1)
+
+
+def region_hamiltonian(model, sites):
+    """Dense Hamiltonian of the terms inside ``sites`` (site order kept),
+    from the exact-diagonalization oracle on the restricted model."""
+    index = {s: k for k, s in enumerate(sites)}
+
+    def inside(rows):
+        return [(index[i], index[j], *rest) for i, j, *rest in rows
+                if i in index and j in index]
+
+    sub = SpinModel(
+        n_sites=len(sites),
+        spin_sizes=[model.spin_sizes[s] for s in sites],
+        exchange_type=model.exchange_type,
+        exchange_rows=inside(model.exchange_rows),
+        field_tables={
+            axis: {index[i]: h for i, h in table.items() if i in index}
+            for axis, table in model.field_tables.items()
+        },
+        sia_table={index[i]: d for i, d in model.sia_table.items() if i in index},
+        dm_tables={axis: inside(rows) for axis, rows in model.dm_tables.items()},
+        sod_tables={axis: inside(rows) for axis, rows in model.sod_tables.items()},
+    )
+    return dense_hamiltonian(sub).toarray()
 
 
 class TestBlockInteraction:
+    """The two-leg plan: both child blocks plus every cross coupling."""
+
     def test_two_single_sites_heisenberg(self):
         model = SpinModel(
             n_sites=4,
@@ -74,7 +129,7 @@ class TestBlockInteraction:
             exchange_rows=[(0, 1, 1.0, 1.0)],
         )
         cache = init_cache(model)
-        h = build_block_interaction(model, cache, 0, 1)
+        h = dense_plan_matrix(model, cache, (0, 1))
         vals = full_eigh(h).eigenvalues
         np.testing.assert_allclose(vals, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
 
@@ -83,33 +138,28 @@ class TestBlockInteraction:
             n_sites=4, spin_sizes=[0.5] * 4, exchange_rows=[(0, 1, 1.0, 1.0)]
         )
         cache = init_cache(model)
-        assert not np.any(build_block_interaction(model, cache, 2, 3))
+        plan = build_superblock_plan(model, cache, (2, 3))
+        assert not plan.single and not plan.double
+        assert not np.any(dense_plan_matrix(model, cache, (2, 3)))
 
     def test_four_site_split_matches_dense_cross(self, rng):
         model = heisenberg_chain(4, delta=0.7)
         cache = init_cache(model)
-        # renormalize {0,1}->bond 4 and {2,3}->bond 5 with full unitaries
-        topo = build_mpn(4)
-        topo.edges[1][2] = 5  # give the right tensor its own bond for this test
+        # renormalize {0,1}->bond 4 and {2,3}->bond 5 with full unitaries;
+        # no block Hamiltonians are stored, so the plan holds the cut only
         v = random_isometry(rng, 2, 2, 4)
         w = random_isometry(rng, 2, 2, 4)
-        state = TTNState(
-            topology=topo, tensors=[v, w], center_weights=np.ones(1)
-        )
-        # the audit-facing topology is irrelevant here; refresh both regions
         cache.sites[4] = (0, 1)
         cache.sites[5] = (2, 3)
-        from treetn.operators import renormalize_spin as rs
-
         cache.spin_ops[4] = {
-            r: {k: rs(cache.spin_ops[r][r][k], v, slot) for k in ("z", "+")}
+            r: {k: renormalize_spin(cache.spin_ops[r][r][k], v, slot) for k in ("z", "+")}
             for slot, r in ((1, 0), (2, 1))
         }
         cache.spin_ops[5] = {
-            r: {k: rs(cache.spin_ops[r][r][k], w, slot) for k in ("z", "+")}
+            r: {k: renormalize_spin(cache.spin_ops[r][r][k], w, slot) for k in ("z", "+")}
             for slot, r in ((1, 2), (2, 3))
         }
-        h = build_block_interaction(model, cache, 4, 5)
+        h = dense_plan_matrix(model, cache, (4, 5))
         # dense oracle: only the (1,2) coupling crosses the cut
         sz, sp, sx, sy = local_spin_matrices(0.5)
         eye = np.eye(2)
@@ -123,53 +173,101 @@ class TestBlockInteraction:
         np.testing.assert_allclose(h, expected, atol=1e-11)
 
 
+def refreshed_chain(model, tensors):
+    """An MPN whose first tensors are ``tensors``, refreshed in order from
+    the left end; returns the cache and the topology."""
+    topo = build_mpn(model.n_sites)
+    state = TTNState(
+        topology=topo,
+        tensors=list(tensors) + [None] * (topo.n_tensors - len(tensors)),
+        center_weights=np.ones(1),
+    )
+    cache = init_cache(model)
+    for i in range(len(tensors)):
+        refresh_bond(cache, model, state, i)
+    return cache, topo
+
+
+def field_chain(n=6):
+    return SpinModel(
+        n_sites=n,
+        spin_sizes=[0.5] * n,
+        exchange_rows=[(i, i + 1, 1.0, 0.6) for i in range(n - 1)] + [(0, 2, 0.3, 1.0)],
+        field_tables={"z": {i: 0.1 * (i + 1) for i in range(n)}, "x": {1: 0.4}},
+    )
+
+
 class TestProjectBlockH:
+    """``refresh_bond`` stores ``v† H_region v`` for the region below a bond."""
+
     def test_full_isometry_preserves_spectrum(self, rng):
-        h = rng.standard_normal((6, 6))
-        h = h + h.T
-        v = random_isometry(rng, 2, 3, 6)
-        proj = project_block_h(h, v)
+        model = field_chain()
+        cache, topo = refreshed_chain(model, [random_isometry(rng, 2, 2, 4)])
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(proj)), np.sort(np.linalg.eigvalsh(h)), atol=1e-11
+            np.linalg.eigvalsh(cache.block_h[topo.edges[0][2]]),
+            np.linalg.eigvalsh(region_hamiltonian(model, (0, 1))),
+            atol=1e-12,
         )
 
-    def test_spectral_projection(self, rng):
-        h = rng.standard_normal((8, 8))
-        h = h + h.T
-        spec = full_eigh(h)
-        v = spec.eigenvectors[:, :3].reshape(2, 4, 3)
-        proj = project_block_h(h, v)
+    def test_spectral_projection(self):
+        model = field_chain()
+        spec = full_eigh(region_hamiltonian(model, (0, 1)))
+        v = spec.eigenvectors[:, :3].reshape(2, 2, 3)
+        cache, topo = refreshed_chain(model, [v])
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(proj), spec.eigenvalues[:3], atol=1e-11
+            np.linalg.eigvalsh(cache.block_h[topo.edges[0][2]]),
+            spec.eigenvalues[:3],
+            atol=1e-12,
         )
 
     def test_interlacing(self, rng):
-        h = rng.standard_normal((12, 12))
-        h = h + h.T
+        """Two levels: a full unitary on {0, 1}, then a rank-5 isometry onto
+        {0, 1, 2}; the result is the dense projection and interlaces."""
+        model = field_chain()
+        v0 = random_isometry(rng, 2, 2, 4)
+        v1 = random_isometry(rng, 4, 2, 5)
+        cache, topo = refreshed_chain(model, [v0, v1])
+        got = cache.block_h[topo.edges[1][2]]
+        h = region_hamiltonian(model, (0, 1, 2))
+        w = np.kron(v0.reshape(4, 4), np.eye(2)) @ v1.reshape(8, 5)
+        np.testing.assert_allclose(got, w.conj().T @ h @ w, atol=1e-12)
         full = np.linalg.eigvalsh(h)
-        v = random_isometry(rng, 3, 4, 5)
-        proj_vals = np.linalg.eigvalsh(project_block_h(h, v))
-        for k, lam in enumerate(proj_vals):
-            assert full[k] - 1e-12 <= lam <= full[k + 12 - 5] + 1e-12
+        for k, lam in enumerate(np.linalg.eigvalsh(got)):
+            assert full[k] - 1e-12 <= lam <= full[k + 8 - 5] + 1e-12
 
     def test_hermitian_output(self, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = (a + a.conj().T) / 2
-        v = random_isometry(rng, 2, 3, 4, complex_=True)
-        proj = project_block_h(h, v)
+        model = SpinModel(
+            n_sites=4,
+            spin_sizes=[0.5] * 4,
+            exchange_rows=[(0, 1, 1.0, 0.5)],
+            dm_tables={"z": [(0, 1, 0.7)]},
+        )
+        assert model.dtype == complex
+        cache, topo = refreshed_chain(model, [random_isometry(rng, 2, 2, 3, complex_=True)])
+        proj = cache.block_h[topo.edges[0][2]]
         assert np.max(np.abs(proj - proj.conj().T)) < 1e-12
 
-
-def dense_plan_matrix(model, cache, legs):
-    dims = [cache.dimension(b) for b in legs]
-    dim = int(np.prod(dims))
-    plan = build_superblock_plan(model, cache, legs)
-    cols = []
-    for k in range(dim):
-        e = np.zeros(dim, dtype=model.dtype)
-        e[k] = 1.0
-        cols.append(plan.apply(e.reshape(dims)).ravel())
-    return np.stack(cols, axis=1)
+    def test_unequal_spins_complex_matches_dense(self, rng):
+        """Spins 1/2, 1 and 3/2 under XYZ exchange, a y field and DM terms:
+        two complex levels against the dense projection."""
+        model = SpinModel(
+            n_sites=6,
+            spin_sizes=[0.5, 1.0, 1.5, 0.5, 1.0, 0.5],
+            exchange_type="XYZ",
+            exchange_rows=[(i, i + 1, 1.0, 0.7, 0.4 + 0.1 * i) for i in range(5)],
+            field_tables={"y": {1: 0.3}, "z": {2: -0.2}},
+            sia_table={2: 0.25},
+            dm_tables={"z": [(0, 2, 0.4)], "x": [(1, 2, -0.3)]},
+        )
+        assert model.dtype == complex
+        v0 = random_isometry(rng, 2, 3, 6, complex_=True)
+        v1 = random_isometry(rng, 6, 4, 10, complex_=True)
+        cache, topo = refreshed_chain(model, [v0, v1])
+        h = region_hamiltonian(model, (0, 1, 2))
+        w = np.kron(v0.reshape(6, 6), np.eye(4)) @ v1.reshape(24, 10)
+        np.testing.assert_allclose(
+            cache.block_h[topo.edges[1][2]], w.conj().T @ h @ w, atol=1e-12
+        )
 
 
 def reference_apply_axis(phi, m, axis):
@@ -312,13 +410,32 @@ class TestRefreshBond:
 
     def test_block_hamiltonian_projected(self, rng):
         model = heisenberg_chain(6)
-        cache = init_cache(model)
-        topo = build_mpn(6)
         v = random_isometry(rng, 2, 2, 4)
+        cache, topo = refreshed_chain(model, [v])
+        w = v.reshape(4, 4)
+        expected = w.conj().T @ region_hamiltonian(model, (0, 1)) @ w
+        np.testing.assert_allclose(cache.block_h[topo.edges[0][2]], expected, atol=1e-12)
+
+    def test_no_terms_drops_block(self, rng):
+        """A region no term touches keeps no block Hamiltonian, even where a
+        stale one was stored before."""
+        model = SpinModel(n_sites=6, spin_sizes=[0.5] * 6, exchange_rows=[(3, 4, 1.0, 1.0)])
+        topo = build_mpn(6)
+        cache = init_cache(model)
+        e3 = topo.edges[0][2]
+        cache.block_h[e3] = np.eye(3)
         state = TTNState(
-            topology=topo, tensors=[v] + [None] * 3, center_weights=np.ones(1)
+            topology=topo,
+            tensors=[random_isometry(rng, 2, 2, 3)] + [None] * 3,
+            center_weights=np.ones(1),
         )
         refresh_bond(cache, model, state, 0)
-        h2 = build_block_two_child(model, cache, 0, 1)
-        expected = project_block_h(h2, v)
+        assert e3 not in cache.block_h
+
+    def test_field_only_region_keeps_block(self, rng):
+        model = SpinModel(n_sites=6, spin_sizes=[0.5] * 6, field_tables={"z": {1: 0.5}})
+        v = random_isometry(rng, 2, 2, 3)
+        cache, topo = refreshed_chain(model, [v])
+        w = v.reshape(4, 3)
+        expected = w.conj().T @ region_hamiltonian(model, (0, 1)) @ w
         np.testing.assert_allclose(cache.block_h[topo.edges[0][2]], expected, atol=1e-12)
