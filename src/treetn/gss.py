@@ -26,7 +26,7 @@ from .operators import (
     refresh_bond,
 )
 from .spinmodel import SpinModel, local_spin_matrices
-from .state import TTNState, decompose_tensor
+from .state import TTNState, decompose_tensor, merge_center
 from .sweeps import (
     SelectionSettings, Stage, StepInfo, SweepReport, check_schedule, run_stage,
     run_sweep,
@@ -338,7 +338,7 @@ class ObservableCollector:
             self._snapshot = state.topology.shape_snapshot()
         elif state.topology.shape_snapshot() != self._snapshot:
             raise InvariantViolation("structure changed during an observable pass")
-        psi = info.psi_center
+        psi = merge_center(state, info.t, info.t_conn)
         bonds = info.center_bonds
         topo = state.topology
         for axis, b in enumerate(bonds):

@@ -20,6 +20,7 @@ __all__ = [
     "SingularSpectrum",
     "EigenSpectrum",
     "full_svd",
+    "spectrum_cut",
     "truncate_spectrum",
     "full_eigh",
     "lanczos_lowest",
@@ -60,13 +61,16 @@ class EigenSpectrum:
     eigenvectors: np.ndarray
 
 
-def full_svd(matrix: np.ndarray) -> SingularSpectrum:
-    """Full singular value decomposition of a 2-index array."""
+def full_svd(matrix: np.ndarray, vectors: bool = True) -> SingularSpectrum | np.ndarray:
+    """Full singular value decomposition of a 2-index array; with
+    ``vectors=False`` only the singular values, sorted descending."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={matrix.ndim}")
     if not np.all(np.isfinite(matrix)):
         raise NumericalError("non-finite entries in SVD input")
+    if not vectors:
+        return np.linalg.svd(matrix, compute_uv=False)
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     return SingularSpectrum(values=s, left_vectors=u, right_vectors=vh)
 
@@ -93,6 +97,23 @@ def degenerate_cut(values: np.ndarray, keep: int, delta: float) -> int:
     return keep
 
 
+def spectrum_cut(
+    values: np.ndarray, chi_max: int, sigma: float = 0.0, delta_s: float = 0.0
+) -> tuple[int, float, bool]:
+    """Where ``truncate_spectrum`` cuts a descending spectrum, silently:
+    the kept count, the truncation error ``1 - sum(kept D^2)``, and whether
+    a multiplet tied within ``delta_s`` straddles the cap (the cap wins)."""
+    if chi_max < 1:
+        raise ValueError(f"chi_max must be positive, got {chi_max}")
+    keep = min(chi_max, len(values))
+    # numerical zeros (relative ~1e-14) are rank noise and always dropped
+    above = np.count_nonzero(values > max(sigma, ZERO_FLOOR) * values[0])
+    keep = min(keep, max(above, 1))
+    walked = degenerate_cut(values, keep, delta_s) if delta_s > 0.0 else keep
+    keep = walked or keep
+    return keep, 1.0 - float(np.sum(values[:keep] ** 2)), walked == 0
+
+
 def truncate_spectrum(
     spec: SingularSpectrum,
     chi_max: int,
@@ -110,37 +131,18 @@ def truncate_spectrum(
     Returns the truncated spectrum and the truncation error
     ``1 - sum(kept D^2)`` evaluated on the pre-rescaling values.
     """
-    if chi_max < 1:
-        raise ValueError(f"chi_max must be positive, got {chi_max}")
-    values = spec.values
-    n = len(values)
-    keep = min(chi_max, n)
-    # numerical zeros (relative ~1e-14) are rank noise and always dropped
-    cutoff = max(sigma, ZERO_FLOOR) * values[0]
-    above = np.count_nonzero(values > cutoff)
-    keep = min(keep, max(above, 1))
-
-    if delta_s > 0.0 and keep < n:
-        walked = degenerate_cut(values, keep, delta_s)
-        if walked == 0:
-            warnings.warn(
-                "degenerate multiplet straddles the bond-dimension cap; "
-                f"keeping {keep} of a tied group",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            keep = walked
-
-    kept = values[:keep]
+    keep, error, straddles = spectrum_cut(spec.values, chi_max, sigma, delta_s)
+    if straddles:
+        warnings.warn(
+            "degenerate multiplet straddles the bond-dimension cap; "
+            f"keeping {keep} of a tied group",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    kept = spec.values[:keep]
     weight = float(np.sum(kept**2))
-    error = 1.0 - weight
-    if weight > 0.0:
-        rescaled = kept / np.sqrt(weight)
-    else:
-        rescaled = kept
     truncated = SingularSpectrum(
-        values=rescaled,
+        values=kept / np.sqrt(weight) if weight > 0.0 else kept,
         left_vectors=spec.left_vectors[:, :keep],
         right_vectors=spec.right_vectors[:keep, :],
     )

@@ -116,23 +116,20 @@ def _cross_rows(model: SpinModel, sites_a, sites_b):
     """Coupling rows between two disjoint regions, grouped by operator kinds.
 
     Yields ``(kind_a, kind_b) -> list of (site_a, site_b, coef)`` entries
-    oriented so the first kind acts on the first region.
+    oriented so the first kind acts on the first region, in the order of
+    ``sites_a`` and then of each site's sorted neighbours.
     """
     groups: dict[tuple[str, str], list[tuple[int, int, complex]]] = {}
     set_b = set(sites_b)
-    for ia in sites_a:
-        for jb in sites_b:
-            key = (ia, jb) if ia < jb else (jb, ia)
-            terms = model.pair_terms.get(key)
-            if not terms:
-                continue
-            for k1, k2, coef in terms:
-                if ia < jb:
-                    groups.setdefault((k1, k2), []).append((ia, jb, coef))
-                else:
-                    groups.setdefault((k2, k1), []).append((ia, jb, coef))
-    if set(sites_a) & set_b:
+    if set_b.intersection(sites_a):
         raise InvariantViolation("regions overlap; coupling assembly is ambiguous")
+    for ia in sites_a:
+        for jb in model.neighbours[ia]:
+            if jb not in set_b:
+                continue
+            for k1, k2, coef in model.pair_terms[min(ia, jb), max(ia, jb)]:
+                kinds = (k1, k2) if ia < jb else (k2, k1)
+                groups.setdefault(kinds, []).append((ia, jb, coef))
     return groups
 
 

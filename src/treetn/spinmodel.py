@@ -134,6 +134,7 @@ class SpinModel:
     sod_tables: dict[str, list[tuple[int, int, float]]] = field(default_factory=dict)
 
     pair_terms: dict[tuple[int, int], list[PairTerm]] = field(init=False)
+    neighbours: list[tuple[int, ...]] = field(init=False)  # sorted, per site
     site_terms: dict[int, list[SiteTerm]] = field(init=False)
     dtype: np.dtype = field(init=False)
 
@@ -189,6 +190,11 @@ class SpinModel:
                 site: [(k, coef.real) for k, coef in terms]
                 for site, terms in self.site_terms.items()
             }
+        adjacent: list[list[int]] = [[] for _ in range(n)]
+        for i, j in self.pair_terms:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        self.neighbours = [tuple(sorted(a)) for a in adjacent]
 
     def _build_pair_terms(self):
         terms: dict[tuple[int, int], list[PairTerm]] = {}

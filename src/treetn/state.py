@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import SingularSpectrum, entanglement_entropy, full_svd, truncate_spectrum
+from .linalg import entanglement_entropy, full_svd, spectrum_cut, truncate_spectrum
 from .topology import Topology, set_distance, subtree_sites
 
 __all__ = [
@@ -40,7 +40,8 @@ PAIRING_NAMES = ("p1p2|q1q2", "p1q2|p2q1", "p1q1|p2q2")
 
 @dataclass
 class ReconnectChoice:
-    """Outcome of a structural selection among the three pairings."""
+    """Outcome of a structural selection among the three pairings; the
+    entropy and error of a pairing that was not evaluated read ``nan``."""
 
     pairing: int
     entropies: tuple[float, float, float]
@@ -192,11 +193,15 @@ def decompose_tensor(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ReconnectChoice]:
     """Split a normalized 4-leg tensor into two isometries and weights.
 
-    All three index pairings are decomposed by full SVD; the kept structure
-    is chosen by ``mode`` (0: keep the original split, 1: least entanglement,
-    2: least truncation error). With ``mode == 1`` and a positive temperature
-    the pairing is sampled with heat-bath probabilities. The kept spectrum is
-    truncated to ``chi`` values (degeneracy-aware) and rescaled.
+    The kept structure is chosen by ``mode`` (0: keep the original split, 1:
+    least entanglement, 2: least truncation error). With ``mode == 1`` and a
+    positive temperature the pairing is sampled with heat-bath
+    probabilities. Mode 0 runs one full SVD, of pairing 0; pairings 1 and 2
+    are not evaluated and their entropies and errors are ``nan``. Modes 1 and
+    2 compare pairing 0's full SVD with the singular values of pairings 1 and
+    2, then run a full SVD of a chosen pairing other than 0, whose entropy
+    and error replace the values-only ones. The kept spectrum is truncated
+    to ``chi`` values (degeneracy-aware) and rescaled.
 
     Returns ``(v_left, weights, v_right, choice)`` where the left isometry
     carries the pairing's first two legs and the right one the other two.
@@ -207,23 +212,27 @@ def decompose_tensor(
         raise ValueError(f"expected a 4-leg tensor, got ndim={psi.ndim}")
 
     dims = psi.shape
-    spectra: list[SingularSpectrum] = []
-    entropies = np.empty(3)
-    previews: list[tuple[SingularSpectrum, float]] = []
-    for perm in PAIRINGS:
-        mat = psi.transpose(perm).reshape(
-            dims[perm[0]] * dims[perm[1]], dims[perm[2]] * dims[perm[3]]
-        )
-        spec = full_svd(mat)
-        spectra.append(spec)
-        entropies[len(spectra) - 1] = entanglement_entropy(spec.values)
-        previews.append(truncate_spectrum(spec, chi, sigma=sigma, delta_s=delta_s))
-    trunc_errors = np.array([p[1] for p in previews])
+
+    def split(pairing, vectors=True):
+        perm = PAIRINGS[pairing]
+        mat = psi.transpose(perm).reshape(dims[perm[0]] * dims[perm[1]], -1)
+        return full_svd(mat, vectors=vectors)
+
+    spec = split(0)
+    spectra = [spec.values] + [split(k, vectors=False) for k in (1, 2) if mode != 0]
+    entropies = np.full(3, np.nan)
+    trunc_errors = np.full(3, np.nan)
+    for k, values in enumerate(spectra):
+        entropies[k] = entanglement_entropy(values)
+        trunc_errors[k] = spectrum_cut(values, chi, sigma, delta_s)[1]
 
     pairing, probs = _choose_pairing(
         entropies, trunc_errors, mode, temperature, rng, eps_s
     )
-    kept, error = previews[pairing]
+    if pairing != 0:
+        spec = split(pairing)
+        entropies[pairing] = entanglement_entropy(spec.values)
+    kept, trunc_errors[pairing] = truncate_spectrum(spec, chi, sigma, delta_s)
     perm = PAIRINGS[pairing]
     chi_kept = kept.rank
     v_left = kept.left_vectors.reshape(dims[perm[0]], dims[perm[1]], chi_kept)
@@ -241,10 +250,10 @@ def decompose_tensor(
 
 
 def site_ee(psi: np.ndarray, leg: int) -> float:
-    """Entanglement entropy of one leg of a normalized 4-leg tensor.
+    """Entanglement entropy of one leg of a normalized tensor.
 
     Diagonalizes the single-leg reduced density matrix obtained by tracing
-    the other three legs.
+    all other legs.
     """
     if not 0 <= leg < psi.ndim:
         raise ValueError(f"leg {leg} out of range for ndim={psi.ndim}")

@@ -74,7 +74,6 @@ class StepInfo:
     merge_bonds: tuple[int, int, int, int]
     center_bonds: tuple[int, int, int, int]
     choice: ReconnectChoice
-    psi_center: np.ndarray
     extras: dict
 
 
@@ -143,7 +142,6 @@ def run_sweep(
             merge_bonds=merge_bonds,
             center_bonds=merge_bonds,
             choice=None,
-            psi_center=psi,
             extras={},
         )
         if update_psi is not None:
@@ -189,7 +187,6 @@ def _decompose_and_record(
 
     info.choice = choice
     info.center_bonds = tuple(merge_bonds[p] for p in perm)
-    info.psi_center = merge_center(state, t, t_conn)
 
     err = choice.truncation_errors[choice.pairing]
     report.entropies[e_new] = choice.selected_entropy
@@ -200,9 +197,11 @@ def _decompose_and_record(
         report.fidelities[e_new] = info.extras["fidelity_scale"] * math.sqrt(
             max(0.0, 1.0 - err)
         )
+    # the other half is an isometry: the weighted half has the leg's density matrix
     for axis, bond in enumerate(info.center_bonds):
         if topo.is_physical(bond):
-            report.entropies[bond] = site_ee(info.psi_center, axis)
+            half = (v_left if axis < 2 else v_right) * weights
+            report.entropies[bond] = site_ee(half, axis % 2)
 
 
 class ScheduleError(ValueError):

@@ -10,6 +10,7 @@ from treetn.errors import InvariantViolation
 from treetn.linalg import full_eigh
 from treetn.operators import (
     _apply_axis,
+    _cross_rows,
     build_superblock_plan,
     init_cache,
     refresh_bond,
@@ -299,6 +300,54 @@ class TestApplyAxis:
         np.testing.assert_allclose(
             _apply_axis(phi, m, 1), reference_apply_axis(phi, m, 1), atol=1e-13
         )
+
+
+def scanned_cross_rows(model, sites_a, sites_b):
+    """The former O(|A||B|) scan of every site pair, kept as the oracle."""
+    groups = {}
+    for ia in sites_a:
+        for jb in sites_b:
+            key = (ia, jb) if ia < jb else (jb, ia)
+            for k1, k2, coef in model.pair_terms.get(key, ()):
+                kinds = (k1, k2) if ia < jb else (k2, k1)
+                groups.setdefault(kinds, []).append((ia, jb, coef))
+    return groups
+
+
+class TestCrossRows:
+    def test_matches_pair_scan(self, rng):
+        n = 12
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+        def draw_rows(count, columns):
+            picked = rng.choice(len(pairs), size=count, replace=False)
+            return [
+                (*pairs[k], *map(float, rng.standard_normal(columns)))
+                for k in sorted(picked)
+            ]
+
+        model = SpinModel(
+            n_sites=n,
+            spin_sizes=list(rng.choice([0.5, 1.0, 1.5], size=n)),
+            exchange_type="XYZ",
+            exchange_rows=draw_rows(20, 3),
+            dm_tables={axis: draw_rows(8, 1) for axis in "xyz"},
+        )
+        assert model.dtype == complex
+        for _ in range(200):
+            sites = rng.permutation(n)
+            k = rng.integers(1, n)
+            m = rng.integers(k + 1, n + 1)
+            region_a = tuple(sorted(sites[:k].tolist()))
+            region_b = tuple(sorted(sites[k:m].tolist()))
+            got = _cross_rows(model, region_a, region_b)
+            want = scanned_cross_rows(model, region_a, region_b)
+            assert list(got) == list(want)
+            assert got == want
+
+    def test_overlap_rejected(self):
+        with pytest.raises(InvariantViolation, match="overlap"):
+            _cross_rows(heisenberg_chain(4), (0, 1), (1, 2))
 
 
 class TestApplySuperblock:

@@ -1,9 +1,12 @@
 """Tests for state merging, decomposition with structural selection, and
 entropy bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import treetn.state
 from conftest import random_isometry
 from treetn.linalg import entanglement_entropy, full_svd
 from treetn.state import (
@@ -149,6 +152,109 @@ class TestDecompose:
         psi = product_tensor(rng)
         with pytest.raises(ValueError):
             decompose_tensor(psi, chi=0)
+
+
+def counted_svds(monkeypatch):
+    """Record the ``vectors`` flag of every SVD ``decompose_tensor`` runs."""
+    calls = []
+    real = treetn.state.full_svd
+
+    def full_svd(matrix, vectors=True):
+        calls.append(vectors)
+        return real(matrix, vectors=vectors)
+
+    monkeypatch.setattr(treetn.state, "full_svd", full_svd)
+    return calls
+
+
+def oracle_pairings(psi, chi):
+    """Entropy and truncation error of each pairing from np.linalg.svd, for
+    spectra without ties or zeros."""
+    entropies, errors = [], []
+    for perm in PAIRINGS:
+        d = psi.shape
+        mat = psi.transpose(perm).reshape(d[perm[0]] * d[perm[1]], -1)
+        w = np.linalg.svd(mat, compute_uv=False) ** 2
+        entropies.append(-np.sum(w * np.log(w)))
+        errors.append(1.0 - np.sum(w[:chi]))
+    return entropies, errors
+
+
+class TestDecomposeCost:
+    """Each mode decomposes only what it reads."""
+
+    def test_mode0_one_full_svd(self, rng, monkeypatch):
+        calls = counted_svds(monkeypatch)
+        _, _, _, choice = decompose_tensor(rng.standard_normal((2, 3, 2, 3)), chi=2)
+        assert calls == [True]
+        assert choice.pairing == 0
+        assert not np.isnan(choice.entropies[0])
+        assert not np.isnan(choice.truncation_errors[0])
+        assert np.isnan(choice.entropies[1:]).all()
+        assert np.isnan(choice.truncation_errors[1:]).all()
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_kept_original_one_full_svd(self, monkeypatch, mode):
+        # Bell pairs (0,1) and (2,3): pairing 0 is the one without entanglement
+        bell = np.eye(2) / np.sqrt(2)
+        calls = counted_svds(monkeypatch)
+        _, _, _, choice = decompose_tensor(
+            np.einsum("ab,cd->abcd", bell, bell), chi=2, mode=mode
+        )
+        assert choice.pairing == 0
+        assert calls == [True, False, False]
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_reconnect_second_full_svd(self, monkeypatch, mode):
+        calls = counted_svds(monkeypatch)
+        _, _, _, choice = decompose_tensor(rainbow_tensor(), chi=2, mode=mode)
+        assert choice.pairing == 2
+        assert calls == [True, False, False, True]
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_all_pairings_match_oracle(self, rng, mode, complex_):
+        shape = (2, 3, 4, 5)
+        psi = rng.standard_normal(shape)
+        if complex_:
+            psi = psi + 1j * rng.standard_normal(shape)
+        psi /= np.linalg.norm(psi)
+        entropies, errors = oracle_pairings(psi, chi=3)
+        v_l, w, v_r, choice = decompose_tensor(psi, chi=3, mode=mode)
+        np.testing.assert_allclose(choice.entropies, entropies, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(choice.truncation_errors, errors, rtol=0, atol=1e-12)
+        perm = PAIRINGS[choice.pairing]
+        assert v_l.shape == (shape[perm[0]], shape[perm[1]], 3)
+        assert v_r.shape == (shape[perm[2]], shape[perm[3]], 3)
+
+
+class TestTruncationWarnings:
+    """Only the kept split warns about a multiplet straddling the cap."""
+
+    def test_rejected_pairing_is_silent(self):
+        # pairing 0 straddles the cap at chi=2, but pairing 2 is kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, _, choice = decompose_tensor(rainbow_tensor(), chi=2, mode=2)
+        assert choice.pairing == 2
+
+    @pytest.mark.parametrize(
+        "psi, chi, mode",
+        [
+            (rainbow_tensor(), 2, 0),
+            # all three pairings tie at two equal values; pairing 0 is kept
+            (np.einsum("i,j,k,l->ijkl", *[[1, 0]] * 4)
+             + np.einsum("i,j,k,l->ijkl", *[[0, 1]] * 4), 1, 2),
+        ],
+        ids=["rainbow-mode0", "ghz-mode2"],
+    )
+    def test_kept_straddle_warns_once(self, psi, chi, mode):
+        psi = psi / np.linalg.norm(psi)
+        with pytest.warns(RuntimeWarning, match="straddles") as caught:
+            _, w, _, choice = decompose_tensor(psi, chi=chi, mode=mode)
+        assert len(caught) == 1
+        assert choice.pairing == 0
+        assert len(w) == chi
 
 
 class TestSelectionProbabilities:

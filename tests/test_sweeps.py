@@ -1,10 +1,13 @@
 """Tests for the staged sweeps (`run_stage`) and their convergence rule (`settled`)."""
 
+import numpy as np
 import pytest
 
-from treetn.state import cooled_temperature
+from treetn.factorize import normalize_target, sequential_svd_to_mpn
+from treetn.state import cooled_temperature, merge_center, site_ee
 from treetn.sweeps import (
-    SETTLED_SWEEPS, ScheduleError, Stage, SweepReport, run_stage, schedule, settled
+    SETTLED_SWEEPS, ScheduleError, SelectionSettings, Stage, SweepReport, run_stage,
+    run_sweep, schedule, settled,
 )
 
 CHAIN = ((0, 1, 6), (6, 2, 7), (8, 3, 7), (4, 5, 8))
@@ -127,3 +130,33 @@ class TestSchedule:
             Stage(**fields)
         assert err.value.field == bad
 
+
+
+class TestSiteEntropies:
+    @pytest.mark.parametrize("mode", [0, 2])
+    def test_match_merged_center(self, rng, mode):
+        """A physical leg's entropy, taken from the weighted half that holds
+        it, equals the one of the merged center after a truncating split."""
+        dims = (2, 3, 2, 2, 3, 2)
+        target = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        state = sequential_svd_to_mpn(normalize_target(target), chi_init=4)
+        merged = {}
+
+        def update(psi, info):
+            new = rng.standard_normal(psi.shape) + 1j * rng.standard_normal(psi.shape)
+            return new / np.linalg.norm(new), {}
+
+        def observe(state, info):
+            psi = merge_center(state, info.t, info.t_conn)
+            for axis, bond in enumerate(info.center_bonds):
+                if state.topology.is_physical(bond):
+                    merged[bond] = site_ee(psi, axis)
+            assert info.choice.truncation_errors[info.choice.pairing] > 1e-3
+
+        report = run_sweep(
+            state, SelectionSettings(chi=2, mode=mode), update_psi=update,
+            observers=[observe],
+        )
+        assert sorted(merged) == list(range(len(dims)))
+        for bond, entropy in merged.items():
+            assert report.entropies[bond] == pytest.approx(entropy, abs=1e-12)
