@@ -237,6 +237,8 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     _warn_unknown(system, known_system, "system")
 
     n = _scalar(system, "N", "system", int)
+    if n < 4:
+        raise LoadError(f"system.N must be at least 4, got {n}")
     model_sec = _mapping(system, "model", "system", required=True)
     try:
         spins = _spin_sizes(system["spin_size"], n, base)
@@ -285,6 +287,8 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     _warn_unknown(numerics, known_numerics, "numerics")
     stages, seed = _schedule(numerics, "numerics")
     chi_init = _scalar(numerics, "initial_bond_dimension", "numerics", int)
+    if chi_init < 1:
+        raise LoadError(f"numerics.initial_bond_dimension must be positive, got {chi_init}")
     init_tree = _scalar(numerics, "init_tree", "numerics", int, 0)
     if init_tree not in (0, 1):
         raise LoadError(f"numerics.init_tree must be 0 or 1, got {init_tree}")

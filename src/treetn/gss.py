@@ -71,6 +71,8 @@ class GssConfig:
 
     def __post_init__(self):
         check_schedule(self.stages)
+        if self.chi_init < 1:
+            raise ValueError(f"chi_init must be at least 1, got {self.chi_init}")
         for name in ("eps_e", "eps_s", "delta_e", "delta_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

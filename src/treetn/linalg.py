@@ -27,8 +27,10 @@ __all__ = [
     "entanglement_entropy",
 ]
 
-DEFAULT_MAX_KRYLOV = 200
-DEFAULT_LANCZOS_TOL = 1e-12
+LANCZOS_MAX_KRYLOV = 200  # Krylov vectors per restart
+LANCZOS_TOL = 1e-12  # residual bound, relative to max(1, |E|)
+LANCZOS_RESTARTS = 10
+HERMITIAN_TOL = 1e-10  # asymmetry accepted by full_eigh, relative to max(1, max|A|)
 KRYLOV_ROWS = 32  # rows of a fresh Krylov basis; it doubles when full
 ZERO_FLOOR = 1e-14  # relative size below which singular values count as rank noise
 
@@ -149,7 +151,7 @@ def truncate_spectrum(
     return truncated, error
 
 
-def full_eigh(hermitian: np.ndarray, tol: float = 1e-10) -> EigenSpectrum:
+def full_eigh(hermitian: np.ndarray) -> EigenSpectrum:
     """Full diagonalization of a Hermitian matrix, eigenvalues ascending."""
     hermitian = np.asarray(hermitian)
     if hermitian.ndim != 2 or hermitian.shape[0] != hermitian.shape[1]:
@@ -159,7 +161,7 @@ def full_eigh(hermitian: np.ndarray, tol: float = 1e-10) -> EigenSpectrum:
     ):
         raise NumericalError("non-finite entries in eigh input")
     scale = max(1.0, float(np.max(np.abs(hermitian))))
-    if np.max(np.abs(hermitian - hermitian.conj().T)) > tol * scale:
+    if np.max(np.abs(hermitian - hermitian.conj().T)) > HERMITIAN_TOL * scale:
         raise NumericalError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(hermitian)
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
@@ -178,11 +180,7 @@ def entanglement_entropy(singular_values: np.ndarray) -> float:
 
 
 def lanczos_lowest(
-    apply: Callable[[np.ndarray], np.ndarray],
-    init: np.ndarray,
-    max_krylov: int = DEFAULT_MAX_KRYLOV,
-    tol: float = DEFAULT_LANCZOS_TOL,
-    max_restarts: int = 10,
+    apply: Callable[[np.ndarray], np.ndarray], init: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a Hermitian operator given by its action.
 
@@ -190,8 +188,8 @@ def lanczos_lowest(
     normalized. The Krylov basis is fully reorthogonalized, so results are
     deterministic. A breakdown with a small residual signals an exact
     invariant subspace and returns the current best pair. Restarts from the
-    current best vector until the residual satisfies
-    ``|H v - E v| <= tol * max(1, |E|)``.
+    current best vector, at most ``LANCZOS_RESTARTS`` times, until the
+    residual satisfies ``|H v - E v| <= LANCZOS_TOL * max(1, |E|)``.
     """
     vec = np.asarray(init)
     dim = vec.size
@@ -202,20 +200,20 @@ def lanczos_lowest(
         raise ValueError("initial vector must be normalized and finite")
     vec = vec / nrm
 
-    for _ in range(max_restarts):
-        energy, vec, residual = _lanczos_cycle(apply, vec, min(max_krylov, dim), tol)
-        if residual <= tol * max(1.0, abs(energy)):
+    for _ in range(LANCZOS_RESTARTS):
+        energy, vec, residual = _lanczos_cycle(apply, vec, min(LANCZOS_MAX_KRYLOV, dim))
+        if residual <= LANCZOS_TOL * max(1.0, abs(energy)):
             return energy, vec
     warnings.warn(
         f"Lanczos residual {residual:.3e} above tolerance after "
-        f"{max_restarts} restarts",
+        f"{LANCZOS_RESTARTS} restarts",
         RuntimeWarning,
         stacklevel=2,
     )
     return energy, vec
 
 
-def _lanczos_cycle(apply, v0, max_krylov, tol):
+def _lanczos_cycle(apply, v0, max_krylov):
     """One restarted Lanczos pass; returns (energy, vector, residual norm).
     The Krylov vectors are rows of one array that doubles when full and turns
     complex when a product does; reorthogonalization and the Ritz vector are
@@ -247,7 +245,7 @@ def _lanczos_cycle(apply, v0, max_krylov, tol):
 
         theta, s = _tridiag_ground(alphas, betas)
         # residual estimate |beta_{k+1} s_k| of the current Ritz pair
-        if np.linalg.norm(w) * abs(s[-1]) <= 0.5 * tol * max(1.0, abs(theta)):
+        if np.linalg.norm(w) * abs(s[-1]) <= 0.5 * LANCZOS_TOL * max(1.0, abs(theta)):
             break
 
     vec = (s @ basis[: len(s)]).reshape(shape)

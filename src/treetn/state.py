@@ -161,24 +161,21 @@ def _choose_pairing(
 ) -> tuple[int, tuple[float, float, float] | None]:
     if mode == 0:
         return 0, None
-    if mode == 1:
-        if temperature > 0.0:
-            if rng is None:
-                raise ValueError("stochastic selection requires a random generator")
-            probs = selection_probabilities(entropies, temperature)
-            return int(rng.choice(3, p=probs)), tuple(probs)
-        best = int(np.argmin(entropies))
-        if abs(entropies[0] - entropies[best]) < eps_s:
-            return 0, None
-        return best, None
-    if mode == 2:
-        best = int(np.argmin(trunc_errors))
-        tied = np.flatnonzero(trunc_errors - trunc_errors[best] < 1e-13)
-        if len(tied) > 1:
-            # secondary criterion: least entanglement among the tied set
-            best = int(tied[np.argmin(entropies[tied])])
-        return best, None
-    raise ValueError(f"unknown structure-selection mode {mode}")
+    if mode not in (1, 2):
+        raise ValueError(f"unknown structure-selection mode {mode}")
+    if mode == 1 and temperature > 0.0:
+        if rng is None:
+            raise ValueError("stochastic selection requires a random generator")
+        probs = selection_probabilities(entropies, temperature)
+        return int(rng.choice(3, p=probs)), tuple(probs)
+    # least entanglement among all pairings (mode 1) or among those tied in
+    # least truncation error (mode 2); pairing 0 is kept within eps_s of it
+    errors = trunc_errors if mode == 2 else np.zeros(3)
+    tied = np.flatnonzero(errors - errors.min() < 1e-13)
+    best = int(tied[np.argmin(entropies[tied])])
+    if 0 in tied and entropies[0] - entropies[best] < eps_s:
+        return 0, None
+    return best, None
 
 
 def decompose_tensor(

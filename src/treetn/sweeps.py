@@ -1,9 +1,10 @@
 """The flag-driven two-tensor sweep walk shared by all update modes.
 
 One sweep starts and ends at the origin bond. Each step moves the canonical
-center across the unflagged candidate bond of largest distance from the
-origin, merges the two adjacent tensors, optionally updates the merged
-tensor (eigensolver or environment embedding), and decomposes it back with
+center across the unflagged candidate bond farthest from the origin, read
+off the walk's path from the origin (a reconnection never relabels a bond on
+it), merges the two adjacent tensors, optionally updates the merged tensor
+(eigensolver or environment embedding), and decomposes it back with
 structural selection. A bond's flag is raised once the subtree behind it is
 complete, which steers the walk over every tensor and back to the origin.
 """
@@ -104,7 +105,8 @@ def run_sweep(
             f"sweep must start at the origin bond {o_c}, center is {topo.center}"
         )
     flags = {e: 1 if topo.is_physical(e) else 0 for e in topo.bonds}
-    dist = set_distance(topo, o_c)
+    set_distance(topo, o_c)  # the origin is a bond and the tree is connected
+    path = [o_c]
     report = SweepReport()
 
     # two-tensor networks have no walk; one step updates the center pair in place
@@ -125,10 +127,7 @@ def run_sweep(
             psi = merge_center(state, t, t_conn)
             merge_bonds = (*topo.edges[t][:2], *topo.edges[t_conn][:2])
         else:
-            e_new, t, t_conn, t_prev = local_two_tensor(topo, e_c, flags, dist)
-            prev_children = topo.edges[t_prev][:2]
-            if all(flags[e] == 1 for e in prev_children) and e_c != o_c:
-                flags[e_c] = 1
+            e_new, t, t_conn, t_prev = local_two_tensor(topo, e_c, flags, path)
             if prepare_step is not None:
                 prepare_step(state, t_prev, e_c)
             psi, new_et = merge_moving(state, t, t_conn, e_c, e_new)
@@ -153,7 +152,6 @@ def run_sweep(
         for obs in observers:
             obs(state, info)
         e_c = e_new
-        dist = set_distance(topo, o_c)
 
     if e_c != o_c:
         raise InvariantViolation(

@@ -164,33 +164,34 @@ def candidate_edge_indices(
 
 
 def local_two_tensor(
-    topology: Topology, e_c: int, flags: dict[int, int], distances: dict[int, int]
+    topology: Topology, e_c: int, flags: dict[int, int], path: list[int]
 ) -> tuple[int, int, int, int]:
-    """Choose the next canonical center among the candidate bonds.
-
-    Picks the first candidate (smallest label) of maximal distance and
-    resolves the three surrounding tensors: ``t`` holds both the current and
-    the next center, ``t_conn`` only the next, ``t_prev`` only the current.
+    """One step of the walk from the center ``e_c``; ``path`` lists the bonds
+    from the origin to ``e_c`` and follows the move. The next center is the
+    unflagged candidate farthest from the origin, smallest label first: a
+    child facing away, else the bond beside the way back ``path[-2]``, else
+    the way back. ``e_c`` is flagged once the subtree left behind is complete,
+    never at the origin. ``t`` holds both centers, ``t_conn`` only the next,
+    ``t_prev`` only the current.
     """
-    cands = candidate_edge_indices(topology, e_c, flags)
-    if not cands:
-        raise InvariantViolation("no candidate bonds at the canonical center")
-    d_max = max(distances[c] for c in cands)
-    e_new = next(c for c in cands if distances[c] == d_max)
-    t = t_conn = t_prev = -1
-    for i, e in enumerate(topology.edges):
-        has_c = e_c in e
-        has_n = e_new in e
-        if has_c and has_n:
-            t = i
-        elif has_n:
-            t_conn = i
-        elif has_c:
-            t_prev = i
-    if min(t, t_conn, t_prev) < 0:
-        raise InvariantViolation(
-            f"could not resolve tensors around bonds {e_c} -> {e_new}"
-        )
+    edges = topology.edges
+    pair = [i for i, e in enumerate(edges) if e[2] == e_c]
+    back = path[-2] if len(path) > 1 else None
+    beside = [c for i in pair if back in edges[i][:2] for c in edges[i][:2]]
+    cands = sorted(c for i in pair for c in edges[i][:2] if flags[c] == 0)
+    if len(pair) != 2 or not cands:
+        raise InvariantViolation(f"no candidate bonds at {e_c} ({len(pair)} owners)")
+    e_new = min(cands, key=lambda c: (c in beside) + (c == back))
+    t, t_prev = pair if e_new in edges[pair[0]] else pair[::-1]
+    t_conn = next((i for i, e in enumerate(edges) if e[2] == e_new), None)
+    if t_conn is None:
+        raise InvariantViolation(f"no tensor points at the next center {e_new}")
+    if back is not None and all(flags[e] == 1 for e in edges[t_prev][:2]):
+        flags[e_c] = 1
+    if e_new in beside:  # a move across or back leaves the old center
+        path.pop()
+    if path[-1] != e_new:
+        path.append(e_new)
     return e_new, t, t_conn, t_prev
 
 

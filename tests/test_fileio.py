@@ -191,10 +191,15 @@ class TestParseGssConfig:
             ("max_num_sweeps: [6]", "max_num_sweeps: [6]\n  opt_structure: {seed: s}",
              "numerics.opt_structure.seed"),
             ("  initial_bond_dimension: 4\n", "", "numerics.initial_bond_dimension"),
+            ("initial_bond_dimension: 4", "initial_bond_dimension: 0",
+             "numerics.initial_bond_dimension"),
+            ("initial_bond_dimension: 4", "initial_bond_dimension: -2",
+             "numerics.initial_bond_dimension"),
+            ("N: 4", "N: 3", "system.N"),
         ],
         ids=["chi-init", "init-tree", "init-tree-two", "init-tree-negative",
              "energy-threshold", "degeneracy-list", "n-sites", "two-site-flag", "seed",
-             "chi-init-missing"],
+             "chi-init-missing", "chi-init-zero", "chi-init-negative", "n-sites-three"],
     )
     def test_bad_scalar_names_key(self, tmp_path, old, new, key):
         path = write_gss_inputs(tmp_path)

@@ -164,6 +164,11 @@ class TestRun:
         with pytest.raises(ScheduleError):
             build()
 
+    @pytest.mark.parametrize("chi_init", [0, -2])
+    def test_nonpositive_chi_init_rejected(self, chi_init):
+        with pytest.raises(ValueError, match="chi_init"):
+            GssConfig(chi_init=chi_init, stages=schedule([8], [2]))
+
     def test_structure_recovery_small_hierarchical(self):
         model = hierarchical_chain_model(3, 1.0, 0.5)  # 8 sites
         cfg = GssConfig(chi_init=4, stages=schedule([8], [20], mode=1))

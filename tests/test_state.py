@@ -140,6 +140,16 @@ class TestDecompose:
         _, _, _, choice = decompose_tensor(psi, chi=4, mode=2)
         assert choice.pairing == 2
 
+    def test_mode2_product_keeps_original(self):
+        """Every pairing of a product tensor is exact and unentangled; the
+        entropies differ only by rounding, so mode 2 keeps pairing 0 within
+        eps_s, as mode 1 does."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            psi = product_tensor(rng, (2, 3, 2, 3))
+            _, _, _, choice = decompose_tensor(psi, chi=4, mode=2)
+            assert choice.pairing == 0
+
     def test_selected_entropy_matches_kept_weights(self, rng):
         psi = rng.standard_normal((2, 2, 2, 2))
         psi /= np.linalg.norm(psi)

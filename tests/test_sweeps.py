@@ -1,14 +1,20 @@
-"""Tests for the staged sweeps (`run_stage`) and their convergence rule (`settled`)."""
+"""Tests for the sweep walk, the staged sweeps (`run_stage`) and their
+convergence rule (`settled`)."""
 
 import numpy as np
 import pytest
 
-from treetn.factorize import normalize_target, sequential_svd_to_mpn
+from conftest import AuditObserver, heisenberg_chain
+from treetn import gss, sweeps
+from treetn.factorize import (
+    FactorizeConfig, normalize_target, reconstruct_sweep, sequential_svd_to_mpn,
+)
 from treetn.state import cooled_temperature, merge_center, site_ee
 from treetn.sweeps import (
     SETTLED_SWEEPS, ScheduleError, SelectionSettings, Stage, SweepReport, run_stage,
     run_sweep, schedule, settled,
 )
+from treetn.topology import candidate_edge_indices, set_distance
 
 CHAIN = ((0, 1, 6), (6, 2, 7), (8, 3, 7), (4, 5, 8))
 RECONNECTED = ((0, 2, 6), (6, 1, 7), (8, 3, 7), (4, 5, 8))
@@ -160,3 +166,47 @@ class TestSiteEntropies:
         assert sorted(merged) == list(range(len(dims)))
         for bond, entropy in merged.items():
             assert report.entropies[bond] == pytest.approx(entropy, abs=1e-12)
+
+
+def record_pairing(pairings):
+    return lambda state, info: pairings.append(info.choice.pairing)
+
+
+class TestWalkOracle:
+    """The walk's path-ranked step against the candidate of largest BFS
+    distance from the origin, smallest label first, on runs that reconnect."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        steps, walk = [], sweeps.local_two_tensor
+
+        def local_two_tensor(topo, e_c, flags, path):
+            dist = set_distance(topo, path[0])
+            assert path[-1] == e_c and [dist[b] for b in path] == list(range(len(path)))
+            cands = candidate_edge_indices(topo, e_c, flags)
+            expected = max(cands, key=lambda c: (dist[c], -c))
+            out = walk(topo, e_c, flags, path)
+            assert out[0] == expected
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(sweeps, "local_two_tensor", local_two_tensor)
+        return steps
+
+    def test_heat_bath_reconstruction(self, checked, rng):
+        dims = (2,) * 12
+        target = normalize_target(rng.standard_normal(dims))
+        state = sequential_svd_to_mpn(target, chi_init=8)
+        audit, pairings = AuditObserver(), []
+        config = FactorizeConfig(chi_init=8, opt_mode=1, t0=0.2, n_max=4, seed=3)
+        reconstruct_sweep(state, config, observers=[audit, record_pairing(pairings)])
+        assert len(checked) == audit.steps == len(pairings)
+        assert audit.stochastic_steps > 0 and any(pairings)
+
+    def test_pbt_ground_state_search(self, checked):
+        config = gss.GssConfig(
+            chi_init=4, stages=schedule([4], [3], mode=1, t0=0.3), init_tree="pbt"
+        )
+        audit, pairings = AuditObserver(), []
+        gss.run(heisenberg_chain(8), config, observers=[audit, record_pairing(pairings)])
+        assert len(checked) == audit.steps == len(pairings) and any(pairings)

@@ -65,43 +65,89 @@ class TestCandidates:
         assert candidate_edge_indices(topo, topo.center, flags) == expected
 
 
+def fork():
+    """Eight sites, center 9 one step from the origin 8. The center tensor
+    facing away is [11, 12, 9]; the one holding the way back 8 also holds the
+    sibling 10. Labels ascend against distance, so the label order alone
+    would walk back."""
+    edges = [[11, 12, 9], [8, 10, 9], [0, 1, 11], [2, 3, 12], [4, 5, 10], [6, 7, 8]]
+    topo = Topology(n_sites=8, edges=edges, center=9, origin=8)
+    audit_topology(topo)
+    return topo, flags_all_physical(topo), [8, 9]
+
+
 class TestLocalTwoTensor:
     def test_max_distance_wins(self):
-        topo = build_mpn(6)
-        flags = flags_all_physical(topo)
-        d = set_distance(topo, topo.center)
-        # pretend one candidate is nearer by flagging nothing: candidates are
-        # the two auxiliary children at equal distance; force asymmetry
-        d = dict(d)
-        cands = candidate_edge_indices(topo, topo.center, flags)
-        d[cands[0]] = 2
-        d[cands[1]] = 3
-        e_new, t, t_conn, t_prev = local_two_tensor(topo, topo.center, flags, d)
-        assert e_new == cands[1]
+        topo, flags, path = fork()
+        d = set_distance(topo, path[0])
+        assert candidate_edge_indices(topo, 9, flags) == [8, 10, 11, 12]
+        e_new, *_ = local_two_tensor(topo, 9, flags, path)
+        assert e_new == 11 and d[11] == max(d[c] for c in (8, 10, 11, 12))
+        assert path == [8, 9, 11]
+
+    @pytest.mark.parametrize(
+        "flagged, e_new, path",
+        [((11,), 12, [8, 9, 12]), ((11, 12), 10, [8, 10]), ((11, 12, 10), 8, [8])],
+        ids=["other-away", "across", "back"],
+    )
+    def test_ranks_and_path(self, flagged, e_new, path):
+        topo, flags, walk = fork()
+        flags.update(dict.fromkeys(flagged, 1))
+        assert local_two_tensor(topo, 9, flags, walk)[0] == e_new
+        assert walk == path
 
     def test_tie_breaks_to_smaller_label(self):
-        topo = build_mpn(6)
+        topo = build_pbt(8)
         flags = flags_all_physical(topo)
+        path = [topo.center]
         d = set_distance(topo, topo.center)
         cands = candidate_edge_indices(topo, topo.center, flags)
-        assert d[cands[0]] == d[cands[1]]
-        e_new, *_ = local_two_tensor(topo, topo.center, flags, d)
+        assert len({d[c] for c in cands}) == 1
+        e_new, *_ = local_two_tensor(topo, topo.center, flags, path)
         assert e_new == min(cands)
+        assert path == [topo.center, e_new]
+
+    @pytest.mark.parametrize(
+        "flagged, raised",
+        [((), False), ((10,), False), ((11, 12), True), ((11, 12, 10), True)],
+        ids=["away", "sibling-done", "across", "back"],
+    )
+    def test_flag_only_when_subtree_left_behind_is_complete(self, flagged, raised):
+        topo, flags, path = fork()
+        flags.update(dict.fromkeys(flagged, 1))
+        local_two_tensor(topo, 9, flags, path)
+        assert flags[9] == raised
+
+    def test_never_flags_the_origin(self):
+        topo, flags, _ = fork()
+        topo.origin = 9
+        flags.update({11: 1, 12: 1})
+        e_new, t, _, t_prev = local_two_tensor(topo, 9, flags, [9])
+        assert e_new == 8 and topo.edges[t_prev] == [11, 12, 9]
+        assert flags[9] == 0
 
     def test_roles_resolved_by_membership(self):
-        topo = build_mpn(6)
-        flags = flags_all_physical(topo)
-        d = set_distance(topo, topo.center)
-        e_new, t, t_conn, t_prev = local_two_tensor(topo, topo.center, flags, d)
-        assert e_new in topo.edges[t] and topo.center in topo.edges[t]
-        assert e_new in topo.edges[t_conn] and topo.center not in topo.edges[t_conn]
-        assert topo.center in topo.edges[t_prev] and e_new not in topo.edges[t_prev]
+        for flagged in [(), (11, 12), (11, 12, 10)]:  # away, across, back
+            topo, flags, path = fork()
+            flags.update(dict.fromkeys(flagged, 1))
+            e_new, t, t_conn, t_prev = local_two_tensor(topo, 9, flags, path)
+            assert e_new in topo.edges[t][:2] and topo.edges[t][2] == 9
+            assert topo.edges[t_conn][2] == e_new and 9 not in topo.edges[t_conn]
+            assert topo.edges[t_prev][2] == 9 and e_new not in topo.edges[t_prev]
 
     def test_empty_candidates_rejected(self):
-        topo = build_mpn(6)
+        topo, _, path = fork()
         flags = {e: 1 for e in topo.bonds}
         with pytest.raises(InvariantViolation):
-            local_two_tensor(topo, topo.center, flags, set_distance(topo, topo.center))
+            local_two_tensor(topo, 9, flags, path)
+
+    def test_unresolved_tensors_rejected(self):
+        topo, flags, path = fork()
+        with pytest.raises(InvariantViolation):
+            local_two_tensor(topo, 10, flags, [8, 10])  # 10 is not a center
+        topo.edges[2] = [0, 1, 13]  # nothing points at 11 any more
+        with pytest.raises(InvariantViolation):
+            local_two_tensor(topo, 9, flags, path)
 
 
 class TestBuilders:
