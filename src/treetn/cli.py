@@ -58,6 +58,12 @@ def gss_main(argv=None) -> int:
         )
         if args.verify:
             _verify(result.state)
+        for m, (stage, res) in enumerate(zip(config.stages, result.stages), 1):
+            # the observable sweep closes a stage but is not one of its sweeps
+            n = len(res.reports) - int(want_obs)
+            end = (f"converged after {n} sweeps" if res.converged
+                   else f"hit the sweep limit {stage.n_max}")
+            print(f"stage {m} (chi {stage.chi}): {end}")
         print(f"energy: {result.energy:.12e}")
     except (TreetnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .state import (
     merge_moving,
     site_ee,
 )
-from .topology import candidate_edge_indices, local_two_tensor, set_distance
+from .topology import candidate_edge_indices, local_two_tensor, set_distance, tree_shape
 
 __all__ = [
     "SETTLED_SWEEPS", "SelectionSettings", "SweepReport", "StepInfo", "Stage",
@@ -114,14 +114,14 @@ def run_sweep(
     e_c = o_c
     steps = 0
     max_steps = 4 * topo.n_tensors
-    while static or candidate_edge_indices(topo, e_c, flags):
+    walking = True
+    while walking:
         steps += 1
         if steps > max_steps:
             raise InvariantViolation(
                 f"sweep did not terminate within {max_steps} steps"
             )
         if static:
-            static = False
             t, t_conn = topo.center_tensors()
             e_new, t_prev = e_c, None
             psi = merge_center(state, t, t_conn)
@@ -152,6 +152,8 @@ def run_sweep(
         for obs in observers:
             obs(state, info)
         e_c = e_new
+        # the walk goes on while a child bond of the new center pair is unflagged
+        walking = any(flags[c] == 0 for i in (t, t_conn) for c in topo.edges[i][:2])
 
     if e_c != o_c:
         raise InvariantViolation(
@@ -274,11 +276,12 @@ def settled(
     eps_e: float = 0.0,
     eps_f: float = 0.0,
 ) -> bool:
-    """Whether two consecutive sweeps agree: same structure, and every bond
+    """Whether two consecutive sweeps agree: same tree shape (``tree_shape``
+    of the snapshots, so child-slot order does not count), and every bond
     quantity both recorded within its tolerance (energies relative to their
     magnitude, entropies and fidelities absolute)."""
     return (
-        prev.structure_snapshot == cur.structure_snapshot
+        tree_shape(prev.structure_snapshot) == tree_shape(cur.structure_snapshot)
         and _agree(prev.entropies, cur.entropies, eps_s)
         and _agree(prev.energies, cur.energies, eps_e, relative=True)
         and _agree(prev.fidelities, cur.fidelities, eps_f)

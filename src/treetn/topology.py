@@ -16,6 +16,7 @@ from .errors import InvariantViolation
 
 __all__ = [
     "Topology",
+    "tree_shape",
     "set_distance",
     "candidate_edge_indices",
     "local_two_tensor",
@@ -82,9 +83,8 @@ class Topology:
         return tuple(tuple(e) for e in self.edges)
 
     def shape_snapshot(self) -> tuple[tuple[int, ...], ...]:
-        """Slot-order-free form: each tensor's bond labels sorted. Invariant
-        under center relocation, changed only by actual reconnection."""
-        return tuple(tuple(sorted(e)) for e in self.edges)
+        """The tree shape, see ``tree_shape``."""
+        return tree_shape(self.edges)
 
     def to_graph_lines(self) -> str:
         return "".join(f"{e[0]} {e[1]} {e[2]}\n" for e in self.edges)
@@ -105,6 +105,13 @@ class Topology:
             edges.append(edge)
         center = _find_center(edges)
         return cls(n_sites=n_sites, edges=edges, center=center)
+
+
+def tree_shape(edges) -> tuple[tuple[int, ...], ...]:
+    """Slot-order-free form of per-tensor bond triples (edges or a
+    ``snapshot()``): each tensor's bond labels sorted. Invariant under center
+    relocation, changed only by actual reconnection."""
+    return tuple(tuple(sorted(e)) for e in edges)
 
 
 def _find_center(edges) -> int:

@@ -1,5 +1,7 @@
 """End-to-end tests of the gss, ft, and bench command-line entry points."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ class TestGssCli:
         run1 = gss_workspace / "results" / "run1"
         for name in ("basic.csv", "graph.dat", "single_site.csv", "two_site.csv"):
             assert (run1 / name).exists()
+
+    def test_stage_endings_reported(self, gss_workspace, capsys):
+        config = gss_workspace / "input.yml"
+        config.write_text(
+            config.read_text()
+            .replace("max_bond_dimensions: [8]", "max_bond_dimensions: [4, 8]")
+            .replace("max_num_sweeps: [8]", "max_num_sweeps: [8, 2]")
+        )
+        assert gss_main([str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stages = [line for line in lines if line.startswith("stage ")]
+        assert len(stages) == 2
+        assert re.fullmatch(r"stage 1 \(chi 4\): converged after [4-7] sweeps", stages[0])
+        assert stages[1] == "stage 2 (chi 8): hit the sweep limit 2"
 
     def test_missing_config_fails(self, tmp_path, capsys):
         rc = gss_main([str(tmp_path / "nope.yml")])

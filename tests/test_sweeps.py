@@ -4,19 +4,22 @@ convergence rule (`settled`)."""
 import numpy as np
 import pytest
 
-from conftest import AuditObserver, heisenberg_chain
+from conftest import AuditObserver, heisenberg_chain, leaf_partitions, random_isometry
 from treetn import gss, sweeps
+from treetn.benchmarks import ed_oracle, hierarchical_chain_model
 from treetn.factorize import (
     FactorizeConfig, normalize_target, reconstruct_sweep, sequential_svd_to_mpn,
 )
-from treetn.state import cooled_temperature, merge_center, site_ee
+from treetn.state import TTNState, cooled_temperature, merge_center, site_ee
 from treetn.sweeps import (
     SETTLED_SWEEPS, ScheduleError, SelectionSettings, Stage, SweepReport, run_stage,
     run_sweep, schedule, settled,
 )
-from treetn.topology import candidate_edge_indices, set_distance
+from treetn.topology import build_mpn, build_pbt, candidate_edge_indices, set_distance
 
 CHAIN = ((0, 1, 6), (6, 2, 7), (8, 3, 7), (4, 5, 8))
+# the same tree with the child slots of two tensors swapped
+SWAPPED = ((1, 0, 6), (6, 2, 7), (3, 8, 7), (4, 5, 8))
 RECONNECTED = ((0, 2, 6), (6, 1, 7), (8, 3, 7), (4, 5, 8))
 
 
@@ -58,6 +61,12 @@ class TestRunStage:
         # pair (0, 1) differs in structure; pairs (1, 2), (2, 3), (3, 4) settle
         assert converged
         assert len(out) == 5
+
+    def test_slot_order_flips_converge(self):
+        reports = [report(structure=s) for s in [CHAIN, SWAPPED] * 5]
+        out, converged, _ = drive(reports)
+        assert converged
+        assert len(out) == SETTLED_SWEEPS + 1
 
     def test_sweep_limit_without_three_pairs(self):
         out, converged, _ = drive([report() for _ in range(3)])
@@ -106,11 +115,51 @@ class TestSettled:
         assert not settled(report(energy=0.0), report(energy=1e-12), 1e-8, eps_e=1e-8)
         assert settled(report(energy=-1e6), report(energy=-1e6 - 1e-3), 1e-8, eps_e=1e-8)
 
+    def test_structure_is_the_tree_shape(self):
+        assert settled(report(), report(structure=SWAPPED), 1e-8, eps_e=1e-8)
+        assert not settled(report(), report(structure=RECONNECTED), 1e-8, eps_e=1e-8)
+
     def test_only_shared_bonds_compared(self):
         other = SweepReport(
             energies={9: -3.0}, entropies={7: 0.5}, structure_snapshot=CHAIN
         )
         assert settled(report(), other, 1e-8, eps_e=1e-8)
+
+
+def random_chain(rng, n_sites, chi):
+    """A chain network of random isometries with random descending center
+    weights; bond dimensions grow from both ends up to ``chi``."""
+    topo = build_mpn(n_sites)
+    dims = dict.fromkeys(range(n_sites), 2)
+    p = (topo.n_tensors - 1) // 2
+    for t in [*range(p + 1), *range(topo.n_tensors - 1, p, -1)]:
+        e1, e2, e3 = topo.edges[t]
+        dims[e3] = min(chi, dims[e1] * dims[e2], dims.get(e3, chi))
+    tensors = [random_isometry(rng, dims[a], dims[b], dims[c]) for a, b, c in topo.edges]
+    weights = np.sort(rng.random(dims[topo.center]))[::-1]
+    return TTNState(topo, tensors, weights / np.linalg.norm(weights))
+
+
+class TestStagesEndEarly:
+    """Stages whose tree shape and bond quantities have settled stop before
+    their sweep limit, in gss and in bundle reconstruction."""
+
+    def test_hierarchical_chain_ground_state(self):
+        model = hierarchical_chain_model(4, 1.0, 0.5)
+        config = gss.GssConfig(chi_init=4, stages=schedule([16], [8], mode=1))
+        result = gss.run(model, config, want_observables=True)
+        stage = result.stages[0]
+        assert stage.converged and len(stage.reports) < 8
+        assert abs(result.energy - ed_oracle(model, n_states=1).energy) < 1e-6
+        assert leaf_partitions(result.state.topology) == leaf_partitions(build_pbt(16))
+
+    def test_random_chain_reconstruction(self, rng):
+        state = random_chain(rng, 16, 4)
+        config = FactorizeConfig(chi_init=4, opt_mode=1, n_max=10)
+        _, reports = reconstruct_sweep(state, config, observers=[AuditObserver()])
+        # on this chain the child-slot order flips from one sweep to the next
+        assert reports[0].structure_snapshot != reports[1].structure_snapshot
+        assert len(reports) < config.n_max
 
 
 class TestSchedule:
