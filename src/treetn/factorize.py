@@ -56,6 +56,9 @@ class FactorizeConfig:
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError("sigma must lie in [0, 1)")
+        for name in ("eps_s", "delta_s", "eps_f"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         self.reconstruction()
         if self.fidelity:
             check_schedule(self.fidelity)
@@ -85,9 +88,7 @@ def normalize_target(raw: np.ndarray) -> TargetTensor:
         raise ValueError(f"need at least 4 tensor legs, got {raw.ndim}")
     if any(d < 2 for d in raw.shape):
         raise ValueError(f"every leg needs dimension >= 2, got shape {raw.shape}")
-    if not np.all(np.isfinite(raw.real)) or (
-        np.iscomplexobj(raw) and not np.all(np.isfinite(raw.imag))
-    ):
+    if not np.all(np.isfinite(raw)):
         raise NumericalError("non-finite entries in target tensor")
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
@@ -125,37 +126,25 @@ def sequential_svd_to_mpn(
         chi_left = spec.rank
     carrier = acc.reshape(chi_left, dims[n - 2], dims[n - 1])
 
-    # move the carried weight from the right end back to the center bond
-    for t in range(nt - 1, q - 1, -1):
-        if t == nt - 1:
-            mat = carrier.reshape(carrier.shape[0], -1)
-            spec, _ = truncate_spectrum(full_svd(mat), chi_init, sigma, delta_s)
-            tensors[t] = np.moveaxis(
-                spec.right_vectors.reshape(spec.rank, dims[n - 2], dims[n - 1]), 0, 2
-            )
-        else:
-            mat = carrier.transpose(0, 2, 1).reshape(carrier.shape[0], -1)
-            spec, _ = truncate_spectrum(full_svd(mat), chi_init, sigma, delta_s)
-            tensors[t] = np.moveaxis(
-                spec.right_vectors.reshape(
-                    spec.rank, carrier.shape[2], carrier.shape[1]
-                ),
-                0,
-                2,
-            )
+    # move the carried weight from the right end back to the center bond; the
+    # carrier's legs are (slot 3, slot 1, slot 2) of the tensor it becomes
+    for t in range(nt - 1, p, -1):
+        mat = carrier.reshape(carrier.shape[0], -1)
+        spec, _ = truncate_spectrum(full_svd(mat), chi_init, sigma, delta_s)
+        tensors[t] = np.moveaxis(
+            spec.right_vectors.reshape(spec.rank, *carrier.shape[1:]), 0, 2
+        )
         passed = spec.left_vectors * spec.values
-        if t == q:
-            spec, _ = truncate_spectrum(full_svd(passed), chi_init, sigma, delta_s)
-            tensors[p] = np.tensordot(tensors[p], spec.left_vectors, axes=[2, 0])
-            tensors[q] = np.tensordot(tensors[q], spec.right_vectors, axes=[2, 1])
-            weights = spec.values
-        else:
-            carrier = np.tensordot(tensors[t - 1], passed, axes=[2, 0])
+        if t > q:
+            carrier = np.tensordot(tensors[t - 1], passed, axes=[2, 0]).transpose(0, 2, 1)
+    spec, _ = truncate_spectrum(full_svd(passed), chi_init, sigma, delta_s)
+    tensors[p] = np.tensordot(tensors[p], spec.left_vectors, axes=[2, 0])
+    tensors[q] = np.tensordot(tensors[q], spec.right_vectors, axes=[2, 1])
 
     return TTNState(
         topology=topo,
         tensors=tensors,
-        center_weights=weights,
+        center_weights=spec.values,
         norm_scale=target.norm,
     )
 
@@ -196,38 +185,28 @@ def contract_with_conjugates(
     if len(shared) != 1:
         raise InvariantViolation(f"tensors {t},{t_conn} do not share one bond")
     outer = [b for b in (*topo.edges[t], *topo.edges[t_conn]) if b not in shared]
-    owner = {e[2]: i for i, e in enumerate(topo.edges) if i not in pair}
-    members: dict[int, list[int]] = {}
+    owners = topo.owners()
 
-    def subtree(b: int) -> list[int]:
-        """Tensors behind ``b``, children before parents; one fewer than
-        the sites behind ``b``."""
-        if b not in members:
-            members[b] = [] if topo.is_physical(b) else [
-                *subtree(topo.edges[owner[b]][0]),
-                *subtree(topo.edges[owner[b]][1]),
-                owner[b],
-            ]
-        return members[b]
-
-    def fold(acc, legs, b):
-        for i in subtree(b):
+    def fold(acc, legs, tensors):
+        for i in tensors:
             acc, legs = _absorb(acc, legs, state.tensors[i], topo.edges[i])
         return acc, legs
 
-    def behind(b):
-        if topo.is_physical(b):
+    def behind(below):
+        """``T_b`` for the tensors ``below`` a bond ``b``, children first."""
+        if not below:
             return target.data, list(range(topo.n_sites))
-        o = owner[b]
-        deps = [(state.tensors[i], tuple(topo.edges[i])) for i in subtree(b)]
+        o = below[-1]
+        deps = [(state.tensors[i], tuple(topo.edges[i])) for i in below]
         hit = target.envs.get(o)
         if hit is not None and len(hit[0]) == len(deps) and all(
             a is x and e == f for (a, e), (x, f) in zip(hit[0], deps)
         ):
             return hit[1], hit[2]
-        big, small = sorted(topo.edges[o][:2], key=lambda c: -len(subtree(c)))
-        acc, legs = fold(*behind(big), small)
-        acc, legs = _absorb(acc, legs, state.tensors[o], topo.edges[o])
+        big, small = sorted(
+            (topo.walk([c], owners) for c in topo.edges[o][:2]), key=len, reverse=True
+        )
+        acc, legs = fold(*behind(big), small + [o])
         if 4 * acc.size <= target.data.size:
             acc.flags.writeable = False
             target.envs[o] = (deps, acc, legs)
@@ -235,11 +214,10 @@ def contract_with_conjugates(
             target.envs.pop(o, None)
         return acc, legs
 
-    outer.sort(key=lambda c: -len(subtree(c)))
-    acc, legs = behind(outer[0])
-    for b in outer[1:]:
-        acc, legs = fold(acc, legs, b)
-    return acc, legs
+    first, *rest = sorted(
+        (topo.walk([b], owners, near=pair) for b in outer), key=len, reverse=True
+    )
+    return fold(*behind(first), [i for below in rest for i in below])
 
 
 def _absorb(acc, legs, tensor, edges):

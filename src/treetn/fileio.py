@@ -197,6 +197,15 @@ def _scalar(section: dict, key: str, where: str, kind, default=_REQUIRED):
         raise LoadError(f"{where}.{key} must be {what}, got {value!r}") from None
 
 
+def _threshold(section: dict, key: str, where: str, default: float) -> float:
+    """A YAML threshold: a positive, finite number, or ``default`` when the
+    key is absent; anything else raises ``LoadError`` naming the key."""
+    value = _scalar(section, key, where, float, default)
+    if not 0.0 < value < np.inf:
+        raise LoadError(f"{where}.{key} must be positive and finite, got {value!r}")
+    return value
+
+
 def _schedule_error(exc: ScheduleError, where: str, keys=SCHEDULE_KEYS) -> LoadError:
     key = keys.get(exc.field, f"{keys['chi']}/{keys['n_max']}")
     return LoadError(f"{where}.{key}: {exc}")
@@ -293,7 +302,7 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     if init_tree not in (0, 1):
         raise LoadError(f"numerics.init_tree must be 0 or 1, got {init_tree}")
     thresholds = {
-        name: _scalar(numerics, key, "numerics", float, GSS_DEFAULT_THRESHOLD)
+        name: _threshold(numerics, key, "numerics", GSS_DEFAULT_THRESHOLD)
         for name, key in (
             ("eps_e", "energy_convergence_threshold"),
             ("eps_s", "entanglement_convergence_threshold"),
@@ -354,12 +363,12 @@ def parse_ft_config(path) -> tuple[TargetSpec, FactorizeConfig, OutputFlags]:
     settings = dict(
         chi_init=_scalar(numerics, "initial_bond_dimension", "numerics", int),
         n_max=_scalar(numerics, "max_sweep_num", "numerics", int, 10),
-        eps_s=_scalar(numerics, "entanglement_convergence_threshold", "numerics",
-                      float, GSS_DEFAULT_THRESHOLD),
+        eps_s=_threshold(numerics, "entanglement_convergence_threshold", "numerics",
+                         GSS_DEFAULT_THRESHOLD),
         sigma=_scalar(numerics, "max_truncated_singularvalue", "numerics", float, 0.0),
-        delta_s=_scalar(numerics, "entanglement_degeneracy_threshold", "numerics",
-                        float, GSS_DEFAULT_THRESHOLD),
-        eps_f=_scalar(fid, "convergence_threshold", "numerics.fidelity", float, 1e-10),
+        delta_s=_threshold(numerics, "entanglement_degeneracy_threshold", "numerics",
+                           GSS_DEFAULT_THRESHOLD),
+        eps_f=_threshold(fid, "convergence_threshold", "numerics.fidelity", 1e-10),
     )
     try:
         config = FactorizeConfig(

@@ -74,8 +74,8 @@ class GssConfig:
         if self.chi_init < 1:
             raise ValueError(f"chi_init must be at least 1, got {self.chi_init}")
         for name in ("eps_e", "eps_s", "delta_e", "delta_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -353,15 +353,10 @@ class ObservableCollector:
             sites_b = self.cache.sites[bonds[ax_b]]
             for ra in sites_a:
                 for rb in sites_b:
-                    key = (ra, rb) if ra < rb else (rb, ra)
+                    (site_i, leg_i), (site_j, leg_j) = sorted(((ra, ax_a), (rb, ax_b)))
+                    key = (site_i, site_j)
                     if key in self.pairs:
                         continue
-                    if ra < rb:
-                        leg_i, leg_j = ax_a, ax_b
-                        site_i, site_j = ra, rb
-                    else:
-                        leg_i, leg_j = ax_b, ax_a
-                        site_i, site_j = rb, ra
                     ops_i = {
                         k: get_operator(self.cache, bonds[leg_i], site_i, k)
                         for k in ("x", "y", "z")

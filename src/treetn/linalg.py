@@ -156,9 +156,7 @@ def full_eigh(hermitian: np.ndarray) -> EigenSpectrum:
     hermitian = np.asarray(hermitian)
     if hermitian.ndim != 2 or hermitian.shape[0] != hermitian.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {hermitian.shape}")
-    if not np.all(np.isfinite(hermitian.real)) or (
-        np.iscomplexobj(hermitian) and not np.all(np.isfinite(hermitian.imag))
-    ):
+    if not np.all(np.isfinite(hermitian)):
         raise NumericalError("non-finite entries in eigh input")
     scale = max(1.0, float(np.max(np.abs(hermitian))))
     if np.max(np.abs(hermitian - hermitian.conj().T)) > HERMITIAN_TOL * scale:

@@ -94,22 +94,16 @@ def _check_pairs(rows, n, what):
         seen.add((i, j))
 
 
-def _dm_terms(axis: str, c: float) -> list[PairTerm]:
+def _dm_sod_terms(axis: str, c: float, sod: bool) -> list[PairTerm]:
+    """Dzyaloshinskii-Moriya terms, or with ``sod`` the symmetric off-diagonal
+    ones: one half and its mirror with the sites swapped, negated for DM."""
     half = -0.5j * c
-    if axis == "x":
-        return [("+", "z", half), ("-", "z", -half), ("z", "+", -half), ("z", "-", half)]
-    if axis == "y":
-        return [("z", "x", c), ("x", "z", -c)]
-    return [("x", "+", half), ("x", "-", -half), ("+", "x", -half), ("-", "x", half)]
-
-
-def _sod_terms(axis: str, c: float) -> list[PairTerm]:
-    half = -0.5j * c
-    if axis == "x":
-        return [("+", "z", half), ("-", "z", -half), ("z", "+", half), ("z", "-", -half)]
-    if axis == "y":
-        return [("z", "x", c), ("x", "z", c)]
-    return [("x", "+", half), ("x", "-", -half), ("+", "x", half), ("-", "x", -half)]
+    first = {
+        "x": [("+", "z", half), ("-", "z", -half)],
+        "y": [("z", "x", c)],
+        "z": [("x", "+", half), ("x", "-", -half)],
+    }[axis]
+    return first + [(kb, ka, v if sod else -v) for ka, kb, v in first]
 
 
 def _field_terms(axis: str, h: float) -> list[SiteTerm]:
@@ -221,12 +215,10 @@ class SpinModel:
                         ("z", "z", jz),
                     ],
                 )
-        for axis, rows in self.dm_tables.items():
-            for i, j, c in rows:
-                add(i, j, _dm_terms(axis, c))
-        for axis, rows in self.sod_tables.items():
-            for i, j, c in rows:
-                add(i, j, _sod_terms(axis, c))
+        for sod, tables in ((False, self.dm_tables), (True, self.sod_tables)):
+            for axis, rows in tables.items():
+                for i, j, c in rows:
+                    add(i, j, _dm_sod_terms(axis, c, sod))
         return {k: v for k, v in terms.items() if v}
 
     def _build_site_terms(self):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .linalg import entanglement_entropy, full_svd, spectrum_cut, truncate_spectrum
-from .topology import Topology, set_distance, subtree_sites
+from .topology import Topology, subtree_sites
 
 __all__ = [
     "TTNState",
@@ -302,35 +302,17 @@ def audit_state(
 def to_dense(state: TTNState) -> np.ndarray:
     """Contract the full network into a dense array with site-ordered legs."""
     topo = state.topology
-    order = sorted(
-        range(topo.n_tensors),
-        key=lambda i: -set_distance(topo, topo.center)[topo.edges[i][2]],
-    )
     p, q = topo.center_tensors()
-    # start from the weighted center tensor of p, fold everything else in
-    legs = list(topo.edges[p][:2]) + [topo.center]
-    acc = state.tensors[p] * state.center_weights
-    remaining = [i for i in order if i != p]
-    while remaining:
-        progressed = False
-        for i in list(remaining):
-            e = topo.edges[i]
-            join = e[2] if e[2] in legs else None
-            if i == q:
-                join = topo.center
-            if join is None:
-                continue
-            ax = legs.index(join)
-            t_axis = 2
-            acc = np.tensordot(acc, state.tensors[i], axes=[ax, t_axis])
-            legs.pop(ax)
-            legs.extend(e[:2])
-            remaining.remove(i)
-            progressed = True
-        if not progressed:
-            raise InvariantViolation("dense contraction stalled; broken topology")
-    perm = [legs.index(s) for s in range(topo.n_sites)]
-    return acc.transpose(perm)
+    # contract the center pair, then fold in each tensor on its slot-3 leg,
+    # parents first
+    acc = merge_center(state, p, q)
+    legs = [*topo.edges[p][:2], *topo.edges[q][:2]]
+    for i in reversed(topo.walk(legs, topo.owners())):
+        ax = legs.index(topo.edges[i][2])
+        acc = np.tensordot(acc, state.tensors[i], axes=[ax, 2])
+        legs.pop(ax)
+        legs.extend(topo.edges[i][:2])
+    return acc.transpose([legs.index(s) for s in range(topo.n_sites)])
 
 
 def dense_bipartition_entropy(

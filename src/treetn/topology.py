@@ -59,9 +59,40 @@ class Topology:
     def auxiliary_bonds(self) -> list[int]:
         return list(range(self.n_sites, self.n_bonds))
 
+    def owners(self) -> dict[int, list[int]]:
+        """The tensors whose slot 3 is each bond, ascending: two at the
+        center, one at every other auxiliary bond."""
+        return _slot3_owners(self.edges)
+
+    def walk(self, bonds, owners: dict[int, list[int]], near=()) -> list[int]:
+        """Tensors behind ``bonds``, away from the tensors ``near``, children
+        before parents (the subtree of slot 1 before that of slot 2, the
+        owner last). A bond leads to its slot-3 owner outside ``near`` and on
+        through that tensor's slots 1-2; ``owners`` is ``owners()``. The walk
+        is iterative, so a long chain does not reach the recursion limit.
+        """
+        order: list[int] = []
+        n, edges = self.n_sites, self.edges
+        stack = list(bonds)
+        while stack:
+            b = stack.pop()
+            if b < n:  # a physical bond ends the walk
+                continue
+            found = owners.get(b, ())
+            if len(found) != 1 or found[0] in near:  # the center has two owners
+                found = [i for i in found if i not in near]
+                if len(found) != 1:
+                    raise InvariantViolation(f"bond {b} has slot-3 owners {found}, want one")
+            if len(order) == len(edges):
+                raise InvariantViolation(f"walk passes every tensor by bond {b}: a cycle")
+            order.append(found[0])
+            stack += edges[found[0]][:2]
+        order.reverse()
+        return order
+
     def center_tensors(self) -> tuple[int, int]:
         """The unique pair of tensors sharing the canonical center in slot 3."""
-        pair = [i for i, e in enumerate(self.edges) if e[2] == self.center]
+        pair = self.owners().get(self.center, [])
         if len(pair) != 2:
             raise InvariantViolation(
                 f"canonical center {self.center} owned by {len(pair)} tensors"
@@ -114,11 +145,15 @@ def tree_shape(edges) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(e)) for e in edges)
 
 
+def _slot3_owners(edges) -> dict[int, list[int]]:
+    owners: dict[int, list[int]] = {}
+    for i, e in enumerate(edges):
+        owners.setdefault(e[2], []).append(i)
+    return owners
+
+
 def _find_center(edges) -> int:
-    seen: dict[int, int] = {}
-    for e in edges:
-        seen[e[2]] = seen.get(e[2], 0) + 1
-    centers = [b for b, c in seen.items() if c == 2]
+    centers = [b for b, o in _slot3_owners(edges).items() if len(o) == 2]
     if len(centers) != 1:
         raise InvariantViolation(f"expected one shared slot-3 bond, found {centers}")
     return centers[0]
@@ -163,11 +198,8 @@ def candidate_edge_indices(
 
     Returned in ascending label order.
     """
-    cands = set()
-    for e in topology.edges:
-        if e[2] == e_c:
-            cands.update(e[:2])
-    return sorted(c for c in cands if flags[c] == 0)
+    pair = topology.owners().get(e_c, ())
+    return sorted({c for i in pair for c in topology.edges[i][:2] if flags[c] == 0})
 
 
 def local_two_tensor(
@@ -265,24 +297,14 @@ def subtree_sites(topology: Topology, bond: int, via_tensor: int) -> tuple[int, 
     never crossing ``bond`` again. Sorted ascending."""
     if topology.is_physical(bond):
         return (bond,)
-    sites: list[int] = []
-    stack = [(bond, via_tensor)]
-    seen = set()
-    while stack:
-        blocked, tensor = stack.pop()
-        if tensor in seen:
-            continue
-        seen.add(tensor)
-        for leg in topology.edges[tensor]:
-            if leg == blocked:
-                continue
-            if topology.is_physical(leg):
-                sites.append(leg)
-            else:
-                for j in topology.tensors_of_bond(leg):
-                    if j != tensor:
-                        stack.append((leg, j))
-    return tuple(sorted(sites))
+    edges, owners = topology.edges, topology.owners()
+    down = edges[via_tensor][2] == bond  # the far side hangs below via_tensor
+    if down:
+        below = topology.walk(edges[via_tensor][:2], owners) + [via_tensor]
+    else:
+        below = topology.walk([bond], owners)
+    sites = {c for i in below for c in edges[i][:2] if topology.is_physical(c)}
+    return tuple(sorted(sites if down else set(range(topology.n_sites)) - sites))
 
 
 def audit_topology(topology: Topology) -> None:
@@ -293,7 +315,6 @@ def audit_topology(topology: Topology) -> None:
     n, nt = topology.n_sites, topology.n_tensors
     if nt != n - 2:
         raise InvariantViolation(f"expected {n - 2} tensors, found {nt}")
-    slot3_count: dict[int, int] = {}
     usage: dict[int, int] = {b: 0 for b in topology.bonds}
     for e in topology.edges:
         if len(set(e)) != 3:
@@ -302,9 +323,9 @@ def audit_topology(topology: Topology) -> None:
             if not 0 <= b < topology.n_bonds:
                 raise InvariantViolation(f"bond label {b} out of range")
             usage[b] += 1
-        slot3_count[e[2]] = slot3_count.get(e[2], 0) + 1
 
-    centers = [b for b, c in slot3_count.items() if c == 2]
+    owners = topology.owners()
+    centers = [b for b, o in owners.items() if len(o) == 2]
     if centers != [topology.center]:
         raise InvariantViolation(
             f"canonical center mismatch: recorded {topology.center}, found {centers}"
@@ -317,7 +338,7 @@ def audit_topology(topology: Topology) -> None:
         if usage[b] != expected:
             raise InvariantViolation(f"bond {b} used {usage[b]} times, want {expected}")
         if not topology.is_physical(b) and b != topology.center:
-            if slot3_count.get(b, 0) != 1:
+            if len(owners.get(b, ())) != 1:
                 raise InvariantViolation(f"auxiliary bond {b} lacks a slot-3 owner")
 
     # connected and therefore acyclic, since edge count matches a tree

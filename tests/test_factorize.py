@@ -92,6 +92,20 @@ class TestNormalizeTarget:
         with pytest.raises(ValueError):
             normalize_target(np.ones((2, 1, 2, 2)))
 
+    def test_imaginary_inf_rejected(self):
+        raw = np.ones((2,) * 4, dtype=complex)
+        raw[0, 1, 0, 1] = complex(1.0, np.inf)
+        with pytest.raises(NumericalError, match="non-finite"):
+            normalize_target(raw)
+
+
+class TestFactorizeConfig:
+    @pytest.mark.parametrize("name", ["eps_s", "delta_s", "eps_f"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_threshold_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FactorizeConfig(chi_init=4, **{name: value})
+
 
 class TestSequentialSvd:
     def test_product_all_trivial_bonds(self):

@@ -228,6 +228,16 @@ class TestParseGssConfig:
         with pytest.raises(LoadError, match=f"^{key} must be a mapping"):
             parse_gss_config(path)
 
+    @pytest.mark.parametrize("key", [
+        "energy_convergence_threshold", "entanglement_convergence_threshold",
+        "energy_degeneracy_threshold", "entanglement_degeneracy_threshold",
+    ])
+    @pytest.mark.parametrize("value", ["-1.0", "0", ".nan", ".inf"])
+    def test_bad_threshold_names_key(self, tmp_path, key, value):
+        path = write_gss_inputs(tmp_path, extra_numerics=f"  {key}: {value}")
+        with pytest.raises(LoadError, match=f"numerics\\.{key} must be positive and finite"):
+            parse_gss_config(path)
+
     def test_xyz_column_count(self, tmp_path):
         path = write_gss_inputs(tmp_path)
         (tmp_path / "couplings.dat").write_text("0 1 1.0 0.5 0.3\n")
@@ -355,6 +365,21 @@ output:
         assert old in text
         path.write_text(text.replace(old, new))
         with pytest.raises(LoadError, match=f"^{key} must be a mapping"):
+            parse_ft_config(path)
+
+    @pytest.mark.parametrize("key, extra", [
+        ("numerics.entanglement_convergence_threshold",
+         "  entanglement_convergence_threshold: {}"),
+        ("numerics.entanglement_degeneracy_threshold",
+         "  entanglement_degeneracy_threshold: {}"),
+        ("numerics.fidelity.convergence_threshold",
+         "  fidelity: {{max_bond_dimensions: [8], max_num_sweeps: [4], "
+         "convergence_threshold: {}}}"),
+    ], ids=["entropy", "degeneracy", "fidelity"])
+    @pytest.mark.parametrize("value", ["-5", "0", ".nan", ".inf"])
+    def test_bad_threshold_names_key(self, tmp_path, key, extra, value):
+        path = self.write(tmp_path, "  tensor: psi.npy", extra.format(value))
+        with pytest.raises(LoadError, match=key.replace(".", "\\.") + " must be positive"):
             parse_ft_config(path)
 
     def test_zero_sweep_limit_rejected(self, tmp_path):

@@ -139,6 +139,12 @@ class TestRun:
         ed = ed_oracle(model)
         assert res.energy == pytest.approx(ed.energy, rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["eps_e", "eps_s", "delta_e", "delta_s"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_threshold_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GssConfig(chi_init=4, stages=schedule([8], [2]), **{name: value})
+
     @pytest.mark.parametrize(
         "build",
         [

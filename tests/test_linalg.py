@@ -149,6 +149,12 @@ class TestFullEigh:
         with pytest.raises(NumericalError):
             full_eigh(m)
 
+    def test_imaginary_inf_rejected(self):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = complex(0.0, np.inf)
+        with pytest.raises(NumericalError, match="non-finite"):
+            full_eigh(m)
+
 
 class TestEntanglementEntropy:
     def test_pure(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treetn.errors import LoadError
 from treetn.spinmodel import (
     SpinModel,
+    _dm_sod_terms,
     local_spin_matrices,
     parse_spin_size,
     spin_dimension,
@@ -196,3 +197,17 @@ class TestTermTables:
                 c * np.kron(ops[a], ops[b]) for a, b, c in model.pair_terms[(0, 1)]
             )
             np.testing.assert_allclose(built, expected, atol=1e-14, err_msg=name)
+
+    def test_dm_and_sod_tables(self):
+        """SOD is DM with the sign of the site-swapped half flipped."""
+        c, h = 0.7, -0.35j
+        tables = {
+            ("x", False): [("+", "z", h), ("-", "z", -h), ("z", "+", -h), ("z", "-", h)],
+            ("y", False): [("z", "x", c), ("x", "z", -c)],
+            ("z", False): [("x", "+", h), ("x", "-", -h), ("+", "x", -h), ("-", "x", h)],
+            ("x", True): [("+", "z", h), ("-", "z", -h), ("z", "+", h), ("z", "-", -h)],
+            ("y", True): [("z", "x", c), ("x", "z", c)],
+            ("z", True): [("x", "+", h), ("x", "-", -h), ("+", "x", h), ("-", "x", -h)],
+        }
+        for (axis, sod), expected in tables.items():
+            assert _dm_sod_terms(axis, c, sod) == expected, (axis, sod)

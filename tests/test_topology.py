@@ -1,8 +1,16 @@
 """Tests for tree bookkeeping: distances, candidates, builders, audits."""
 
+import numpy as np
 import pytest
 
 from treetn.errors import InvariantViolation
+from treetn.factorize import (
+    FactorizeConfig,
+    normalize_target,
+    reconstruct_sweep,
+    sequential_svd_to_mpn,
+)
+from treetn.state import to_dense
 from treetn.topology import (
     Topology,
     audit_topology,
@@ -202,6 +210,88 @@ class TestSiteSets:
         right = subtree_sites(topo, b, t_right)
         assert sorted(left + right) == list(range(6))
         assert not set(left) & set(right)
+
+
+def sites_by_search(topo, bond, via_tensor):
+    """Brute force: every physical leg reached from ``via_tensor`` through
+    shared bonds other than ``bond``."""
+    seen, stack, sites = {via_tensor}, [via_tensor], set()
+    while stack:
+        i = stack.pop()
+        for leg in topo.edges[i]:
+            if leg == bond:
+                continue
+            if topo.is_physical(leg):
+                sites.add(leg)
+            for j, e in enumerate(topo.edges):
+                if leg in e and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return tuple(sorted(sites))
+
+
+def reconnected(seed=4, n_sites=12):
+    """A full-rank factorization of a random target after mode-1
+    reconstruction sweeps have reshaped its tree."""
+    rng = np.random.default_rng(seed)
+    target = normalize_target(rng.standard_normal((2,) * n_sites))
+    state = sequential_svd_to_mpn(target, 2 ** (n_sites // 2))
+    config = FactorizeConfig(chi_init=2 ** (n_sites // 2), opt_mode=1, seed=seed, n_max=3)
+    state, _ = reconstruct_sweep(state, config)
+    assert state.topology.shape_snapshot() != build_mpn(n_sites).shape_snapshot()
+    return target, state
+
+
+class TestWalk:
+    def test_owners(self):
+        topo = build_pbt(8)
+        owners = topo.owners()
+        assert owners[topo.center] == list(topo.center_tensors())
+        for b in topo.auxiliary_bonds():
+            if b != topo.center:
+                assert len(owners[b]) == 1 and topo.edges[owners[b][0]][2] == b
+
+    def test_children_before_parents(self):
+        topo = build_pbt(16)
+        p, q = topo.center_tensors()
+        order = topo.walk(topo.edges[p][:2], topo.owners())
+        assert len(order) == 6
+        for k, i in enumerate(order):
+            parents = [j for j in order if topo.edges[i][2] in topo.edges[j][:2]]
+            assert all(order.index(j) > k for j in parents)
+
+    @pytest.mark.parametrize("which", ["pbt16", "reconnected"])
+    def test_subtree_sites_match_search_from_both_tensors(self, which):
+        topo = build_pbt(16) if which == "pbt16" else reconnected()[1].topology
+        for b in topo.auxiliary_bonds():
+            for via in topo.tensors_of_bond(b):
+                assert subtree_sites(topo, b, via) == sites_by_search(topo, b, via)
+
+    def test_to_dense_of_reconnected_tree(self):
+        target, state = reconnected()
+        assert np.max(np.abs(to_dense(state) - target.data)) < 1e-12
+
+    def test_long_chain_center(self):
+        topo = build_mpn(2048)
+        p, q = topo.center_tensors()
+        assert subtree_sites(topo, topo.center, p) == tuple(range(1024))
+        assert subtree_sites(topo, topo.center, q) == tuple(range(1024, 2048))
+
+    def test_missing_owner_raises(self):
+        topo = build_pbt(8)
+        leaf = next(i for i, e in enumerate(topo.edges) if e[:2] == [0, 1])
+        bond = topo.edges[leaf][2]
+        parent = next(i for i in topo.tensors_of_bond(bond) if i != leaf)
+        topo.edges[leaf] = [bond, 1, 0]  # the bond now has no slot-3 owner
+        with pytest.raises(InvariantViolation, match="slot-3 owners"):
+            subtree_sites(topo, bond, parent)
+        with pytest.raises(InvariantViolation):
+            topo.walk([bond], topo.owners())
+
+    def test_cycle_raises(self):
+        topo = Topology(n_sites=5, edges=[[5, 0, 6], [6, 1, 5], [2, 3, 4]], center=4)
+        with pytest.raises(InvariantViolation, match="cycle"):
+            topo.walk([6], topo.owners())
 
 
 class TestGraphSerialization:
