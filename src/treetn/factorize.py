@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import prod
 
 import numpy as np
 
@@ -82,8 +83,12 @@ class TargetTensor:
 
 
 def normalize_target(raw: np.ndarray) -> TargetTensor:
-    """Scale a tensor to unit Frobenius norm, remembering the factor."""
+    """Scale a tensor to unit Frobenius norm, remembering the factor. Single
+    precision is promoted to double first."""
     raw = np.asarray(raw)
+    if raw.dtype.kind not in "biufc":
+        raise ValueError(f"target tensor must be numeric, got dtype {raw.dtype}")
+    raw = raw.astype(np.result_type(raw.dtype, np.float64), copy=False)
     if raw.ndim < 4:
         raise ValueError(f"need at least 4 tensor legs, got {raw.ndim}")
     if any(d < 2 for d in raw.shape):
@@ -221,11 +226,35 @@ def contract_with_conjugates(
 
 
 def _absorb(acc, legs, tensor, edges):
-    """Contract a conjugated isometry over its first two bonds; its third
-    bond becomes the last leg."""
+    """Contract a conjugated isometry over its first two bonds with one
+    matmul; its third bond takes the place of the contracted leg that comes
+    first in ``acc``, so along a chain the new leg sits next to the next
+    site.
+
+    ``acc`` is viewed as ``(a, d1, b, d2, c)``, the untouched legs merged
+    into three runs. Only when ``b > 1`` (legs between the two) is that
+    five-axis view copied, to ``(a, d1, d2, b, c)``; ``tensordot`` would
+    copy ``acc`` into a transposed layout of all its axes instead. When both
+    legs are trailing the product is one right-multiply.
+    """
     ax1, ax2 = legs.index(edges[0]), legs.index(edges[1])
-    acc = np.tensordot(acc, tensor.conj(), axes=[[ax1, ax2], [0, 1]])
-    return acc, [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [edges[2]]
+    if ax1 > ax2:
+        ax1, ax2 = ax2, ax1
+        tensor = tensor.transpose(1, 0, 2)
+    if np.iscomplexobj(tensor):
+        tensor = tensor.conj()
+    d1, d2, k = tensor.shape
+    shape = acc.shape
+    a, b, c = prod(shape[:ax1]), prod(shape[ax1 + 1:ax2]), prod(shape[ax2 + 1:])
+    mat = tensor.reshape(d1 * d2, k)
+    if b > 1:
+        acc = acc.reshape(a, d1, b, d2, c).transpose(0, 1, 3, 2, 4)
+    if b * c == 1:
+        out = acc.reshape(a, d1 * d2) @ mat
+    else:
+        out = np.matmul(mat.T, acc.reshape(a, d1 * d2, b * c))
+    legs = [*legs[:ax1], edges[2], *legs[ax1 + 1:ax2], *legs[ax2 + 1:]]
+    return out.reshape(*shape[:ax1], k, *shape[ax1 + 1:ax2], *shape[ax2 + 1:]), legs
 
 
 def environment(

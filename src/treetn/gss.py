@@ -53,6 +53,12 @@ CORRELATION_ORDER = ("xx", "yy", "zz", "yz", "zy", "zx", "xz", "xy", "yx")
 # size of the fixed direction mixed into every Lanczos start vector
 LANCZOS_NOISE = 1e-7
 
+# read-only normals of the Philox(0x5EED) stream behind that direction. A
+# shorter draw is a prefix of a longer one, so every caller reads the same
+# values whatever the buffer's length; it is only replaced by a longer draw,
+# never written in place
+_noise_draw = np.empty(0)
+
 
 @dataclass
 class GssConfig:
@@ -145,11 +151,18 @@ def _perturb(psi: np.ndarray) -> np.ndarray:
     deterministic admixture lets the solver reach the true ground state
     while changing the Rayleigh quotient only at second order.
     """
-    rng = np.random.Generator(np.random.Philox(0x5EED))
-    noise = rng.standard_normal(psi.shape)
+    global _noise_draw
+    n = psi.size
+    needed = 2 * n if np.iscomplexobj(psi) else n
+    draw = _noise_draw
+    if draw.size < needed:
+        draw = np.random.Generator(np.random.Philox(0x5EED)).standard_normal(needed)
+        draw.flags.writeable = False
+        _noise_draw = draw
+    noise = draw[:n].reshape(psi.shape)
     if np.iscomplexobj(psi):
-        noise = noise + 1j * rng.standard_normal(psi.shape)
-    noise /= np.linalg.norm(noise)
+        noise = noise + 1j * draw[n:2 * n].reshape(psi.shape)
+    noise = noise / np.linalg.norm(noise)
     out = psi + LANCZOS_NOISE * noise.astype(psi.dtype)
     return out / np.linalg.norm(out)
 

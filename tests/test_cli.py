@@ -157,6 +157,13 @@ output:
         assert ft_main([str(ft_workspace / "input.yml")]) == 1
         assert "psi.npy" in capsys.readouterr().err
 
+    def test_non_numeric_target_fails(self, ft_workspace, capsys):
+        np.save(ft_workspace / "psi.npy", np.full((2,) * 6, "abc"))
+        assert ft_main([str(ft_workspace / "input.yml")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "<U3" in err
+
     def test_fidelity_column_present(self, ft_workspace):
         (ft_workspace / "fid.yml").write_text(
             """

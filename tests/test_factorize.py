@@ -98,6 +98,31 @@ class TestNormalizeTarget:
         with pytest.raises(NumericalError, match="non-finite"):
             normalize_target(raw)
 
+    @pytest.mark.parametrize("dtype", ["<U3", "S3", object])
+    def test_non_numeric_rejected(self, dtype):
+        raw = np.full((2,) * 4, "abc", dtype=dtype)
+        with pytest.raises(ValueError, match="dtype"):
+            normalize_target(raw)
+
+    @pytest.mark.parametrize(
+        "dtype, promoted",
+        [(np.float32, np.float64), (np.complex64, np.complex128)],
+    )
+    def test_promoted_to_double(self, rng, dtype, promoted):
+        raw = rng.integers(-3, 4, size=(2,) * 4).astype(dtype)
+        raw[0, 0, 0, 0] = 5
+        t = normalize_target(raw)
+        assert t.data.dtype == promoted
+        np.testing.assert_allclose(
+            t.data, raw.astype(promoted) / np.linalg.norm(raw.astype(promoted)),
+            rtol=0, atol=1e-15,
+        )
+
+    def test_single_precision_exact_chain_has_unit_fidelity(self, rng):
+        t = normalize_target(rng.standard_normal((2,) * 8).astype(np.float32))
+        state = sequential_svd_to_mpn(t, 16)
+        assert abs(fidelity(t, state) - 1.0) <= 1e-12
+
 
 class TestFactorizeConfig:
     @pytest.mark.parametrize("name", ["eps_s", "delta_s", "eps_f"])
@@ -241,6 +266,66 @@ class TestEnvironment:
             env = environment(t, state, p, q)
             f_before = abs(np.vdot(merge_center(state, p, q), env))
             assert f_before <= np.linalg.norm(env) + 1e-12
+
+
+def absorb_reference(acc, legs, tensor, edges):
+    """The contraction as ``tensordot`` does it: the isometry's third bond
+    becomes the last leg."""
+    ax1, ax2 = legs.index(edges[0]), legs.index(edges[1])
+    out = np.tensordot(acc, tensor.conj(), axes=[[ax1, ax2], [0, 1]])
+    return out, [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [edges[2]]
+
+
+class TestAbsorb:
+    """``_absorb`` on every layout of the two contracted legs, against
+    ``tensordot`` with the old leg order."""
+
+    # accumulator shape, its leg labels, and the isometry's bonds; sites have
+    # dimension 2 or 3 and the auxiliary bonds (labels >= 20) 1, 4 or 8
+    LAYOUTS = {
+        "adjacent-front": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (0, 1, 30)),
+        "adjacent-middle": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (20, 3, 30)),
+        "adjacent-back": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (3, 21, 30)),
+        "reversed-front": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (1, 0, 30)),
+        "reversed-middle": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (3, 20, 30)),
+        "reversed-back": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (21, 3, 30)),
+        "apart": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (1, 3, 30)),
+        "apart-reversed": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (21, 1, 30)),
+        "apart-ends": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (0, 21, 30)),
+        "apart-over-unit-bond": ((3, 1, 2, 4, 2), [0, 20, 1, 21, 2], (0, 1, 30)),
+        "only-two-legs": ((4, 8), [20, 21], (21, 20, 30)),
+        "chi-legs-apart": ((2, 8, 3, 4, 2, 2), [0, 20, 1, 21, 2, 3], (20, 21, 30)),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("acc_complex", [False, True])
+    @pytest.mark.parametrize("tensor_complex", [False, True])
+    def test_matches_tensordot(self, rng, layout, acc_complex, tensor_complex):
+        shape, legs, edges = self.LAYOUTS[layout]
+        dims = dict(zip(legs, shape))
+        acc = rng.standard_normal(shape)
+        tensor = rng.standard_normal((dims[edges[0]], dims[edges[1]], 5))
+        if acc_complex:
+            acc = acc + 1j * rng.standard_normal(shape)
+        if tensor_complex:
+            tensor = tensor + 1j * rng.standard_normal(tensor.shape)
+        acc.flags.writeable = False
+        before = acc.copy()
+
+        out, out_legs = factorize._absorb(acc, list(legs), tensor, edges)
+        ref, ref_legs = absorb_reference(acc, legs, tensor, edges)
+
+        np.testing.assert_array_equal(acc, before)
+        assert out.ndim == len(out_legs) == len(legs) - 1
+        assert sorted(out_legs) == sorted(ref_legs)
+        dims[edges[2]] = 5
+        assert out.shape == tuple(dims[l] for l in out_legs)
+        # the new leg takes the place of the contracted leg that came first
+        assert out_legs.index(edges[2]) == min(legs.index(edges[0]), legs.index(edges[1]))
+        assert out.dtype == ref.dtype
+        np.testing.assert_allclose(
+            out.transpose([out_legs.index(l) for l in ref_legs]), ref, rtol=0, atol=1e-12
+        )
 
 
 class TestFidelity:

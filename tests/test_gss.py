@@ -5,6 +5,7 @@ import pytest
 
 from conftest import AuditObserver, heisenberg_chain, leaf_partitions
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
+from treetn import gss
 from treetn.factorize import FactorizeConfig
 from treetn.gss import (
     GssConfig,
@@ -39,6 +40,37 @@ class TestDegenerateKeep:
         vals = np.zeros(4)
         with pytest.warns(RuntimeWarning):
             assert degenerate_keep_count(vals, chi=2, delta_e=1e-8) == 2
+
+
+def perturb_fresh(psi):
+    """The Lanczos start perturbation drawn from a fresh generator."""
+    rng = np.random.Generator(np.random.Philox(0x5EED))
+    noise = rng.standard_normal(psi.shape)
+    if np.iscomplexobj(psi):
+        noise = noise + 1j * rng.standard_normal(psi.shape)
+    noise /= np.linalg.norm(noise)
+    out = psi + gss.LANCZOS_NOISE * noise.astype(psi.dtype)
+    return out / np.linalg.norm(out)
+
+
+class TestPerturb:
+    # small, large (the buffer grows), then small again (a prefix of it)
+    SHAPES = [(1, 1, 1, 1), (2, 3, 2, 2), (16, 16, 16, 16), (4, 1, 3, 2), (2, 2)]
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_bit_identical_to_fresh_generator(self, rng, complex_):
+        for shape in self.SHAPES:
+            psi = rng.standard_normal(shape)
+            if complex_:
+                psi = psi + 1j * rng.standard_normal(shape)
+            psi /= np.linalg.norm(psi)
+            out = gss._perturb(psi)
+            assert out.dtype == psi.dtype
+            np.testing.assert_array_equal(out, perturb_fresh(psi))
+
+    def test_noise_buffer_is_read_only(self):
+        gss._perturb(np.ones((3, 2, 2)) / np.sqrt(12))
+        assert not gss._noise_draw.flags.writeable
 
 
 class TestInitializeTtn:
