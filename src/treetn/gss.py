@@ -19,7 +19,6 @@ from .errors import InvariantViolation
 from .linalg import full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
-    _apply_axis,
     build_superblock_plan,
     get_operator,
     init_cache,
@@ -43,6 +42,8 @@ __all__ = [
     "run",
     "one_site_expectations",
     "two_site_correlations",
+    "leg_expectations",
+    "leg_pair_correlations",
     "ObservableCollector",
     "CORRELATION_ORDER",
 ]
@@ -294,20 +295,61 @@ def run(
     return GssResult(state=state, cache=cache, stages=stages, initial_energy=e_init)
 
 
-def _real_expectation(value: complex, what: str) -> float:
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise InvariantViolation(f"{what} has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def leg_expectations(psi: np.ndarray, stacks: dict[int, np.ndarray]) -> np.ndarray:
+    """``<psi| A (x) B |psi>`` for every operator ``A`` of one stack and ``B``
+    of another, or ``<psi|A|psi>`` for every operator of one stack.
+
+    ``stacks`` maps one or two legs of ``psi`` to ``(n, d, d)`` operator
+    stacks. The legs' reduced matrix ``rho[i, j, k, l] = sum psi*[.., i, j, ..]
+    psi[.., k, l, ..]`` is contracted with each stack in turn, so memory stays
+    at ``(d_a d_b)^2`` whatever the stacks hold. The result has one axis per
+    leg, in ascending leg order.
+    """
+    others = [ax for ax in range(psi.ndim) if ax not in stacks]
+    out = np.tensordot(psi.conj(), psi, axes=(others, others))
+    for n, leg in zip(range(len(stacks), 0, -1), sorted(stacks)):
+        out = np.tensordot(out, stacks[leg], axes=((0, n), (1, 2)))
+    return out
+
+
+def _real_parts(values: np.ndarray, describe, mask=True) -> np.ndarray:
+    """Real parts of expectation values of Hermitian operators. An entry
+    selected by ``mask`` whose imaginary part is above rounding raises,
+    named by ``describe(index)``."""
+    bad = np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values.real))
+    bad &= mask
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise InvariantViolation(
+            f"{describe(index)} has imaginary part {values.imag[index]:.3e}"
+        )
+    return values.real
+
+
+def _spin_stack(ops: dict) -> np.ndarray:
+    return np.stack([ops["x"], ops["y"], ops["z"]])
+
+
+# rows and columns of the 3x3 (x, y, z) block behind each correlation component
+_COMPONENT_ROWS = np.array(["xyz".index(c[0]) for c in CORRELATION_ORDER])
+_COMPONENT_COLS = np.array(["xyz".index(c[1]) for c in CORRELATION_ORDER])
+
+
+def _components(block: np.ndarray) -> dict[str, float]:
+    return dict(zip(CORRELATION_ORDER, block[_COMPONENT_ROWS, _COMPONENT_COLS].tolist()))
+
+
+def _moments(psi: np.ndarray, leg: int, stack: np.ndarray, where: str):
+    """Spin moments (x, y, z) of one leg from its ``(3, d, d)`` stack."""
+    values = leg_expectations(psi, {leg: stack})
+    values = _real_parts(values, lambda index: f"<s^{'xyz'[index[0]]}> at {where}")
+    return tuple(values.tolist())
 
 
 def one_site_expectations(psi: np.ndarray, leg: int, spin_size: float):
     """Spin moments (x, y, z) of one physical leg of a center tensor."""
     sz, _, sx, sy = local_spin_matrices(spin_size)
-    out = []
-    for alpha, op in (("x", sx), ("y", sy), ("z", sz)):
-        val = complex(np.vdot(psi, _apply_axis(psi, op, leg)))
-        out.append(_real_expectation(val, f"<s^{alpha}>"))
-    return tuple(out)
+    return _moments(psi, leg, np.stack([sx, sy, sz]), f"leg {leg}")
 
 
 def two_site_correlations(
@@ -317,19 +359,48 @@ def two_site_correlations(
 
     ``ops_i`` and ``ops_j`` map axis names to the operators of the two
     physical sites renormalized onto the respective legs. Component ``ab``
-    means the ``a`` operator acting on site ``i`` and ``b`` on site ``j``.
+    means the ``a`` operator acting on site ``i`` and ``b`` on site ``j``;
+    an error names the two sites as 0 and 1.
     """
-    out = {}
-    for comp in CORRELATION_ORDER:
-        a, b = comp
-        val = complex(
-            np.vdot(
-                psi,
-                _apply_axis(_apply_axis(psi, ops_j[b], leg_j), ops_i[a], leg_i),
-            )
+    stacks = {leg_i: _spin_stack(ops_i), leg_j: _spin_stack(ops_j)}
+    return leg_pair_correlations(psi, {leg_i: (0,), leg_j: (1,)}, stacks)[0, 1]
+
+
+def leg_pair_correlations(
+    psi: np.ndarray, sites: dict[int, tuple[int, ...]], stacks: dict[int, np.ndarray],
+    new: np.ndarray | None = None,
+) -> dict[tuple[int, int], dict[str, float]]:
+    """Correlations of every site pair split between two legs of ``psi``.
+
+    ``sites`` maps each of the two legs to the sites behind it and
+    ``stacks`` to their x, y and z operators stacked in site order, shape
+    ``(3 * len(sites), d, d)``. Returns ``{(i, j): components}`` with
+    ``i < j``, component ``ab`` meaning ``a`` on site ``i`` and ``b`` on site
+    ``j``, for the pairs that the boolean ``new[index_a, index_b]`` selects
+    (all by default); only those are checked to be real.
+    """
+    leg_a, leg_b = sorted(sites)
+    sites_a, sites_b = sites[leg_a], sites[leg_b]
+    values = leg_expectations(psi, stacks).reshape(len(sites_a), 3, len(sites_b), 3)
+    if new is None:
+        new = np.ones((len(sites_a), len(sites_b)), dtype=bool)
+
+    def describe(index):
+        (i, a), (j, b) = sorted(
+            ((sites_a[index[0]], index[1]), (sites_b[index[2]], index[3]))
         )
-        out[comp] = _real_expectation(val, f"<s^{a} s^{b}>")
-    return out
+        return f"<s^{'xyz'[a]} s^{'xyz'[b]}> at sites ({i}, {j})"
+
+    values = _real_parts(values, describe, new[:, None, :, None])
+    pairs = {}
+    for ia, ib in zip(*np.nonzero(new)):
+        i, j = sites_a[ia], sites_b[ib]
+        block = values[ia, :, ib, :]
+        if i > j:
+            # component ab means a on the smaller site
+            i, j, block = j, i, block.T
+        pairs[i, j] = _components(block)
+    return pairs
 
 
 class ObservableCollector:
@@ -339,6 +410,12 @@ class ObservableCollector:
     center tensor; each pair is measured the first time the two sites fall
     into different legs. The final step at the origin splits every remaining
     pair, so one sweep always achieves full coverage.
+
+    A step measures per leg pair, not per site pair: the x, y and z
+    operators of every site behind a leg are stacked, and one reduced
+    matrix of the two legs gives all their site pairs at once
+    (``leg_pair_correlations``). Leg pairs whose site pairs are all measured
+    are skipped.
     """
 
     def __init__(self, model: SpinModel, cache: OperatorCache):
@@ -346,7 +423,15 @@ class ObservableCollector:
         self.cache = cache
         self.single: dict[int, tuple[float, float, float]] = {}
         self.pairs: dict[tuple[int, int], dict[str, float]] = {}
+        self._measured = np.zeros((model.n_sites, model.n_sites), dtype=bool)
         self._snapshot = None
+
+    def _stack(self, bond: int) -> np.ndarray:
+        """x, y, z operators of every site behind ``bond``, in site order."""
+        return np.concatenate([
+            _spin_stack({k: get_operator(self.cache, bond, r, k) for k in "xyz"})
+            for r in self.cache.sites[bond]
+        ])
 
     def on_step(self, state: TTNState, info: StepInfo):
         if self._snapshot is None:
@@ -356,31 +441,28 @@ class ObservableCollector:
         psi = merge_center(state, info.t, info.t_conn)
         bonds = info.center_bonds
         topo = state.topology
+        stacks: dict[int, np.ndarray] = {}
+
+        def stack(axis):
+            if axis not in stacks:
+                stacks[axis] = self._stack(bonds[axis])
+            return stacks[axis]
+
         for axis, b in enumerate(bonds):
             if topo.is_physical(b) and b not in self.single:
-                self.single[b] = one_site_expectations(
-                    psi, axis, self.model.spin_sizes[b]
-                )
+                self.single[b] = _moments(psi, axis, stack(axis), f"site {b}")
         for ax_a, ax_b in combinations(range(4), 2):
             sites_a = self.cache.sites[bonds[ax_a]]
             sites_b = self.cache.sites[bonds[ax_b]]
-            for ra in sites_a:
-                for rb in sites_b:
-                    (site_i, leg_i), (site_j, leg_j) = sorted(((ra, ax_a), (rb, ax_b)))
-                    key = (site_i, site_j)
-                    if key in self.pairs:
-                        continue
-                    ops_i = {
-                        k: get_operator(self.cache, bonds[leg_i], site_i, k)
-                        for k in ("x", "y", "z")
-                    }
-                    ops_j = {
-                        k: get_operator(self.cache, bonds[leg_j], site_j, k)
-                        for k in ("x", "y", "z")
-                    }
-                    self.pairs[key] = two_site_correlations(
-                        psi, leg_i, ops_i, leg_j, ops_j
-                    )
+            new = ~self._measured[np.ix_(sites_a, sites_b)]
+            if not new.any():
+                continue
+            self.pairs.update(leg_pair_correlations(
+                psi, {ax_a: sites_a, ax_b: sites_b},
+                {ax_a: stack(ax_a), ax_b: stack(ax_b)}, new,
+            ))
+            self._measured[np.ix_(sites_a, sites_b)] = True
+            self._measured[np.ix_(sites_b, sites_a)] = True
 
     def finish(self, energy: float) -> Observables:
         n = self.model.n_sites

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import NumericalError
 
@@ -217,12 +217,12 @@ def _lanczos_cycle(apply, v0, max_krylov):
     complex when a product does; reorthogonalization and the Ritz vector are
     matrix-vector products on it."""
     shape = v0.shape
-    w = _apply_checked(apply, v0).ravel()
+    w = _apply_checked(apply, v0, v0.dtype).ravel()
     basis = np.empty((min(max_krylov, KRYLOV_ROWS), w.size), np.result_type(v0, w))
     basis[0] = v0.ravel()
     alphas = [float(np.vdot(basis[0], w).real)]
     betas: list[float] = []
-    w = w - alphas[0] * basis[0]
+    w -= alphas[0] * basis[0]
 
     s = np.array([1.0])
     for k in range(1, max_krylov):
@@ -235,11 +235,12 @@ def _lanczos_cycle(apply, v0, max_krylov):
             grown = np.empty((min(2 * k, max_krylov), w.size), np.result_type(basis, w))
             grown[:k] = basis[:k]
             basis = grown
-        basis[k] = w / beta
+        np.divide(w, beta, out=basis[k])
         betas.append(beta)
-        w = _apply_checked(apply, basis[k].reshape(shape)).ravel()
+        w = _apply_checked(apply, basis[k].reshape(shape), basis.dtype).ravel()
         alphas.append(float(np.vdot(basis[k], w).real))
-        w = w - alphas[-1] * basis[k] - beta * basis[k - 1]
+        w -= alphas[-1] * basis[k]
+        w -= beta * basis[k - 1]
 
         theta, s = _tridiag_ground(alphas, betas)
         # residual estimate |beta_{k+1} s_k| of the current Ritz pair
@@ -248,19 +249,19 @@ def _lanczos_cycle(apply, v0, max_krylov):
 
     vec = (s @ basis[: len(s)]).reshape(shape)
     vec = vec / np.linalg.norm(vec)
-    hv = _apply_checked(apply, vec)
+    hv = _apply_checked(apply, vec, vec.dtype)
     energy = float(np.vdot(vec, hv).real)
     residual = float(np.linalg.norm(hv - energy * vec))
     return energy, vec, residual
 
 
 def _reorthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Remove the span of the orthonormal rows of ``basis`` from ``w`` by
-    classical Gram-Schmidt, repeated once when the pass cancelled more than
-    ``1 - 1/sqrt(2)`` of the norm (Daniel-Gragg-Kaufman-Stewart)."""
+    """Remove the span of the orthonormal rows of ``basis`` from ``w`` in
+    place by classical Gram-Schmidt, repeated once when the pass cancelled
+    more than ``1 - 1/sqrt(2)`` of the norm (Daniel-Gragg-Kaufman-Stewart)."""
     before = np.linalg.norm(w)
     for _ in range(2):
-        w = w - (basis @ w.conj()).conj() @ basis
+        w -= (basis @ w.conj()).conj() @ basis
         after = np.linalg.norm(w)
         if after > before / np.sqrt(2):
             break
@@ -269,16 +270,32 @@ def _reorthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _tridiag_ground(alphas, betas):
-    # the coefficients come from checked, finite operator products
-    vals, vecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas), select="i",
-                                  select_range=(0, 0), check_finite=False)
-    return float(vals[0]), vecs[:, 0]
+    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal
+    ``alphas`` and off-diagonal ``betas`` (at least one), by the LAPACK
+    bisection and inverse-iteration calls that
+    ``scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))`` makes,
+    without its argument checks; the coefficients come from checked, finite
+    operator products."""
+    d, e = np.asarray(alphas), np.asarray(betas)
+    # range 2 selects by index, here the first; tolerance 0 is LAPACK's default
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        vecs, info = dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigensolver failed with LAPACK info {info}")
+    return float(w[0]), vecs[:, 0]
 
 
-def _apply_checked(apply, v):
+def _apply_checked(apply, v, dtype):
+    """``apply(v)`` as an array the caller may update in place with values
+    of ``dtype``: a result that is read-only, shares memory with ``v`` or
+    cannot hold ``dtype`` is copied."""
     out = np.asarray(apply(v))
     if out.shape != v.shape:
         raise ValueError(f"operator changed shape {v.shape} -> {out.shape}")
     if not np.all(np.isfinite(out)):
         raise NumericalError("operator application produced non-finite values")
+    if (not out.flags.writeable or np.may_share_memory(out, v)
+            or not np.can_cast(dtype, out.dtype)):
+        out = out.astype(np.result_type(out, dtype))
     return out

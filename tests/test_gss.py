@@ -1,24 +1,30 @@
 """Tests for initialization, sweeps, staged runs, and observables."""
 
+from itertools import combinations
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import AuditObserver, heisenberg_chain, leaf_partitions
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
 from treetn import gss
+from treetn.errors import InvariantViolation
 from treetn.factorize import FactorizeConfig
 from treetn.gss import (
     GssConfig,
     degenerate_keep_count,
     initialize_ttn,
+    leg_pair_correlations,
     one_site_expectations,
     run,
     sweep,
     two_site_correlations,
 )
 from treetn.linalg import full_eigh
+from treetn.operators import get_operator
 from treetn.spinmodel import SpinModel, local_spin_matrices
-from treetn.state import audit_state, state_bond_entropy_dense
+from treetn.state import audit_state, merge_center, state_bond_entropy_dense
 from treetn.sweeps import ScheduleError, SelectionSettings, Stage, schedule
 from treetn.topology import audit_topology, build_mpn, build_pbt
 
@@ -280,6 +286,174 @@ class TestExpectationFunctions:
             )
 
 
+def dense_expectation(psi, legs_ops):
+    """``<psi| A (x) B |psi>`` by one einsum over a four-leg tensor;
+    ``legs_ops`` maps each leg to the operator acting on it."""
+    bra = "ijkl"
+    ket = list(bra)
+    terms, operands = [bra], [psi.conj()]
+    for leg, op in legs_ops.items():
+        ket[leg] = "mnop"[leg]
+        terms.append(bra[leg] + ket[leg])
+        operands.append(op)
+    subscripts = ",".join([*terms, "".join(ket)]) + "->"
+    return complex(np.einsum(subscripts, *operands, psi))
+
+
+def random_hermitian(rng, d):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (m + m.conj().T) / 2
+
+
+class TestLegPairKernel:
+    """``leg_pair_correlations`` against a dense einsum of every pair."""
+
+    SHAPE = (2, 3, 4, 5)
+    # labels behind each leg; a later leg often holds the smaller site
+    SITES = {0: (6, 1), 1: (3,), 2: (0, 7, 4), 3: (5, 2)}
+
+    @pytest.fixture
+    def psi(self, rng):
+        psi = rng.standard_normal(self.SHAPE) + 1j * rng.standard_normal(self.SHAPE)
+        return psi / np.linalg.norm(psi)
+
+    @pytest.fixture
+    def ops(self, rng):
+        return {
+            site: {k: random_hermitian(rng, self.SHAPE[leg]) for k in "xyz"}
+            for leg, sites in self.SITES.items()
+            for site in sites
+        }
+
+    def stack(self, ops, leg):
+        return np.concatenate([
+            np.stack([ops[r]["x"], ops[r]["y"], ops[r]["z"]]) for r in self.SITES[leg]
+        ])
+
+    @pytest.mark.parametrize("legs", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    def test_matches_dense_einsum(self, psi, ops, legs):
+        leg_a, leg_b = legs
+        sites = {leg: self.SITES[leg] for leg in legs}
+        stacks = {leg: self.stack(ops, leg) for leg in legs}
+        pairs = leg_pair_correlations(psi, sites, stacks)
+        expected = {tuple(sorted((ra, rb))) for ra in sites[leg_a] for rb in sites[leg_b]}
+        assert set(pairs) == expected
+        assert any(ra > rb for ra in sites[leg_a] for rb in sites[leg_b])
+        leg_of = {r: leg for leg in legs for r in sites[leg]}
+        for (i, j), comps in pairs.items():
+            assert i < j
+            assert list(comps) == list(gss.CORRELATION_ORDER)
+            for comp, value in comps.items():
+                a, b = comp
+                dense = dense_expectation(
+                    psi, {leg_of[i]: ops[i][a], leg_of[j]: ops[j][b]}
+                )
+                assert abs(dense.imag) < 1e-13
+                assert value == pytest.approx(dense.real, abs=1e-13)
+
+    def test_selected_pairs_only(self, psi, ops):
+        sites = {1: self.SITES[1], 2: self.SITES[2]}
+        stacks = {leg: self.stack(ops, leg) for leg in sites}
+        new = np.array([[True, False, True]])
+        pairs = leg_pair_correlations(psi, sites, stacks, new)
+        assert set(pairs) == {(0, 3), (3, 4)}
+        assert pairs == {
+            key: value
+            for key, value in leg_pair_correlations(psi, sites, stacks).items()
+            if key in pairs
+        }
+
+    def test_wrappers_match_dense_einsum(self, psi, ops):
+        # one-pair case with the first site on the later leg
+        comps = two_site_correlations(psi, 3, ops[5], 1, ops[3])
+        for comp, value in comps.items():
+            dense = dense_expectation(psi, {3: ops[5][comp[0]], 1: ops[3][comp[1]]})
+            assert value == pytest.approx(dense.real, abs=1e-13)
+        sz, _, sx, sy = local_spin_matrices(1.0)
+        moments = one_site_expectations(psi, 1, 1.0)
+        dense = [dense_expectation(psi, {1: op}).real for op in (sx, sy, sz)]
+        assert moments == pytest.approx(dense, abs=1e-13)
+
+    def test_non_hermitian_operator_names_the_pair(self, psi, ops):
+        sites = {0: self.SITES[0], 3: self.SITES[3]}
+        stacks = {leg: self.stack(ops, leg) for leg in sites}
+        # site 2, behind the later leg, gets a non-Hermitian y
+        stacks[3][3 + 1] = stacks[3][3 + 1] + 0.5j * np.eye(self.SHAPE[3])
+        # the first pair checked is site 6 (x) with site 2 (y), named in site order
+        with pytest.raises(InvariantViolation, match=r"<s\^y s\^x> at sites \(2, 6\)"):
+            leg_pair_correlations(psi, sites, stacks)
+        # the one-pair wrapper names its sites 0 and 1
+        with pytest.raises(InvariantViolation, match=r"<s\^z s\^.> at sites \(0, 1\)"):
+            two_site_correlations(psi, 3, {**ops[2], "z": 1j * ops[2]["z"]}, 0, ops[1])
+        with pytest.raises(InvariantViolation, match=r"<s\^y> at leg 2 has"):
+            gss._moments(psi, 2, np.stack([ops[0]["x"], 1j * ops[0]["y"], ops[0]["z"]]), "leg 2")
+
+
+class TestCollectorErrors:
+    """An imaginary expectation value names the site or site pair."""
+
+    def collector_step(self, corrupt, measured_singles):
+        model = heisenberg_chain(6)
+        state, cache, _ = initialize_ttn(model, build_mpn(6), chi_init=4)
+        t, t_conn = state.topology.center_tensors()
+        bonds = (*state.topology.edges[t][:2], *state.topology.edges[t_conn][:2])
+        assert bonds[1] == 2 and state.topology.is_physical(2)
+        z = cache.spin_ops[2][2]["z"]
+        cache.spin_ops[2][2] = {**cache.spin_ops[2][2], "z": z + corrupt}
+        collector = gss.ObservableCollector(model, cache)
+        if measured_singles:
+            collector.single = {r: (0.0, 0.0, 0.0) for r in range(6)}
+        info = SimpleNamespace(t=t, t_conn=t_conn, center_bonds=bonds)
+        collector.on_step(state, info)
+
+    def test_one_site_moment_names_the_site(self):
+        with pytest.raises(InvariantViolation, match=r"<s\^z> at site 2 has imaginary"):
+            self.collector_step(0.3j * np.eye(2), measured_singles=False)
+
+    def test_correlation_names_the_pair(self):
+        sz, _, sx, _ = local_spin_matrices(0.5)
+        with pytest.raises(InvariantViolation, match=r"<s\^x s\^z> at sites \(0, 2\)"):
+            self.collector_step(0.3j * (np.eye(2) + sx), measured_singles=True)
+
+
+class PerPairReference:
+    """Every site and pair measured the first time a step splits it, by the
+    per-pair formula: two operator products on the whole center tensor."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.single = {}
+        self.pairs = {}
+
+    def on_step(self, state, info):
+        psi = merge_center(state, info.t, info.t_conn)
+        bonds = info.center_bonds
+
+        def op(axis, site, kind):
+            return get_operator(self.cache, bonds[axis], site, kind)
+
+        def applied(phi, m, axis):
+            return np.moveaxis(np.tensordot(m, phi, axes=(1, axis)), 0, axis)
+
+        for axis, b in enumerate(bonds):
+            if state.topology.is_physical(b) and b not in self.single:
+                self.single[b] = tuple(
+                    np.vdot(psi, applied(psi, op(axis, b, k), axis)).real for k in "xyz"
+                )
+        for ax_a, ax_b in combinations(range(4), 2):
+            for ra in self.cache.sites[bonds[ax_a]]:
+                for rb in self.cache.sites[bonds[ax_b]]:
+                    (i, ax_i), (j, ax_j) = sorted(((ra, ax_a), (rb, ax_b)))
+                    if (i, j) in self.pairs:
+                        continue
+                    self.pairs[i, j] = {
+                        comp: np.vdot(psi, applied(
+                            applied(psi, op(ax_j, j, comp[1]), ax_j), op(ax_i, i, comp[0]), ax_i
+                        )).real
+                        for comp in gss.CORRELATION_ORDER
+                    }
+
+
 class TestObservablePass:
     def test_full_coverage_and_ed_match(self):
         model = heisenberg_chain(6, delta=0.8)
@@ -303,3 +477,31 @@ class TestObservablePass:
         cfg = GssConfig(chi_init=4, stages=schedule([4, 8], [3, 3]))
         res = run(model, cfg, want_observables=True)
         assert all(stage.observables is not None for stage in res.stages)
+
+    def test_leg_pairs_match_per_pair_formula_at_n64(self, monkeypatch):
+        """Legs holding many sites: every pair of a 64-site chain agrees with
+        the per-pair formula evaluated on the same steps."""
+        references = []
+
+        class Checked(gss.ObservableCollector):
+            def __init__(self, model, cache):
+                super().__init__(model, cache)
+                references.append(PerPairReference(cache))
+
+            def on_step(self, state, info):
+                references[-1].on_step(state, info)
+                super().on_step(state, info)
+
+        monkeypatch.setattr(gss, "ObservableCollector", Checked)
+        model = heisenberg_chain(64)
+        cfg = GssConfig(chi_init=8, stages=schedule([8], [1]))
+        obs = run(model, cfg, want_observables=True).observables
+        (ref,) = references
+        assert len(obs.pairs) == len(ref.pairs) == 2016
+        assert set(obs.single) == set(ref.single) == set(range(64))
+        for site, moments in obs.single.items():
+            np.testing.assert_allclose(moments, ref.single[site], rtol=0, atol=1e-13)
+        worst = max(
+            abs(comps[c] - ref.pairs[key][c]) for key, comps in obs.pairs.items() for c in comps
+        )
+        assert worst <= 1e-13

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
+
+from treetn import linalg
 
 from treetn.errors import NumericalError
 from treetn.linalg import (
     _reorthogonalize,
+    _tridiag_ground,
     entanglement_entropy,
     full_eigh,
     full_svd,
@@ -320,3 +324,69 @@ class TestLanczos:
 
         with pytest.raises(NumericalError):
             lanczos_lowest(apply, np.array([1.0, 0.0]))
+
+
+class TestTridiagGround:
+    """The direct LAPACK calls against the scipy wrapper they replace."""
+
+    @staticmethod
+    def assert_same_as_scipy(alphas, betas):
+        value, vector = _tridiag_ground(list(alphas), list(betas))
+        vals, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        assert value == vals[0]
+        np.testing.assert_array_equal(vector, vecs[:, 0])
+
+    @pytest.mark.parametrize("k", range(2, 61))
+    def test_bit_identical_to_eigh_tridiagonal(self, k):
+        rng = np.random.default_rng(1000 + k)
+        self.assert_same_as_scipy(rng.standard_normal(k), np.abs(rng.standard_normal(k - 1)))
+
+    @pytest.mark.parametrize("k", [2, 7, 30])
+    def test_tied_diagonal(self, k):
+        rng = np.random.default_rng(k)
+        self.assert_same_as_scipy(np.full(k, -0.75), np.abs(rng.standard_normal(k - 1)))
+        self.assert_same_as_scipy(np.full(k, 2.0), np.full(k - 1, 0.5))
+
+    @pytest.mark.parametrize("k", [2, 9, 40])
+    def test_betas_near_breakdown(self, k):
+        rng = np.random.default_rng(50 + k)
+        betas = 1e-14 * rng.uniform(0.5, 2.0, k - 1)
+        self.assert_same_as_scipy(rng.standard_normal(k), betas)
+        self.assert_same_as_scipy(np.zeros(k), betas)
+
+    def test_lapack_failure_raises_numerical_error(self, monkeypatch):
+        def failing_stebz(d, e, *args):
+            n = len(d)
+            return 0, np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32), 1
+
+        monkeypatch.setattr(linalg, "dstebz", failing_stebz)
+        with pytest.raises(NumericalError, match="LAPACK info 1"):
+            _tridiag_ground([0.0, 1.0], [0.5])
+
+    def test_eigenvector_failure_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dstein", lambda d, e, w, *args: (np.zeros((len(d), len(w))), 2))
+        with pytest.raises(NumericalError, match="LAPACK info 2"):
+            _tridiag_ground([0.0, 1.0], [0.5])
+
+
+class TestInPlaceUpdates:
+    def test_apply_returning_its_input(self):
+        """An operator that returns its argument (the identity) must not
+        let the in-place updates write into the Krylov basis."""
+        init = np.array([0.6, 0.8, 0.0])
+        energy, vec = lanczos_lowest(lambda v: v, init)
+        assert energy == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(vec, init, atol=1e-14)
+
+    def test_read_only_product(self):
+        """A read-only product is copied before the in-place updates."""
+        h = np.diag([1.0, -2.0, 3.0, 0.5])
+
+        def apply(v):
+            out = h @ v
+            out.flags.writeable = False
+            return out
+
+        energy, vec = lanczos_lowest(apply, np.full(4, 0.5))
+        assert energy == pytest.approx(-2.0, abs=1e-12)
+        assert abs(vec[1]) == pytest.approx(1.0, abs=1e-12)
