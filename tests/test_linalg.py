@@ -370,14 +370,6 @@ class TestTridiagGround:
 
 
 class TestInPlaceUpdates:
-    def test_apply_returning_its_input(self):
-        """An operator that returns its argument (the identity) must not
-        let the in-place updates write into the Krylov basis."""
-        init = np.array([0.6, 0.8, 0.0])
-        energy, vec = lanczos_lowest(lambda v: v, init)
-        assert energy == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(vec, init, atol=1e-14)
-
     def test_read_only_product(self):
         """A read-only product is copied before the in-place updates."""
         h = np.diag([1.0, -2.0, 3.0, 0.5])
