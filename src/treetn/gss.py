@@ -20,9 +20,9 @@ from .linalg import full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
     build_superblock_plan,
-    get_operator,
     init_cache,
     refresh_bond,
+    xyz_stack,
 )
 from .spinmodel import SpinModel, local_spin_matrices
 from .state import TTNState, decompose_tensor, merge_center
@@ -98,9 +98,12 @@ class Observables:
 class StageResult:
     chi: int
     reports: list[SweepReport]
-    final_report: SweepReport
     observables: Observables | None = None
     converged: bool = False
+
+    @property
+    def final_report(self) -> SweepReport:
+        return self.reports[-1]
 
 
 @dataclass
@@ -239,16 +242,14 @@ def sweep(
 ) -> SweepReport:
     """One ground-state sweep: cache refreshes plus Lanczos updates."""
 
-    def prepare(state_, t_prev, _e_c):
-        refresh_bond(cache, model, state_, t_prev)
-
     def update(psi, info: StepInfo):
         plan = build_superblock_plan(model, cache, info.merge_bonds)
         energy, psi = lanczos_lowest(plan.apply, _perturb(psi / np.linalg.norm(psi)))
         return psi, {"energy": energy}
 
     return run_sweep(
-        state, selection, update_psi=update, prepare_step=prepare, observers=observers
+        state, selection, update_psi=update,
+        prepare_step=partial(refresh_bond, cache, model), observers=observers,
     )
 
 
@@ -283,15 +284,7 @@ def run(
             sel = SelectionSettings(stage.chi, eps_s=config.eps_s, delta_s=config.delta_s)
             reports.append(run_one(sel, observers=(*observers, collector.on_step)))
             observables = collector.finish(reports[-1].energies[state.topology.origin])
-        stages.append(
-            StageResult(
-                chi=stage.chi,
-                reports=reports,
-                final_report=reports[-1],
-                observables=observables,
-                converged=converged,
-            )
-        )
+        stages.append(StageResult(stage.chi, reports, observables, converged))
     return GssResult(state=state, cache=cache, stages=stages, initial_energy=e_init)
 
 
@@ -424,19 +417,10 @@ class ObservableCollector:
         self.single: dict[int, tuple[float, float, float]] = {}
         self.pairs: dict[tuple[int, int], dict[str, float]] = {}
         self._measured = np.zeros((model.n_sites, model.n_sites), dtype=bool)
-        self._snapshot = None
-
-    def _stack(self, bond: int) -> np.ndarray:
-        """x, y, z operators of every site behind ``bond``, in site order."""
-        return np.concatenate([
-            _spin_stack({k: get_operator(self.cache, bond, r, k) for k in "xyz"})
-            for r in self.cache.sites[bond]
-        ])
 
     def on_step(self, state: TTNState, info: StepInfo):
-        if self._snapshot is None:
-            self._snapshot = state.topology.shape_snapshot()
-        elif state.topology.shape_snapshot() != self._snapshot:
+        # pairing 0 keeps each tensor's bond set; pairings 1 and 2 reconnect
+        if info.choice.pairing != 0:
             raise InvariantViolation("structure changed during an observable pass")
         psi = merge_center(state, info.t, info.t_conn)
         bonds = info.center_bonds
@@ -445,7 +429,7 @@ class ObservableCollector:
 
         def stack(axis):
             if axis not in stacks:
-                stacks[axis] = self._stack(bonds[axis])
+                stacks[axis] = xyz_stack(self.cache, bonds[axis])
             return stacks[axis]
 
         for axis, b in enumerate(bonds):

@@ -1,9 +1,9 @@
 """Renormalized-operator machinery for the ground-state engine.
 
-A cache holds, per bond, the renormalized spin operators of every physical
-site inside the bond's region and, per auxiliary bond, the intra-region
-Hamiltonian projected into the kept basis. Only ``z`` and ``+`` matrices are
-stored; lowering operators come from the conjugate transpose. Single-site
+A cache holds, per bond, one array of the renormalized ``z`` and ``+``
+operators of every physical site inside the bond's region and, per auxiliary
+bond, the intra-region Hamiltonian projected into the kept basis. Lowering
+operators come from the conjugate transpose. Single-site
 squared operators are renormalized only as part of a block Hamiltonian,
 never as standalone matrices, so products survive truncation exactly.
 
@@ -15,6 +15,7 @@ an isometry becomes the parent's block Hamiltonian.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,6 +29,7 @@ __all__ = [
     "OperatorCache",
     "init_cache",
     "get_operator",
+    "xyz_stack",
     "renormalize_spin",
     "refresh_bond",
     "SuperblockPlan",
@@ -37,22 +39,23 @@ __all__ = [
 
 @dataclass
 class OperatorCache:
-    """Renormalized spin operators per bond and block Hamiltonians."""
+    """Per bond, the ``z`` and ``+`` operators of its sites as one
+    ``(len(sites[bond]), 2, d, d)`` array, rows in ascending site order
+    (read only in this module); block Hamiltonians per auxiliary bond."""
 
-    spin_ops: dict[int, dict[int, dict[str, np.ndarray]]] = field(default_factory=dict)
+    spin_ops: dict[int, np.ndarray] = field(default_factory=dict)
     block_h: dict[int, np.ndarray] = field(default_factory=dict)
     sites: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def dimension(self, bond: int) -> int:
-        ops = self.spin_ops[bond]
-        return next(iter(ops.values()))["z"].shape[0]
+        return self.spin_ops[bond].shape[-1]
 
 
 def init_cache(model: SpinModel) -> OperatorCache:
     """Bare operators and single-site Hamiltonians on the physical bonds."""
     cache = OperatorCache()
     for r in range(model.n_sites):
-        cache.spin_ops[r] = {r: model.bare_operators(r)}
+        cache.spin_ops[r] = model.bare_operators(r)[None]
         cache.sites[r] = (r,)
         h = _site_block(model, cache, r)
         if h is not None:
@@ -62,24 +65,38 @@ def init_cache(model: SpinModel) -> OperatorCache:
 
 def get_operator(cache: OperatorCache, bond: int, site: int, kind: str) -> np.ndarray:
     """Fetch or derive a renormalized operator on ``bond`` for ``site``."""
-    base = cache.spin_ops[bond][site]
+    sites = cache.sites[bond]
+    row = bisect_left(sites, site)
+    if row == len(sites) or sites[row] != site:
+        raise KeyError(f"site {site} is not behind bond {bond}")
+    ops = cache.spin_ops[bond]
     if kind == "z":
-        return base["z"]
+        return ops[row, 0]
+    plus = ops[row, 1]
     if kind == "+":
-        return base["+"]
+        return plus
     if kind == "-":
-        return base["+"].conj().T
+        return plus.conj().T
     if kind == "x":
-        return (base["+"] + base["+"].conj().T) / 2
+        return (plus + plus.conj().T) / 2
     if kind == "y":
-        return (base["+"] - base["+"].conj().T) / 2j
+        return (plus - plus.conj().T) / 2j
     if kind == "z2":
         if bond != site:
             raise InvariantViolation(
                 "squared operators are only available on bare bonds"
             )
-        return base["z"] @ base["z"]
+        return ops[row, 0] @ ops[row, 0]
     raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def xyz_stack(cache: OperatorCache, bond: int) -> np.ndarray:
+    """x, y and z of every site behind ``bond``, ``(3 n, d, d)`` in site
+    order, derived from the whole ``+`` stack at once."""
+    z, plus = np.moveaxis(cache.spin_ops[bond], 1, 0)
+    minus = plus.conj().swapaxes(1, 2)
+    xyz = np.stack([(plus + minus) / 2, (plus - minus) / 2j, z], axis=1)
+    return xyz.reshape(-1, *z.shape[1:])
 
 
 def _site_block(model: SpinModel, cache: OperatorCache, site: int):
@@ -95,21 +112,26 @@ def _site_block(model: SpinModel, cache: OperatorCache, site: int):
 
 def _project(v: np.ndarray, hv: np.ndarray) -> np.ndarray:
     """``v† (H v)`` for an isometry ``v`` and ``hv = H v``, contracted over
-    the two child legs."""
+    the two child legs; ``hv`` may carry leading batch axes."""
     k = v.shape[2]
-    return v.reshape(-1, k).conj().T @ hv.reshape(-1, k)
+    return v.reshape(-1, k).conj().T @ hv.reshape(*hv.shape[:-3], -1, k)
 
 
-def renormalize_spin(op: np.ndarray, v: np.ndarray, child_slot: int) -> np.ndarray:
-    """Project an operator on one child leg into the parent bond basis."""
+def renormalize_spin(ops: np.ndarray, v: np.ndarray, child_slot: int) -> np.ndarray:
+    """Project operators ``(..., d, d)`` on one child leg into the parent
+    bond basis, ``v† (op ⊗ 1) v`` or ``v† (1 ⊗ op) v``, in one batched product."""
     if child_slot not in (1, 2):
         raise ValueError(f"child_slot must be 1 or 2, got {child_slot}")
     dim = v.shape[child_slot - 1]
-    if op.shape[0] != dim:
+    if ops.shape[-1] != dim:
         raise InvariantViolation(
-            f"operator dim {op.shape[0]} vs slot-{child_slot} dim {dim}"
+            f"operator dim {ops.shape[-1]} vs slot-{child_slot} dim {dim}"
         )
-    return _project(v, _apply_axis(v, op, child_slot - 1))
+    if child_slot == 1:
+        hv = (ops @ v.reshape(dim, -1)).reshape(*ops.shape[:-2], *v.shape)
+    else:
+        hv = ops[..., None, :, :] @ v
+    return _project(v, hv)
 
 
 def _cross_rows(model: SpinModel, sites_a, sites_b):
@@ -136,19 +158,18 @@ def _cross_rows(model: SpinModel, sites_a, sites_b):
 def refresh_bond(
     cache: OperatorCache, model: SpinModel, state: TTNState, tensor_idx: int
 ) -> None:
-    """Renormalize operators and block Hamiltonian through one isometry
-    into its slot-3 bond; the block is the two-leg plan of the children,
-    projected, and is dropped when no term touches the region."""
+    """Renormalize both children's operator arrays (rows put in site order)
+    and the block Hamiltonian through one isometry into its slot-3 bond; the
+    block is the two-leg plan of the children, projected, and is dropped
+    when no term touches the region."""
     e1, e2, e3 = state.topology.edges[tensor_idx]
     v = state.tensors[tensor_idx]
-    new_ops: dict[int, dict[str, np.ndarray]] = {}
-    for slot, e in ((1, e1), (2, e2)):
-        for r, ops in cache.spin_ops[e].items():
-            new_ops[r] = {
-                key: renormalize_spin(op, v, slot) for key, op in ops.items()
-            }
-    cache.spin_ops[e3] = new_ops
-    cache.sites[e3] = tuple(sorted(cache.sites[e1] + cache.sites[e2]))
+    sites = cache.sites[e1] + cache.sites[e2]
+    cache.spin_ops[e3] = np.concatenate([
+        renormalize_spin(cache.spin_ops[e1], v, 1),
+        renormalize_spin(cache.spin_ops[e2], v, 2),
+    ])[np.argsort(sites)]
+    cache.sites[e3] = tuple(sorted(sites))
     plan = build_superblock_plan(model, cache, (e1, e2))
     if plan.single or plan.double:
         cache.block_h[e3] = _project(v, plan.apply(v))

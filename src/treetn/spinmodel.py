@@ -237,10 +237,7 @@ class SpinModel:
     def site_dimension(self, i: int) -> int:
         return spin_dimension(self.spin_sizes[i])
 
-    def bare_operators(self, i: int) -> dict[str, np.ndarray]:
-        """The stored operator set {z, +} for site ``i`` in the model field."""
+    def bare_operators(self, i: int) -> np.ndarray:
+        """Operators ``z`` and ``+`` of site ``i`` in the model field, ``(2, d, d)``."""
         sz, sp, _, _ = local_spin_matrices(self.spin_sizes[i])
-        return {
-            "z": sz.astype(self.dtype),
-            "+": sp.astype(self.dtype),
-        }
+        return np.stack([sz, sp]).astype(self.dtype)

@@ -67,11 +67,8 @@ class SweepReport:
 class StepInfo:
     """Everything an observer needs about one completed sweep step."""
 
-    e_c: int
-    e_new: int
     t: int
     t_conn: int
-    t_prev: int | None
     merge_bonds: tuple[int, int, int, int]
     center_bonds: tuple[int, int, int, int]
     choice: ReconnectChoice
@@ -79,7 +76,7 @@ class StepInfo:
 
 
 UpdateFn = Callable[[np.ndarray, "StepInfo"], tuple[np.ndarray, dict]]
-PrepareFn = Callable[[TTNState, int, int], None]
+PrepareFn = Callable[[TTNState, int], None]
 Observer = Callable[[TTNState, StepInfo], None]
 
 
@@ -92,7 +89,7 @@ def run_sweep(
 ) -> SweepReport:
     """Execute one full sweep and return the recorded bond quantities.
 
-    ``prepare_step(state, tensor_prev, e_c)`` runs before each merge, after
+    ``prepare_step(state, tensor_prev)`` runs before each merge, after
     the previously updated tensor is known (operator-cache refresh hook).
     ``update_psi(psi, info)`` replaces the merged tensor (Lanczos step,
     environment embedding); returning extras ``{"energy": E}`` or
@@ -123,21 +120,18 @@ def run_sweep(
             )
         if static:
             t, t_conn = topo.center_tensors()
-            e_new, t_prev = e_c, None
+            e_new = e_c
             psi = merge_center(state, t, t_conn)
             merge_bonds = (*topo.edges[t][:2], *topo.edges[t_conn][:2])
         else:
             e_new, t, t_conn, t_prev = local_two_tensor(topo, e_c, flags, path)
             if prepare_step is not None:
-                prepare_step(state, t_prev, e_c)
+                prepare_step(state, t_prev)
             psi, new_et = merge_moving(state, t, t_conn, e_c, e_new)
             merge_bonds = (new_et[0], new_et[1], *topo.edges[t_conn][:2])
         info = StepInfo(
-            e_c=e_c,
-            e_new=e_new,
             t=t,
             t_conn=t_conn,
-            t_prev=t_prev,
             merge_bonds=merge_bonds,
             center_bonds=merge_bonds,
             choice=None,

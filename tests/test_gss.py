@@ -390,20 +390,25 @@ class TestLegPairKernel:
 
 
 class TestCollectorErrors:
-    """An imaginary expectation value names the site or site pair."""
+    """An imaginary expectation value names the site or site pair; a step
+    that reconnects is refused."""
 
-    def collector_step(self, corrupt, measured_singles):
+    def collector_step(self, corrupt, measured_singles, pairing=0):
         model = heisenberg_chain(6)
         state, cache, _ = initialize_ttn(model, build_mpn(6), chi_init=4)
         t, t_conn = state.topology.center_tensors()
         bonds = (*state.topology.edges[t][:2], *state.topology.edges[t_conn][:2])
         assert bonds[1] == 2 and state.topology.is_physical(2)
-        z = cache.spin_ops[2][2]["z"]
-        cache.spin_ops[2][2] = {**cache.spin_ops[2][2], "z": z + corrupt}
+        assert cache.sites[2] == (2,)
+        ops = cache.spin_ops[2].astype(complex)
+        ops[0, 0] += corrupt  # the z row of site 2
+        cache.spin_ops[2] = ops
         collector = gss.ObservableCollector(model, cache)
         if measured_singles:
             collector.single = {r: (0.0, 0.0, 0.0) for r in range(6)}
-        info = SimpleNamespace(t=t, t_conn=t_conn, center_bonds=bonds)
+        info = SimpleNamespace(
+            t=t, t_conn=t_conn, center_bonds=bonds, choice=SimpleNamespace(pairing=pairing)
+        )
         collector.on_step(state, info)
 
     def test_one_site_moment_names_the_site(self):
@@ -414,6 +419,11 @@ class TestCollectorErrors:
         sz, _, sx, _ = local_spin_matrices(0.5)
         with pytest.raises(InvariantViolation, match=r"<s\^x s\^z> at sites \(0, 2\)"):
             self.collector_step(0.3j * (np.eye(2) + sx), measured_singles=True)
+
+    @pytest.mark.parametrize("pairing", [1, 2])
+    def test_reconnecting_step_is_refused(self, pairing):
+        with pytest.raises(InvariantViolation, match="structure changed during an observable pass"):
+            self.collector_step(0.0, measured_singles=False, pairing=pairing)
 
 
 class PerPairReference:

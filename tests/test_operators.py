@@ -18,7 +18,7 @@ from treetn.operators import (
 )
 from treetn.spinmodel import SpinModel, local_spin_matrices
 from treetn.state import TTNState
-from treetn.topology import build_mpn
+from treetn.topology import Topology, build_mpn
 
 
 class TestRenormalizeSpin:
@@ -81,6 +81,23 @@ class TestRenormalizeSpin:
         spec = "aec,ab,bed->cd" if slot == 1 else "eac,ab,ebd->cd"
         want = np.einsum(spec, v.conj(), op, v)
         np.testing.assert_allclose(renormalize_spin(op, v, slot), want, atol=1e-13)
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_batched_stack_matches_kron(self, rng, slot, complex_):
+        """A ``(n, 2, d, d)`` stack is projected matrix by matrix as
+        ``v† (op ⊗ 1) v`` or ``v† (1 ⊗ op) v``."""
+        v = random_isometry(rng, 3, 4, 5, complex_=complex_)
+        d = v.shape[slot - 1]
+        ops = rng.standard_normal((4, 2, d, d))
+        if complex_:
+            ops = ops + 1j * rng.standard_normal(ops.shape)
+        w = v.reshape(12, 5)
+        out = renormalize_spin(ops, v, slot)
+        assert out.shape == (4, 2, 5, 5)
+        for idx in np.ndindex(4, 2):
+            big = np.kron(ops[idx], np.eye(4)) if slot == 1 else np.kron(np.eye(3), ops[idx])
+            np.testing.assert_allclose(out[idx], w.conj().T @ big @ w, atol=1e-13)
 
 
 def dense_plan_matrix(model, cache, legs):
@@ -152,14 +169,12 @@ class TestBlockInteraction:
         w = random_isometry(rng, 2, 2, 4)
         cache.sites[4] = (0, 1)
         cache.sites[5] = (2, 3)
-        cache.spin_ops[4] = {
-            r: {k: renormalize_spin(cache.spin_ops[r][r][k], v, slot) for k in ("z", "+")}
-            for slot, r in ((1, 0), (2, 1))
-        }
-        cache.spin_ops[5] = {
-            r: {k: renormalize_spin(cache.spin_ops[r][r][k], w, slot) for k in ("z", "+")}
-            for slot, r in ((1, 2), (2, 3))
-        }
+        cache.spin_ops[4] = np.concatenate(
+            [renormalize_spin(cache.spin_ops[0], v, 1), renormalize_spin(cache.spin_ops[1], v, 2)]
+        )
+        cache.spin_ops[5] = np.concatenate(
+            [renormalize_spin(cache.spin_ops[2], w, 1), renormalize_spin(cache.spin_ops[3], w, 2)]
+        )
         h = dense_plan_matrix(model, cache, (4, 5))
         # dense oracle: only the (1,2) coupling crosses the cut
         sz, sp, sx, sy = local_spin_matrices(0.5)
@@ -455,7 +470,32 @@ class TestRefreshBond:
         refresh_bond(cache, model, state, 0)
         e3 = topo.edges[0][2]
         assert cache.sites[e3] == (0, 1)
-        assert set(cache.spin_ops[e3]) == {0, 1}
+        assert cache.spin_ops[e3].shape == (2, 2, 3, 3)
+
+    def test_rows_follow_site_order(self, rng):
+        """The slot-1 child holds the higher sites: the rows of the parent's
+        operator array still follow the ascending sites."""
+        spins = [0.5, 1.0, 0.5, 1.0, 0.5, 0.5]
+        model = SpinModel(
+            n_sites=6, spin_sizes=spins, exchange_rows=[(i, i + 1, 1.0, 0.7) for i in range(5)]
+        )
+        # bond 6 holds sites (2, 3); tensor 1 puts it in slot 1 and site 1 in slot 2
+        topo = Topology(n_sites=6, edges=[[2, 3, 6], [6, 1, 7], [0, 7, 8], [4, 5, 8]], center=8)
+        v0 = random_isometry(rng, 2, 3, 5)
+        v1 = random_isometry(rng, 5, 3, 7)
+        state = TTNState(topology=topo, tensors=[v0, v1, None, None], center_weights=np.ones(1))
+        cache = init_cache(model)
+        refresh_bond(cache, model, state, 0)
+        refresh_bond(cache, model, state, 1)
+        assert cache.sites[7] == (1, 2, 3)
+        want = {
+            1: renormalize_spin(model.bare_operators(1), v1, 2),
+            2: renormalize_spin(renormalize_spin(model.bare_operators(2), v0, 1), v1, 1),
+            3: renormalize_spin(renormalize_spin(model.bare_operators(3), v0, 2), v1, 1),
+        }
+        assert cache.spin_ops[7].shape == (3, 2, 7, 7)
+        for row, site in enumerate(cache.sites[7]):
+            np.testing.assert_allclose(cache.spin_ops[7][row], want[site], atol=1e-13)
 
     def test_block_hamiltonian_projected(self, rng):
         model = heisenberg_chain(6)
