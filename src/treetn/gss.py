@@ -1,9 +1,11 @@
 """Variational ground-state search with adaptive network structure.
 
 The search initializes tensors leaf-to-root by keeping the lowest block
-eigenvectors (degeneracy-aware), solves the origin-bond superblock with
-Lanczos, then runs flag-driven two-tensor sweeps with optional structural
-reconnection, staged over an ascending bond-dimension schedule.
+eigenvectors (degeneracy-aware), solves the origin-bond superblock, then
+runs flag-driven two-tensor sweeps with optional structural reconnection,
+staged over an ascending bond-dimension schedule. Every superblock is
+solved by ``linalg.lanczos_lowest``, Davidson's method preconditioned with
+the superblock diagonal (``SuperblockPlan.diagonal``).
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ def _perturb(psi: np.ndarray) -> np.ndarray:
     normalized vector.
 
     Symmetric Hamiltonians trap an exactly symmetric start vector in its
-    invariant subspace, where Lanczos converges to an excited sector; a tiny
-    deterministic admixture lets the solver reach the true ground state
-    while changing the Rayleigh quotient only at second order.
+    invariant subspace, where the eigensolver converges to an excited
+    sector; a tiny deterministic admixture lets the solver reach the true
+    ground state while changing the Rayleigh quotient only at second order.
     """
     global _noise_draw
     n = psi.size
@@ -192,7 +194,8 @@ def initialize_ttn(
 
     Isometries are chosen leaf-to-root as the lowest block-Hamiltonian
     eigenvectors with degeneracy-aware counts; the origin-bond superblock is
-    then solved by Lanczos and split by SVD to place the center weights.
+    then solved by the preconditioned eigensolver and split by SVD to place
+    the center weights.
     Returns the state, the populated operator cache, and the initial energy.
     """
     cache = init_cache(model)
@@ -222,7 +225,9 @@ def initialize_ttn(
     phi0 = np.tensordot(
         state.tensors[p][:, :, :k], state.tensors[q][:, :, :k], axes=[2, 2]
     )
-    energy, psi = lanczos_lowest(plan.apply, _perturb(phi0 / np.linalg.norm(phi0)))
+    energy, psi = lanczos_lowest(
+        plan.apply, _perturb(phi0 / np.linalg.norm(phi0)), plan.diagonal(phi0.shape)
+    )
 
     v_p, weights, v_q, _ = decompose_tensor(
         psi, chi_init, mode=0, sigma=0.0, delta_s=delta_s
@@ -240,11 +245,14 @@ def sweep(
     selection: SelectionSettings,
     observers=(),
 ) -> SweepReport:
-    """One ground-state sweep: cache refreshes plus Lanczos updates."""
+    """One ground-state sweep: cache refreshes plus preconditioned
+    eigensolver updates."""
 
     def update(psi, info: StepInfo):
         plan = build_superblock_plan(model, cache, info.merge_bonds)
-        energy, psi = lanczos_lowest(plan.apply, _perturb(psi / np.linalg.norm(psi)))
+        energy, psi = lanczos_lowest(
+            plan.apply, _perturb(psi / np.linalg.norm(psi)), plan.diagonal(psi.shape)
+        )
         return psi, {"energy": energy}
 
     return run_sweep(

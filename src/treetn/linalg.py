@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: SVD with degeneracy-aware truncation,
-Hermitian diagonalization, and a Lanczos lowest-eigenpair solver.
+Hermitian diagonalization, and a Davidson lowest-eigenpair solver.
 
 All routines are pure functions of their inputs and safe to call
 concurrently on distinct data.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dorgqr, dstebz, dstein, dsytrd, zhetrd, zungqr
 
 from .errors import NumericalError
 
@@ -27,11 +27,13 @@ __all__ = [
     "entanglement_entropy",
 ]
 
-LANCZOS_MAX_KRYLOV = 200  # Krylov vectors per restart
+LANCZOS_MAX_KRYLOV = 200  # basis vectors per restart
 LANCZOS_TOL = 1e-12  # residual bound, relative to max(1, |E|)
 LANCZOS_RESTARTS = 10
 HERMITIAN_TOL = 1e-10  # asymmetry accepted by full_eigh, relative to max(1, max|A|)
-KRYLOV_ROWS = 32  # rows of a fresh Krylov basis; it doubles when full
+KRYLOV_ROWS = 32  # rows of a fresh basis; it doubles when full
+DAVIDSON_FLOOR = 1e-1  # least size of a preconditioner denominator |D - E|
+SPAN_TOL = 1e-10  # share of its norm a new direction must keep outside the basis
 ZERO_FLOOR = 1e-14  # relative size below which singular values count as rank noise
 
 
@@ -178,16 +180,25 @@ def entanglement_entropy(singular_values: np.ndarray) -> float:
 
 
 def lanczos_lowest(
-    apply: Callable[[np.ndarray], np.ndarray], init: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray],
+    init: np.ndarray,
+    diagonal: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a Hermitian operator given by its action.
+    """Lowest eigenpair of a Hermitian operator given by its action, by
+    Davidson's method.
 
     ``apply`` maps an array to an array of the same shape; ``init`` must be
-    normalized. The Krylov basis is fully reorthogonalized, so results are
-    deterministic. A breakdown with a small residual signals an exact
-    invariant subspace and returns the current best pair. Restarts from the
-    current best vector, at most ``LANCZOS_RESTARTS`` times, until the
-    residual satisfies ``|H v - E v| <= LANCZOS_TOL * max(1, |E|)``.
+    normalized. Each new basis vector is the residual ``r`` of the current
+    Ritz pair ``(E, v)``, divided elementwise by ``|D - E|`` floored at
+    ``DAVIDSON_FLOOR`` when the operator's real diagonal ``D`` (an array of
+    ``init``'s shape) is given; without it the basis spans the Lanczos
+    Krylov space. The denominator is positive, so the new vector always
+    keeps part of ``r``, which is orthogonal to the basis. The basis is
+    fully orthogonalized, so results are deterministic; a residual that
+    adds no direction signals an invariant subspace and ends the pass.
+    Restarts from the current best vector, at most ``LANCZOS_RESTARTS``
+    times, until the residual satisfies
+    ``|H v - E v| <= LANCZOS_TOL * max(1, |E|)``.
     """
     vec = np.asarray(init)
     dim = vec.size
@@ -197,9 +208,15 @@ def lanczos_lowest(
     if not np.isfinite(nrm) or nrm == 0.0:
         raise ValueError("initial vector must be normalized and finite")
     vec = vec / nrm
+    if diagonal is not None:
+        if np.shape(diagonal) != vec.shape:
+            raise ValueError(f"diagonal shape {np.shape(diagonal)} vs vector {vec.shape}")
+        diagonal = np.ravel(diagonal).astype(float, copy=False)
 
     for _ in range(LANCZOS_RESTARTS):
-        energy, vec, residual = _lanczos_cycle(apply, vec, min(LANCZOS_MAX_KRYLOV, dim))
+        energy, vec, residual = _davidson_cycle(
+            apply, vec, min(LANCZOS_MAX_KRYLOV, dim), diagonal
+        )
         if residual <= LANCZOS_TOL * max(1.0, abs(energy)):
             return energy, vec
     warnings.warn(
@@ -211,48 +228,64 @@ def lanczos_lowest(
     return energy, vec
 
 
-def _lanczos_cycle(apply, v0, max_krylov):
-    """One restarted Lanczos pass; returns (energy, vector, residual norm).
-    The Krylov vectors are rows of one array that doubles when full and turns
-    complex when a product does; reorthogonalization and the Ritz vector are
-    matrix-vector products on it."""
+def _davidson_cycle(apply, v0, max_basis, diagonal):
+    """One restarted Davidson pass; returns (energy, vector, residual norm).
+    The basis vectors and their products are rows of two arrays that double
+    when full and turn complex when a product does; each product adds one
+    row to the projected matrix, and the residual of its lowest pair is
+    formed from the stored products in reused buffers."""
     shape = v0.shape
-    w = _apply_checked(apply, v0, v0.dtype).ravel()
-    basis = np.empty((min(max_krylov, KRYLOV_ROWS), w.size), np.result_type(v0, w))
+    hv = _apply_checked(apply, v0, v0.dtype).ravel()
+    dtype = np.result_type(v0, hv)
+    rows = min(max_basis, KRYLOV_ROWS)
+    basis = np.empty((rows, hv.size), dtype)
+    products = np.empty((rows, hv.size), dtype)
     basis[0] = v0.ravel()
-    alphas = [float(np.vdot(basis[0], w).real)]
-    betas: list[float] = []
-    w -= alphas[0] * basis[0]
+    products[0] = hv
+    proj = np.empty((max_basis, max_basis), dtype)
+    ritz = np.empty(hv.size, dtype)
+    resid = np.empty(hv.size, dtype)
+    denom = None if diagonal is None else np.empty(hv.size)
 
-    s = np.array([1.0])
-    for k in range(1, max_krylov):
-        w = _reorthogonalize(basis[:k], w)
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-14:
-            # invariant subspace: the tridiagonal problem is exact
+    k = 1
+    while True:
+        # row k - 1 of V† H V's lower triangle, the only one LAPACK reads
+        proj[k - 1, :k] = basis[:k] @ products[k - 1].conj()
+        theta, s = _projected_ground(proj[:k, :k])
+        np.dot(s, basis[:k], out=ritz)
+        np.dot(s, products[:k], out=resid)
+        resid -= theta * ritz
+        residual = float(np.linalg.norm(resid))
+        if residual <= LANCZOS_TOL * max(1.0, abs(theta)) or k == max_basis:
             break
-        if k == len(basis) or not np.can_cast(w.dtype, basis.dtype):
-            grown = np.empty((min(2 * k, max_krylov), w.size), np.result_type(basis, w))
-            grown[:k] = basis[:k]
-            basis = grown
-        np.divide(w, beta, out=basis[k])
-        betas.append(beta)
-        w = _apply_checked(apply, basis[k].reshape(shape), basis.dtype).ravel()
-        alphas.append(float(np.vdot(basis[k], w).real))
-        w -= alphas[-1] * basis[k]
-        w -= beta * basis[k - 1]
+        if k == len(basis):
+            basis, products = (_grown(a, min(2 * k, max_basis)) for a in (basis, products))
+        w = basis[k]
+        if diagonal is None:
+            w[...] = resid
+        else:
+            np.subtract(diagonal, theta, out=denom)
+            np.maximum(np.abs(denom, out=denom), DAVIDSON_FLOOR, out=denom)
+            np.divide(resid, denom, out=w)
+        before = np.linalg.norm(w)
+        after = np.linalg.norm(_reorthogonalize(basis[:k], w))
+        if not after > SPAN_TOL * before:
+            break  # the residual adds no direction: the subspace is invariant
+        w /= after
+        hv = _apply_checked(apply, basis[k].reshape(shape), basis.dtype).ravel()
+        if not np.can_cast(hv.dtype, basis.dtype):
+            basis, products, proj, ritz, resid = (
+                a.astype(hv.dtype) for a in (basis, products, proj, ritz, resid))
+        products[k] = hv
+        k += 1
+    return theta, ritz.reshape(shape) / np.linalg.norm(ritz), residual
 
-        theta, s = _tridiag_ground(alphas, betas)
-        # residual estimate |beta_{k+1} s_k| of the current Ritz pair
-        if np.linalg.norm(w) * abs(s[-1]) <= 0.5 * LANCZOS_TOL * max(1.0, abs(theta)):
-            break
 
-    vec = (s @ basis[: len(s)]).reshape(shape)
-    vec = vec / np.linalg.norm(vec)
-    hv = _apply_checked(apply, vec, vec.dtype)
-    energy = float(np.vdot(vec, hv).real)
-    residual = float(np.linalg.norm(hv - energy * vec))
-    return energy, vec, residual
+def _grown(a, rows):
+    """A copy of the full row array ``a`` with room for ``rows`` rows."""
+    out = np.empty((rows, a.shape[1]), a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 def _reorthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -267,6 +300,23 @@ def _reorthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
             break
         before = after
     return w
+
+
+def _projected_ground(proj):
+    """Lowest eigenpair of the small Hermitian projected matrix: LAPACK's
+    Householder reduction to a real tridiagonal matrix (``?sytrd`` /
+    ``?hetrd``), its lowest pair alone by ``_tridiag_ground``, and the
+    vector taken back through the reflectors (``?orgqr`` / ``?ungqr``)."""
+    if len(proj) == 1:
+        return float(proj[0, 0].real), np.ones(1, proj.dtype)
+    reduce, reflectors = (zhetrd, zungqr) if np.iscomplexobj(proj) else (dsytrd, dorgqr)
+    packed, d, e, tau, _ = reduce(proj, lower=1)
+    theta, y = _tridiag_ground(d, e)
+    # Q = diag(1, Q') with Q' the product of the reflectors below the diagonal
+    q, _, _ = reflectors(packed[1:, :-1], tau)
+    s = y.astype(proj.dtype)
+    s[1:] = q @ y[1:]
+    return theta, s
 
 
 def _tridiag_ground(alphas, betas):

@@ -203,6 +203,19 @@ class SuperblockPlan:
             out += _apply_axis(_apply_axis(phi, mb, ax_b), ma, ax_a)
         return out
 
+    def diagonal(self, shape) -> np.ndarray:
+        """The real diagonal of the Hamiltonian as an array of the tensor's
+        ``shape``: each term's leg diagonals broadcast over the other legs."""
+        def on_leg(m, axis):
+            return np.diagonal(m).reshape(-1, *[1] * (len(shape) - axis - 1))
+
+        out = np.zeros(shape, dtype=self.dtype)
+        for axis, m in self.single:
+            out += on_leg(m, axis)
+        for ax_a, ax_b, ma, mb in self.double:
+            out += on_leg(ma, ax_a) * on_leg(mb, ax_b)
+        return out.real
+
 
 def build_superblock_plan(
     model: SpinModel, cache: OperatorCache, leg_bonds

@@ -2,13 +2,13 @@
 PASS line with its headline numbers when it completes.
 
 Criterion 3 (paper-scale hierarchical chain) is an extended tier gated by
-TREETN_EXTENDED=1; its checks emit warnings instead of failures because
-convergence paths at that scale may differ with seed and tie-breaking.
+TREETN_EXTENDED=1, about five minutes for both couplings; it asserts the
+reference entropy bands, a converged stage and, at alpha=0.5, the perfect
+binary tree.
 """
 
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -181,7 +181,7 @@ class TestCriterion2HierarchicalDesk:
 
 @pytest.mark.skipif(
     os.environ.get("TREETN_EXTENDED") != "1",
-    reason="extended tier: set TREETN_EXTENDED=1 (budget up to 2 h)",
+    reason="extended tier: set TREETN_EXTENDED=1 (about 5 min)",
 )
 class TestCriterion3HierarchicalPaperScale:
     TARGETS = {0.5: (0.1110, 0.01, 0.0618, 0.005), 1.0: (0.9977, 0.01, 0.9065, 0.01)}
@@ -205,17 +205,19 @@ class TestCriterion3HierarchicalPaperScale:
         ]
         max_ee, avg_ee = max(aux), float(np.mean(aux))
         target_max, tol_max, target_avg, tol_avg = self.TARGETS[alpha]
-        ok = abs(max_ee - target_max) <= tol_max and abs(avg_ee - target_avg) <= tol_avg
-        if not ok:
-            warnings.warn(
-                f"alpha={alpha}: entropies (max {max_ee:.4f}, avg {avg_ee:.4f}) "
-                f"outside the reference bands ({target_max}+-{tol_max}, "
-                f"{target_avg}+-{tol_avg}); seed or tie-breaking dependent",
-                RuntimeWarning,
-            )
+        assert res.stages[-1].converged, f"alpha={alpha}: stage hit its sweep limit"
+        assert abs(max_ee - target_max) <= tol_max, (
+            f"alpha={alpha}: max entropy {max_ee:.4f} outside {target_max}+-{tol_max}"
+        )
+        assert abs(avg_ee - target_avg) <= tol_avg, (
+            f"alpha={alpha}: average entropy {avg_ee:.4f} outside {target_avg}+-{tol_avg}"
+        )
+        if alpha == 0.5:
+            # at alpha=1 the chain is uniform: there is no hierarchy to find
+            assert leaf_partitions(res.state.topology) == leaf_partitions(build_pbt(256))
         print(
-            f"criterion 3 (alpha={alpha}): {'PASS' if ok else 'WARN'} - "
-            f"max {max_ee:.4f} avg {avg_ee:.4f}, {time.time() - start:.0f}s"
+            f"criterion 3 (alpha={alpha}): PASS - max {max_ee:.4f} avg {avg_ee:.4f}, "
+            f"{len(res.stages[-1].reports)} sweeps, {time.time() - start:.0f}s"
         )
 
 

@@ -457,6 +457,54 @@ class TestApplySuperblock:
         np.testing.assert_allclose(h_all - h_less, h_one, atol=1e-12)
 
 
+def plan_matrix(plan, dims):
+    """The plan's dense matrix: the plan applied to an identity on a
+    spectator leg, as the initialization builds its block matrices."""
+    dim = int(np.prod(dims))
+    return plan.apply(np.eye(dim).reshape(*dims, dim)).reshape(dim, dim)
+
+
+class TestPlanDiagonal:
+    def test_real_two_leg_plan(self, rng):
+        model = field_chain()
+        cache, topo = refreshed_chain(
+            model, [random_isometry(rng, 2, 2, 3), random_isometry(rng, 3, 2, 5)]
+        )
+        legs = (topo.edges[1][2], 3)  # the region of sites 0-2, then site 3
+        plan = build_superblock_plan(model, cache, legs)
+        assert plan.single and plan.double
+        dims = [cache.dimension(b) for b in legs]
+        diag = plan.diagonal(dims)
+        assert diag.shape == tuple(dims) and diag.dtype == float
+        np.testing.assert_allclose(diag.ravel(), np.diag(plan_matrix(plan, dims)), atol=1e-13)
+
+    def test_complex_four_leg_plan(self):
+        """The renormalized center superblock of a model with a y field and
+        DM terms, whose leg operators are complex."""
+        model = SpinModel(
+            n_sites=6,
+            spin_sizes=[0.5, 1.0, 0.5, 0.5, 1.0, 0.5],
+            exchange_type="XYZ",
+            exchange_rows=[(i, i + 1, 1.0, 0.6, 0.3) for i in range(5)] + [(1, 4, 0.5, 0.2, 0.1)],
+            field_tables={"y": {i: 0.2 for i in range(6)}},
+            dm_tables={"z": [(0, 3, 0.4)], "x": [(2, 5, -0.3)]},
+        )
+        assert model.dtype == complex
+        from treetn.gss import initialize_ttn
+
+        topo = build_mpn(6)
+        _, cache, _ = initialize_ttn(model, topo, 8)
+        p, q = topo.center_tensors()
+        legs = (*topo.edges[p][:2], *topo.edges[q][:2])
+        plan = build_superblock_plan(model, cache, legs)
+        dims = [cache.dimension(b) for b in legs]
+        h = plan_matrix(plan, dims)
+        diag = plan.diagonal(dims)
+        assert diag.dtype == float
+        np.testing.assert_allclose(diag.ravel(), np.diag(h).real, atol=1e-12)
+        assert np.max(np.abs(np.diag(h).imag)) < 1e-12
+
+
 class TestRefreshBond:
     def test_region_sites_union(self, rng):
         model = heisenberg_chain(6)
