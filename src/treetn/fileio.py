@@ -509,8 +509,9 @@ def save_tensor_bundle(directory: Path, state: TTNState) -> None:
 
 def load_tensor_bundle(directory: Path) -> TTNState:
     """Reload a saved network; the site count is implied by the tensor count.
-    A bundle that fails the topology or state audit raises ``LoadError``
-    naming the file at fault."""
+    A bundle that holds non-numeric pieces, a complex norm or weights, or
+    fails the topology or state audit raises ``LoadError`` naming the file
+    at fault."""
     directory = Path(directory)
     graph_path = directory / "graph.dat"
     if not graph_path.exists():
@@ -522,9 +523,9 @@ def load_tensor_bundle(directory: Path) -> TTNState:
         audit_topology(topo)
     except InvariantViolation as exc:
         raise LoadError(f"tensor bundle {directory}: graph.dat: {exc}") from exc
-    tensors = [load_array(directory / f"isometry{i}.npy") for i in range(n_tensors)]
-    weights = load_array(directory / "singular_values.npy")
-    norm = load_array(directory / "norm.npy")
+    tensors = [_bundle_piece(directory, f"isometry{i}.npy") for i in range(n_tensors)]
+    weights = _bundle_piece(directory, "singular_values.npy", real=True)
+    norm = _bundle_piece(directory, "norm.npy", real=True)
     if norm.ndim != 0 or not np.isfinite(norm):
         raise LoadError(f"tensor bundle {directory}: norm.npy holds {norm!r}")
     state = TTNState(
@@ -539,6 +540,16 @@ def load_tensor_bundle(directory: Path) -> TTNState:
             bad = "singular_values.npy"
         raise LoadError(f"tensor bundle {directory}: {bad}: {exc}") from exc
     return state
+
+
+def _bundle_piece(directory: Path, name: str, real: bool = False) -> np.ndarray:
+    """One array of a tensor bundle; its values must be numbers, and real
+    ones when ``real`` is set, or ``LoadError`` names the file."""
+    piece = load_array(directory / name)
+    if piece.dtype.kind not in ("iuf" if real else "iufc"):
+        what = "real numbers" if real else "numbers"
+        raise LoadError(f"tensor bundle {directory}: {name} holds {piece.dtype}, not {what}")
+    return piece
 
 
 def load_array(path: Path) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dorgqr, dstebz, dstein, dsytrd, zhetrd, zungqr
+from scipy.linalg.lapack import dsyevr, zheevr
 
 from .errors import NumericalError
 
@@ -187,17 +187,17 @@ def lanczos_lowest(
     """Lowest eigenpair of a Hermitian operator given by its action, by
     Davidson's method.
 
-    ``apply`` maps an array to an array of the same shape; ``init`` must be
-    normalized. Each new basis vector is the residual ``r`` of the current
-    Ritz pair ``(E, v)``, divided elementwise by ``|D - E|`` floored at
-    ``DAVIDSON_FLOOR`` when the operator's real diagonal ``D`` (an array of
-    ``init``'s shape) is given; without it the basis spans the Lanczos
-    Krylov space. The denominator is positive, so the new vector always
-    keeps part of ``r``, which is orthogonal to the basis. The basis is
-    fully orthogonalized, so results are deterministic; a residual that
-    adds no direction signals an invariant subspace and ends the pass.
-    Restarts from the current best vector, at most ``LANCZOS_RESTARTS``
-    times, until the residual satisfies
+    ``apply`` maps an array to an array of the same shape; ``init`` is any
+    finite non-zero array, normalized here. Each new basis vector is the
+    residual ``r`` of the current Ritz pair ``(E, v)``, divided elementwise
+    by ``|D - E|`` floored at ``DAVIDSON_FLOOR`` when the operator's real
+    diagonal ``D`` (an array of ``init``'s shape) is given; without it the
+    basis spans the Lanczos Krylov space. The denominator is positive, so
+    the new vector always keeps part of ``r``, which is orthogonal to the
+    basis. The basis is fully orthogonalized, so results are deterministic;
+    a residual that adds no direction signals an invariant subspace and
+    ends the pass. Restarts from the current best vector, at most
+    ``LANCZOS_RESTARTS`` times, until the residual satisfies
     ``|H v - E v| <= LANCZOS_TOL * max(1, |E|)``.
     """
     vec = np.asarray(init)
@@ -206,7 +206,7 @@ def lanczos_lowest(
         raise ValueError("empty initial vector")
     nrm = np.linalg.norm(vec)
     if not np.isfinite(nrm) or nrm == 0.0:
-        raise ValueError("initial vector must be normalized and finite")
+        raise ValueError("initial vector must be finite and non-zero")
     vec = vec / nrm
     if diagonal is not None:
         if np.shape(diagonal) != vec.shape:
@@ -303,37 +303,14 @@ def _reorthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _projected_ground(proj):
-    """Lowest eigenpair of the small Hermitian projected matrix: LAPACK's
-    Householder reduction to a real tridiagonal matrix (``?sytrd`` /
-    ``?hetrd``), its lowest pair alone by ``_tridiag_ground``, and the
-    vector taken back through the reflectors (``?orgqr`` / ``?ungqr``)."""
-    if len(proj) == 1:
-        return float(proj[0, 0].real), np.ones(1, proj.dtype)
-    reduce, reflectors = (zhetrd, zungqr) if np.iscomplexobj(proj) else (dsytrd, dorgqr)
-    packed, d, e, tau, _ = reduce(proj, lower=1)
-    theta, y = _tridiag_ground(d, e)
-    # Q = diag(1, Q') with Q' the product of the reflectors below the diagonal
-    q, _, _ = reflectors(packed[1:, :-1], tau)
-    s = y.astype(proj.dtype)
-    s[1:] = q @ y[1:]
-    return theta, s
-
-
-def _tridiag_ground(alphas, betas):
-    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal
-    ``alphas`` and off-diagonal ``betas`` (at least one), by the LAPACK
-    bisection and inverse-iteration calls that
-    ``scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))`` makes,
-    without its argument checks; the coefficients come from checked, finite
-    operator products."""
-    d, e = np.asarray(alphas), np.asarray(betas)
-    # range 2 selects by index, here the first; tolerance 0 is LAPACK's default
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info == 0:
-        vecs, info = dstein(d, e, w[:m], iblock, isplit)
+    """Lowest eigenpair of the small Hermitian projected matrix by one LAPACK
+    call (``?syevr`` / ``?heevr``, first eigenvalue by index), reading only
+    its lower triangle."""
+    name, solve = ("zheevr", zheevr) if np.iscomplexobj(proj) else ("dsyevr", dsyevr)
+    w, z, _, _, info = solve(proj, compute_v=1, range="I", il=1, iu=1, lower=1)
     if info != 0:
-        raise NumericalError(f"tridiagonal eigensolver failed with LAPACK info {info}")
-    return float(w[0]), vecs[:, 0]
+        raise NumericalError(f"{name} failed with LAPACK info {info}")
+    return float(w[0]), z[:, 0]
 
 
 def _apply_checked(apply, v, dtype):

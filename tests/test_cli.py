@@ -164,6 +164,27 @@ output:
         assert err.startswith("error: ")
         assert "<U3" in err
 
+    def test_non_numeric_bundle_piece_fails(self, ft_workspace, capsys):
+        assert ft_main([str(ft_workspace / "input.yml")]) == 0
+        np.save(ft_workspace / "results" / "norm.npy", np.array("abc"))
+        (ft_workspace / "recon.yml").write_text(
+            """
+target:
+  tensors: results
+numerics:
+  initial_bond_dimension: 8
+  opt_structure:
+    type: 1
+output:
+  dir: recon_out
+"""
+        )
+        capsys.readouterr()
+        assert ft_main([str(ft_workspace / "recon.yml")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "norm.npy holds <U3, not real numbers" in err
+
     def test_fidelity_column_present(self, ft_workspace):
         (ft_workspace / "fid.yml").write_text(
             """

@@ -534,6 +534,11 @@ class TestBundleValidation:
             ("singular_values.npy", partial(_poison, np.nan), "square-sum"),
             ("norm.npy", partial(_poison, np.nan), "norm.npy"),
             ("norm.npy", partial(_poison, np.inf), "norm.npy"),
+            ("norm.npy", lambda v: v.astype(str), "not real numbers"),
+            ("norm.npy", lambda v: v.astype(complex), "not real numbers"),
+            ("isometry1.npy", lambda v: v.astype(str), "not numbers"),
+            ("singular_values.npy", lambda w: w.astype(str), "not real numbers"),
+            ("singular_values.npy", lambda w: w.astype(complex), "not real numbers"),
         ],
     )
     def test_corrupt_piece_rejected(self, tmp_path, rng, name, change, problem):

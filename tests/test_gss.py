@@ -21,7 +21,7 @@ from treetn.gss import (
     sweep,
     two_site_correlations,
 )
-from treetn.linalg import full_eigh
+from treetn.linalg import full_eigh, lanczos_lowest
 from treetn.operators import get_operator
 from treetn.spinmodel import SpinModel, local_spin_matrices
 from treetn.state import audit_state, merge_center, state_bond_entropy_dense
@@ -77,6 +77,30 @@ class TestPerturb:
     def test_noise_buffer_is_read_only(self):
         gss._perturb(np.ones((3, 2, 2)) / np.sqrt(12))
         assert not gss._noise_draw.flags.writeable
+
+    @pytest.mark.parametrize("preconditioned", [True, False])
+    def test_start_escapes_decoupled_sector(self, preconditioned):
+        """Two decoupled 30-state sectors (the first leg labels them) and a
+        start at the exact ground state of the higher one: the operator
+        never leaves that sector, so only the noise reaches the lower
+        ground, with or without the diagonal."""
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((2, 30, 30))
+        blocks = np.stack([(a + a.T) / 2, (b + b.T) / 2 + 3.0])
+        lows = [full_eigh(block) for block in blocks]
+        assert lows[0].eigenvalues[0] < lows[1].eigenvalues[0]
+
+        def apply(psi):
+            return np.einsum("sij,sj->si", blocks, psi)
+
+        diagonal = np.stack([np.diag(block) for block in blocks]) if preconditioned else None
+        start = np.zeros((2, 30))
+        start[1] = lows[1].eigenvectors[:, 0]
+        energy, vec = lanczos_lowest(apply, gss._perturb(start), diagonal)
+        assert energy == pytest.approx(lows[0].eigenvalues[0], abs=1e-10)
+        assert np.linalg.norm(vec[0]) == pytest.approx(1.0, abs=1e-9)
+        trapped, _ = lanczos_lowest(apply, start, diagonal)
+        assert trapped == pytest.approx(lows[1].eigenvalues[0], abs=1e-10)
 
 
 class TestInitializeTtn:

@@ -14,7 +14,6 @@ from treetn.errors import NumericalError
 from treetn.linalg import (
     _projected_ground,
     _reorthogonalize,
-    _tridiag_ground,
     entanglement_entropy,
     full_eigh,
     full_svd,
@@ -339,6 +338,16 @@ def counted(h):
     return apply, calls
 
 
+def lower_in_buffer(matrix):
+    """The lower triangle of ``matrix`` as the solver stores a projected
+    matrix: the leading block of a larger buffer, every other entry NaN."""
+    k = len(matrix)
+    buffer = np.full((k + 3, k + 3), np.nan, matrix.dtype)
+    lower = np.tril_indices(k)
+    buffer[lower] = matrix[lower]
+    return buffer[:k, :k]
+
+
 def random_hermitian(rng, dim, complex_):
     a = rng.standard_normal((dim, dim))
     if complex_:
@@ -452,23 +461,44 @@ class TestPreconditioned:
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
     def test_projected_ground_matches_eigh(self, rng, k, complex_):
+        """Only the lower triangle is read: the solver fills no other, so
+        the upper one here holds NaN, as a slice of a larger buffer."""
         proj = random_hermitian(rng, k, complex_)
-        theta, s = _projected_ground(proj)
+        theta, s = _projected_ground(lower_in_buffer(proj))
         vals = np.linalg.eigvalsh(proj)
         assert theta == pytest.approx(vals[0], abs=1e-13)
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-13)
         assert np.linalg.norm(proj @ s - theta * s) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["dsyevr", "zheevr"])
+    def test_projected_lapack_failure_raises_numerical_error(self, monkeypatch, name):
+        def failing(a, **kwargs):
+            n = len(a)
+            return np.zeros(n), np.zeros((n, 1), a.dtype), 0, np.zeros(0, np.int32), 1
+
+        monkeypatch.setattr(linalg, name, failing)
+        proj = random_hermitian(np.random.default_rng(0), 3, name == "zheevr")
+        with pytest.raises(NumericalError, match=f"{name} failed with LAPACK info 1"):
+            _projected_ground(proj)
+
 
 class TestTridiagGround:
-    """The direct LAPACK calls against the scipy wrapper they replace."""
+    """The projected solve on a tridiagonal matrix, the form the loop's
+    projected matrix takes without a diagonal in exact arithmetic, against
+    scipy's tridiagonal solver. ``?syevr`` asked for one eigenvalue runs the
+    same bisection and inverse iteration (``stebz``, ``stein``), and its
+    Householder reduction leaves a tridiagonal matrix as it is, so the
+    results agree bit for bit, also for a complex matrix with real
+    entries."""
 
     @staticmethod
     def assert_same_as_scipy(alphas, betas):
-        value, vector = _tridiag_ground(list(alphas), list(betas))
         vals, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        assert value == vals[0]
-        np.testing.assert_array_equal(vector, vecs[:, 0])
+        for dtype in (float, complex):
+            value, vector = _projected_ground(
+                lower_in_buffer(np.diag(alphas) + np.diag(betas, -1).astype(dtype)))
+            assert value == vals[0]
+            np.testing.assert_array_equal(vector, vecs[:, 0])
 
     @pytest.mark.parametrize("k", range(2, 61))
     def test_bit_identical_to_eigh_tridiagonal(self, k):
@@ -487,20 +517,6 @@ class TestTridiagGround:
         betas = 1e-14 * rng.uniform(0.5, 2.0, k - 1)
         self.assert_same_as_scipy(rng.standard_normal(k), betas)
         self.assert_same_as_scipy(np.zeros(k), betas)
-
-    def test_lapack_failure_raises_numerical_error(self, monkeypatch):
-        def failing_stebz(d, e, *args):
-            n = len(d)
-            return 0, np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32), 1
-
-        monkeypatch.setattr(linalg, "dstebz", failing_stebz)
-        with pytest.raises(NumericalError, match="LAPACK info 1"):
-            _tridiag_ground([0.0, 1.0], [0.5])
-
-    def test_eigenvector_failure_raises_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(linalg, "dstein", lambda d, e, w, *args: (np.zeros((len(d), len(w))), 2))
-        with pytest.raises(NumericalError, match="LAPACK info 2"):
-            _tridiag_ground([0.0, 1.0], [0.5])
 
 
 class TestInPlaceUpdates:
