@@ -5,7 +5,7 @@ factorization, both with automatic reconnection of the network guided by
 the entanglement carried on each bond.
 """
 
-from .errors import InvariantViolation, LoadError, NumericalError, TreetnError
+from .errors import ConfigError, InvariantViolation, LoadError, NumericalError, TreetnError
 from .factorize import (
     FactorizeConfig,
     TargetTensor,
@@ -62,7 +62,7 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "TreetnError", "LoadError", "InvariantViolation", "NumericalError",
+    "TreetnError", "LoadError", "ConfigError", "InvariantViolation", "NumericalError",
     "SingularSpectrum", "EigenSpectrum", "full_svd", "truncate_spectrum",
     "full_eigh", "lanczos_lowest", "entanglement_entropy",
     "Topology", "set_distance", "candidate_edge_indices", "local_two_tensor",

@@ -16,7 +16,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericalError
+from .errors import ConfigError, InvariantViolation, NumericalError
 from .linalg import full_svd, truncate_spectrum
 from .state import TTNState, merge_center
 from .sweeps import Stage, StepInfo, SweepReport, check_schedule, run_stage, run_sweep
@@ -39,7 +39,9 @@ __all__ = [
 class FactorizeConfig:
     """Settings for factorization, reconstruction (one stage, see
     ``reconstruction()``), and fidelity sweeps (``fidelity``, stages that
-    obey ``sweeps.check_schedule``; empty when they are off)."""
+    obey ``sweeps.check_schedule``; empty when they are off). A broken rule
+    raises ``ConfigError`` naming the field, a ``Stage`` field for the
+    reconstruction stage."""
 
     chi_init: int
     opt_mode: int = 0
@@ -56,10 +58,10 @@ class FactorizeConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
-            raise ValueError("sigma must lie in [0, 1)")
+            raise ConfigError("sigma", f"must lie in [0, 1), got {self.sigma!r}")
         for name in ("eps_s", "delta_s", "eps_f"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            if not 0.0 < (value := getattr(self, name)) < np.inf:
+                raise ConfigError(name, f"must be positive and finite, got {value!r}")
         self.reconstruction()
         if self.fidelity:
             check_schedule(self.fidelity)

@@ -12,6 +12,7 @@ optional tensor bundle (``isometry{i}.npy``, ``singular_values.npy``,
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,12 +20,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import InvariantViolation, LoadError
+from .errors import ConfigError, InvariantViolation, LoadError
 from .factorize import FactorizeConfig
 from .gss import CORRELATION_ORDER, GssConfig, Observables, StageResult
 from .spinmodel import SpinModel, parse_spin_size
 from .state import TTNState, audit_state
-from .sweeps import ScheduleError, Stage, SweepReport, schedule
+from .sweeps import Stage, SweepReport, schedule
 from .topology import Topology, audit_topology
 
 __all__ = [
@@ -43,12 +44,25 @@ __all__ = [
 GSS_DEFAULT_THRESHOLD = 1e-8
 _REQUIRED = object()  # default of a config key that must be present
 
-# YAML keys of the Stage fields in a schedule section, and in the flat
-# reconstruction settings of an ft config
-SCHEDULE_KEYS = {"chi": "max_bond_dimensions", "n_max": "max_num_sweeps",
-                 "t0": "opt_structure.temperature", "n_tau": "opt_structure.tau"}
-RECONSTRUCTION_KEYS = {**SCHEDULE_KEYS, "chi": "initial_bond_dimension",
-                       "n_max": "max_sweep_num"}
+# YAML keys of the settings-record fields, relative to the section read: gss
+# ``numerics`` and a ``fidelity`` block share SCHEDULE_KEYS, and ft
+# ``numerics`` holds the one reconstruction stage; None stands for a rule on
+# a whole schedule
+SCHEDULE_KEYS = {
+    "chi": "max_bond_dimensions", "n_max": "max_num_sweeps",
+    None: "max_bond_dimensions/max_num_sweeps",
+    "mode": "opt_structure.type", "t0": "opt_structure.temperature",
+    "n_tau": "opt_structure.tau", "chi_init": "initial_bond_dimension",
+    "eps_e": "energy_convergence_threshold", "eps_s": "entanglement_convergence_threshold",
+    "delta_e": "energy_degeneracy_threshold", "delta_s": "entanglement_degeneracy_threshold",
+}
+FT_KEYS = {
+    "chi": "initial_bond_dimension", "n_max": "max_sweep_num",
+    "mode": "opt_structure.type", "t0": "opt_structure.temperature",
+    "n_tau": "opt_structure.tau", "sigma": "max_truncated_singularvalue",
+    "eps_s": "entanglement_convergence_threshold", "delta_s": "entanglement_degeneracy_threshold",
+    "eps_f": "fidelity.convergence_threshold",
+}
 
 
 @dataclass
@@ -73,7 +87,77 @@ class TargetSpec:
     path: Path
 
 
-def _load_yaml(path: Path) -> dict:
+class _Section:
+    """One mapping of a YAML config, read key by key. Each read types its
+    value and names the key's full path in any ``LoadError``; ``close()``
+    warns about every key that no read asked for."""
+
+    def __init__(self, data, name: str, where: str | None = None):
+        self.data, self.name, self.where, self.asked = data, name, where or name, set()
+        if not isinstance(data, dict):
+            raise LoadError(f"{self.where} must be a mapping, got {data!r}")
+
+    def __contains__(self, key) -> bool:
+        return key in self.data
+
+    def path(self, key: str) -> str:
+        return f"{self.name}.{key}" if self.name else key
+
+    def get(self, key: str, default=_REQUIRED):
+        """The raw value under ``key``, or ``default`` when it is absent."""
+        self.asked.add(key)
+        if key in self.data:
+            return self.data[key]
+        if default is _REQUIRED:
+            raise LoadError(f"missing required key {self.path(key)}")
+        return default
+
+    def section(self, key: str, required: bool = False) -> _Section:
+        """The mapping under ``key``; an optional one that is absent or blank
+        reads as empty."""
+        value = self.get(key, _REQUIRED if required else None)
+        return _Section({} if value is None else value, self.path(key))
+
+    def scalar(self, key: str, kind, default=_REQUIRED):
+        """The value under ``key`` read as ``kind``, or ``default`` when it is
+        absent."""
+        value = self.get(key, default)
+        if key not in self.data:
+            return value
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            what = "an integer" if kind is int else "a number"
+            raise LoadError(f"{self.path(key)} must be {what}, got {value!r}") from None
+
+    def ints(self, key: str) -> list[int]:
+        """The required list of integers under ``key``."""
+        value = self.get(key)
+        if not isinstance(value, list):
+            raise LoadError(f"{self.path(key)} must be a list of integers, got {value!r}")
+        try:
+            return [int(v) for v in value]
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"{self.path(key)}: {exc}") from exc
+
+    def close(self) -> None:
+        for key in self.data:
+            if key not in self.asked:
+                warnings.warn(f"unknown key {key!r} in {self.where}", stacklevel=2)
+
+
+@contextmanager
+def _keyed(where: str, keys: dict):
+    """Turn a settings record's ``ConfigError`` into a ``LoadError`` naming
+    the YAML key ``keys`` gives its field, in the section ``where``."""
+    try:
+        yield
+    except ConfigError as exc:
+        sep = ": " if exc.field is None else " "
+        raise LoadError(f"{where}.{keys[exc.field]}{sep}{exc.problem}") from exc
+
+
+def _load_yaml(path: Path) -> _Section:
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -81,19 +165,13 @@ def _load_yaml(path: Path) -> dict:
         raise LoadError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise LoadError(f"malformed YAML in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise LoadError(f"config {path} must be a mapping")
-    return data
+    return _Section(data, "", f"config {path}")
 
 
-def _warn_unknown(section: dict, known: set[str], where: str):
-    for key in section:
-        if key not in known:
-            warnings.warn(f"unknown key {key!r} in {where}", stacklevel=3)
-
-
-def _read_rows(path: Path, n_cols: int, kinds, what: str):
-    rows = []
+def _read_rows(path: Path, n_cols: int, kinds, what: str, n_sites: int | None = None):
+    """The rows of a whitespace-separated table. With ``n_sites``, the first
+    column is a site in ``0..n_sites-1`` that no other row names."""
+    rows, sites = [], set()
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -108,119 +186,59 @@ def _read_rows(path: Path, n_cols: int, kinds, what: str):
                 f"{what} {path}:{ln}: expected {n_cols} columns, got {len(parts)}"
             )
         try:
-            rows.append(tuple(kind(p) for kind, p in zip(kinds, parts)))
-        except ValueError as exc:
+            row = tuple(kind(p) for kind, p in zip(kinds, parts))
+        except (ValueError, LoadError) as exc:
             raise LoadError(f"{what} {path}:{ln}: {exc}") from exc
+        if n_sites is not None and (row[0] in sites or not 0 <= row[0] < n_sites):
+            problem = "is given twice" if row[0] in sites else f"lies outside 0..{n_sites - 1}"
+            raise LoadError(f"{what} {path}:{ln}: site {row[0]} {problem}")
+        sites.add(row[0])
+        rows.append(row)
     return rows
 
 
-def _scalar_or_table(value, n: int, base: Path, what: str) -> dict[int, float]:
-    """A uniform scalar or a 2-column (site, value) file."""
-    if isinstance(value, (int, float)):
-        return {i: float(value) for i in range(n)}
-    path = base / str(value)
-    rows = _read_rows(path, 2, (int, float), what)
-    return {i: v for i, v in rows}
-
-
-def _spin_sizes(value, n: int, base: Path) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [parse_spin_size(value)] * n
-    text = str(value)
+def _names_file(value) -> bool:
+    """Whether a site-table value is a file name: a string but no fraction."""
+    if not isinstance(value, str):
+        return False
     try:
-        Fraction(text)
+        Fraction(value)
     except (ValueError, ZeroDivisionError):
-        path = base / text
-        rows = _read_rows(path, 2, (int, str), "spin sizes")
-        table = {i: parse_spin_size(s) for i, s in rows}
-        missing = set(range(n)) - table.keys()
-        if missing:
-            raise LoadError(f"spin sizes missing for sites {sorted(missing)}")
-        return [table[i] for i in range(n)]
-    return [parse_spin_size(text)] * n
+        return True
+    return False
 
 
-def _opt_structure(parent: dict, where: str):
-    """The ``opt_structure`` block of the section ``where``."""
-    section = _mapping(parent, "opt_structure", where)
-    where = f"{where}.opt_structure"
-    known = {"type", "temperature", "tau", "seed"}
-    _warn_unknown(section, known, where)
-    opt = {
-        "mode": _scalar(section, "type", where, int, 0),
-        "t0": _scalar(section, "temperature", where, float, 0.0),
-        "n_tau": _scalar(section, "tau", where, int, None),
-        "seed": _scalar(section, "seed", where, int, 0),
+def _site_table(section: _Section, key: str, n: int, base: Path, kind=float) -> dict:
+    """Per-site values under ``key``: one value for every site, or a
+    two-column ``site value`` file named relative to ``base`` whose rows each
+    name a different site in ``0..n-1``. A string names the file unless it
+    reads as a fraction."""
+    if not _names_file(section.get(key)):
+        return dict.fromkeys(range(n), section.scalar(key, kind))
+    return dict(_read_rows(base / section.get(key), 2, (int, kind), section.path(key), n))
+
+
+def _opt_structure(parent: _Section) -> dict:
+    """The ``Stage`` selection fields and the seed of the ``opt_structure``
+    block of ``parent``."""
+    opt = parent.section("opt_structure")
+    fields = {
+        "mode": opt.scalar("type", int, 0),
+        "t0": opt.scalar("temperature", float, 0.0),
+        "n_tau": opt.scalar("tau", int, None),
+        "seed": opt.scalar("seed", int, 0),
     }
-    if opt["mode"] not in (0, 1, 2):
-        raise LoadError(f"{where}.type must be 0, 1, or 2, got {opt['mode']}")
-    return opt
+    opt.close()
+    return fields
 
 
-def _int_list(section: dict, key: str, where: str) -> list[int]:
-    """A required YAML list of integers; anything else raises ``LoadError``
-    naming the key."""
-    value = section.get(key)
-    if not isinstance(value, list):
-        raise LoadError(f"{where}.{key} must be a list of integers, got {value!r}")
-    try:
-        return [int(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise LoadError(f"{where}.{key}: {exc}") from exc
-
-
-def _mapping(section: dict, key: str, where: str = "", required: bool = False):
-    """The YAML mapping under ``key``, empty when an optional key is absent or
-    blank; anything else raises ``LoadError`` naming the key."""
-    name = f"{where}.{key}" if where else key
-    if required and key not in section:
-        raise LoadError(f"missing section {name}")
-    value = {} if section.get(key) is None else section[key]
-    if not isinstance(value, dict):
-        raise LoadError(f"{name} must be a mapping, got {value!r}")
-    return value
-
-
-def _scalar(section: dict, key: str, where: str, kind, default=_REQUIRED):
-    """A YAML scalar read as ``kind`` (``int`` or ``float``), or ``default``
-    when the key is absent; a missing required key or a value ``kind`` cannot
-    read raises ``LoadError`` naming the key."""
-    if key not in section:
-        if default is _REQUIRED:
-            raise LoadError(f"missing required key {where}.{key}")
-        return default
-    value = section[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise LoadError(f"{where}.{key} must be {what}, got {value!r}") from None
-
-
-def _threshold(section: dict, key: str, where: str, default: float) -> float:
-    """A YAML threshold: a positive, finite number, or ``default`` when the
-    key is absent; anything else raises ``LoadError`` naming the key."""
-    value = _scalar(section, key, where, float, default)
-    if not 0.0 < value < np.inf:
-        raise LoadError(f"{where}.{key} must be positive and finite, got {value!r}")
-    return value
-
-
-def _schedule_error(exc: ScheduleError, where: str, keys=SCHEDULE_KEYS) -> LoadError:
-    key = keys.get(exc.field, f"{keys['chi']}/{keys['n_max']}")
-    return LoadError(f"{where}.{key}: {exc}")
-
-
-def _schedule(section: dict, where: str) -> tuple[list[Stage], int]:
+def _schedule(section: _Section) -> tuple[list[Stage], int]:
     """The stages of a schedule section (gss ``numerics`` or ``fidelity``)
     and the seed of its ``opt_structure`` block."""
-    opt = _opt_structure(section, where)
-    chis = _int_list(section, "max_bond_dimensions", where)
-    limits = _int_list(section, "max_num_sweeps", where)
-    try:
+    opt = _opt_structure(section)
+    chis, limits = section.ints("max_bond_dimensions"), section.ints("max_num_sweeps")
+    with _keyed(section.name, SCHEDULE_KEYS):
         stages = schedule(chis, limits, opt["mode"], opt["t0"], opt["n_tau"])
-    except ScheduleError as exc:
-        raise _schedule_error(exc, where) from exc
     return stages, opt["seed"]
 
 
@@ -228,57 +246,50 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     """Load a ground-state-search configuration and its model tables."""
     path = Path(path)
     base = path.parent
-    data = _load_yaml(path)
-    _warn_unknown(data, {"system", "numerics", "output"}, str(path))
-    system = _mapping(data, "system", required=True)
-    numerics = _mapping(data, "numerics", required=True)
-    output = _mapping(data, "output")
-
-    known_system = {
-        "N", "spin_size", "model",
-        "MF_X", "MF_Y", "MF_Z", "SIA",
-        "DM_X", "DM_Y", "DM_Z", "SOD_X", "SOD_Y", "SOD_Z",
-    }
+    root = _load_yaml(path)
+    system = root.section("system", required=True)
+    numerics = root.section("numerics", required=True)
+    output = root.section("output")
+    root.close()
     if "total_magnetization" in system or "total_magnetization" in numerics:
         raise LoadError(
             "magnetization-sector targeting is not supported by this package"
         )
-    _warn_unknown(system, known_system, "system")
 
-    n = _scalar(system, "N", "system", int)
+    n = system.scalar("N", int)
     if n < 4:
         raise LoadError(f"system.N must be at least 4, got {n}")
-    model_sec = _mapping(system, "model", "system", required=True)
-    try:
-        spins = _spin_sizes(system["spin_size"], n, base)
-        exchange_type = str(model_sec["type"]).upper()
-        model_file = base / str(model_sec["file"])
-    except KeyError as exc:
-        raise LoadError(f"missing required system key {exc}") from exc
-
+    spins = _site_table(system, "spin_size", n, base, parse_spin_size)
+    if len(spins) < n:
+        missing = sorted(set(range(n)) - spins.keys())
+        raise LoadError(f"system.spin_size: spin sizes missing for sites {missing}")
+    model_sec = system.section("model", required=True)
+    exchange_type = str(model_sec.get("type")).upper()
     n_cols = 4 if exchange_type == "XXZ" else 5
-    kinds = (int, int) + (float,) * (n_cols - 2)
-    exchange_rows = _read_rows(model_file, n_cols, kinds, "exchange couplings")
+    exchange_rows = _read_rows(base / str(model_sec.get("file")), n_cols,
+                               (int, int) + (float,) * (n_cols - 2), "exchange couplings")
+    model_sec.close()
 
     field_tables = {}
     for axis in "xyz":
         key = f"MF_{axis.upper()}"
         if key in system:
-            field_tables[axis] = _scalar_or_table(system[key], n, base, key)
-    sia = _scalar_or_table(system["SIA"], n, base, "SIA") if "SIA" in system else {}
+            field_tables[axis] = _site_table(system, key, n, base)
+    sia = _site_table(system, "SIA", n, base) if "SIA" in system else {}
     dm_tables = {}
     sod_tables = {}
     for axis in "xyz":
         key = f"DM_{axis.upper()}"
         if key in system:
-            dm_tables[axis] = _read_rows(base / str(system[key]), 3, (int, int, float), key)
+            dm_tables[axis] = _read_rows(base / str(system.get(key)), 3, (int, int, float), key)
         key = f"SOD_{axis.upper()}"
         if key in system:
-            sod_tables[axis] = _read_rows(base / str(system[key]), 3, (int, int, float), key)
+            sod_tables[axis] = _read_rows(base / str(system.get(key)), 3, (int, int, float), key)
+    system.close()
 
     model = SpinModel(
         n_sites=n,
-        spin_sizes=spins,
+        spin_sizes=[spins[i] for i in range(n)],
         exchange_type=exchange_type,
         exchange_rows=exchange_rows,
         field_tables=field_tables,
@@ -287,46 +298,30 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
         sod_tables=sod_tables,
     )
 
-    known_numerics = {
-        "init_tree", "initial_bond_dimension", "opt_structure",
-        "max_bond_dimensions", "max_num_sweeps",
-        "energy_convergence_threshold", "entanglement_convergence_threshold",
-        "energy_degeneracy_threshold", "entanglement_degeneracy_threshold",
-    }
-    _warn_unknown(numerics, known_numerics, "numerics")
-    stages, seed = _schedule(numerics, "numerics")
-    chi_init = _scalar(numerics, "initial_bond_dimension", "numerics", int)
-    if chi_init < 1:
-        raise LoadError(f"numerics.initial_bond_dimension must be positive, got {chi_init}")
-    init_tree = _scalar(numerics, "init_tree", "numerics", int, 0)
+    stages, seed = _schedule(numerics)
+    init_tree = numerics.scalar("init_tree", int, 0)
     if init_tree not in (0, 1):
         raise LoadError(f"numerics.init_tree must be 0 or 1, got {init_tree}")
     thresholds = {
-        name: _threshold(numerics, key, "numerics", GSS_DEFAULT_THRESHOLD)
-        for name, key in (
-            ("eps_e", "energy_convergence_threshold"),
-            ("eps_s", "entanglement_convergence_threshold"),
-            ("delta_e", "energy_degeneracy_threshold"),
-            ("delta_s", "entanglement_degeneracy_threshold"),
-        )
+        name: numerics.scalar(SCHEDULE_KEYS[name], float, GSS_DEFAULT_THRESHOLD)
+        for name in ("eps_e", "eps_s", "delta_e", "delta_s")
     }
-    try:
+    with _keyed("numerics", SCHEDULE_KEYS):
         config = GssConfig(
-            chi_init=chi_init,
+            chi_init=numerics.scalar("initial_bond_dimension", int),
             stages=stages,
             init_tree="pbt" if init_tree == 1 else "mpn",
             seed=seed,
             **thresholds,
         )
-    except ValueError as exc:
-        raise LoadError(str(exc)) from exc
+    numerics.close()
 
-    _warn_unknown(output, {"dir", "single_site", "two_site"}, "output")
     flags = OutputFlags(
         directory=base / str(output.get("dir", "output")),
-        single_site=bool(_scalar(output, "single_site", "output", int, 0)),
-        two_site=bool(_scalar(output, "two_site", "output", int, 0)),
+        single_site=bool(output.scalar("single_site", int, 0)),
+        two_site=bool(output.scalar("two_site", int, 0)),
     )
+    output.close()
     return model, config, flags
 
 
@@ -334,62 +329,46 @@ def parse_ft_config(path) -> tuple[TargetSpec, FactorizeConfig, OutputFlags]:
     """Load a factorization / reconstruction configuration."""
     path = Path(path)
     base = path.parent
-    data = _load_yaml(path)
-    _warn_unknown(data, {"target", "numerics", "output"}, str(path))
-    target_sec = _mapping(data, "target", required=True)
-    numerics = _mapping(data, "numerics", required=True)
-    output = _mapping(data, "output")
+    root = _load_yaml(path)
+    target_sec = root.section("target", required=True)
+    numerics = root.section("numerics", required=True)
+    output = root.section("output")
+    root.close()
 
-    _warn_unknown(target_sec, {"tensor", "tensors"}, "target")
     if ("tensor" in target_sec) == ("tensors" in target_sec):
         raise LoadError("specify exactly one of target.tensor and target.tensors")
-    if "tensor" in target_sec:
-        target = TargetSpec(kind="tensor", path=base / str(target_sec["tensor"]))
-    else:
-        target = TargetSpec(kind="ttn", path=base / str(target_sec["tensors"]))
+    kind, key = ("tensor", "tensor") if "tensor" in target_sec else ("ttn", "tensors")
+    target = TargetSpec(kind=kind, path=base / str(target_sec.get(key)))
+    target_sec.close()
 
-    known_numerics = {
-        "initial_bond_dimension", "opt_structure", "max_sweep_num",
-        "entanglement_convergence_threshold", "entanglement_degeneracy_threshold",
-        "max_truncated_singularvalue", "fidelity",
-    }
-    _warn_unknown(numerics, known_numerics, "numerics")
-    opt = _opt_structure(numerics, "numerics")
-    fid = _mapping(numerics, "fidelity", "numerics")
-    fid_known = {"opt_structure", "max_bond_dimensions", "max_num_sweeps", "convergence_threshold"}
-    _warn_unknown(fid, fid_known, "fidelity")
-    fid_stages, fid_seed = _schedule(fid, "numerics.fidelity") if fid else ([], 0)
-
-    settings = dict(
-        chi_init=_scalar(numerics, "initial_bond_dimension", "numerics", int),
-        n_max=_scalar(numerics, "max_sweep_num", "numerics", int, 10),
-        eps_s=_threshold(numerics, "entanglement_convergence_threshold", "numerics",
-                         GSS_DEFAULT_THRESHOLD),
-        sigma=_scalar(numerics, "max_truncated_singularvalue", "numerics", float, 0.0),
-        delta_s=_threshold(numerics, "entanglement_degeneracy_threshold", "numerics",
-                           GSS_DEFAULT_THRESHOLD),
-        eps_f=_threshold(fid, "convergence_threshold", "numerics.fidelity", 1e-10),
-    )
-    try:
+    opt = _opt_structure(numerics)
+    fid = numerics.section("fidelity")
+    fid_stages, fid_seed = _schedule(fid) if fid.data else ([], 0)
+    with _keyed("numerics", FT_KEYS):
         config = FactorizeConfig(
+            chi_init=numerics.scalar("initial_bond_dimension", int),
             opt_mode=opt["mode"],
             t0=opt["t0"],
             n_tau=opt["n_tau"],
             seed=opt["seed"],
+            n_max=numerics.scalar("max_sweep_num", int, 10),
+            eps_s=numerics.scalar("entanglement_convergence_threshold", float,
+                                  GSS_DEFAULT_THRESHOLD),
+            sigma=numerics.scalar("max_truncated_singularvalue", float, 0.0),
+            delta_s=numerics.scalar("entanglement_degeneracy_threshold", float,
+                                    GSS_DEFAULT_THRESHOLD),
             fidelity=fid_stages,
             fidelity_seed=fid_seed,
-            **settings,
+            eps_f=fid.scalar("convergence_threshold", float, 1e-10),
         )
-    except ScheduleError as exc:
-        raise _schedule_error(exc, "numerics", RECONSTRUCTION_KEYS) from exc
-    except ValueError as exc:
-        raise LoadError(str(exc)) from exc
+    fid.close()
+    numerics.close()
 
-    _warn_unknown(output, {"dir", "tensors"}, "output")
     flags = OutputFlags(
         directory=base / str(output.get("dir", "output")),
-        tensors=bool(_scalar(output, "tensors", "output", int, 0)),
+        tensors=bool(output.scalar("tensors", int, 0)),
     )
+    output.close()
     return target, config, flags
 
 
@@ -492,9 +471,10 @@ def write_ft_outputs(
         with_energy=False,
         with_fidelity=with_fidelity,
     )
-    (out_dir / "graph.dat").write_text(state.topology.to_graph_lines())
     if flags.tensors:
-        save_tensor_bundle(out_dir, state)
+        save_tensor_bundle(out_dir, state)  # graph.dat belongs to the bundle
+    else:
+        (out_dir / "graph.dat").write_text(state.topology.to_graph_lines())
 
 
 def save_tensor_bundle(directory: Path, state: TTNState) -> None:

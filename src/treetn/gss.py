@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import ConfigError, InvariantViolation
 from .linalg import full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
@@ -67,7 +67,8 @@ _noise_draw = np.empty(0)
 class GssConfig:
     """Numerical settings for one ground-state search; ``stages`` is the
     bond-dimension schedule, built by ``sweeps.schedule`` or obeying
-    ``sweeps.check_schedule``."""
+    ``sweeps.check_schedule``. A broken rule raises ``ConfigError`` naming
+    the field."""
 
     chi_init: int
     stages: list[Stage]
@@ -81,10 +82,10 @@ class GssConfig:
     def __post_init__(self):
         check_schedule(self.stages)
         if self.chi_init < 1:
-            raise ValueError(f"chi_init must be at least 1, got {self.chi_init}")
+            raise ConfigError("chi_init", f"must be at least 1, got {self.chi_init}")
         for name in ("eps_e", "eps_s", "delta_e", "delta_s"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            if not 0.0 < (value := getattr(self, name)) < np.inf:
+                raise ConfigError(name, f"must be positive and finite, got {value!r}")
 
 
 @dataclass

@@ -235,7 +235,7 @@ def _davidson_cycle(apply, v0, max_basis, diagonal):
     row to the projected matrix, and the residual of its lowest pair is
     formed from the stored products in reused buffers."""
     shape = v0.shape
-    hv = _apply_checked(apply, v0, v0.dtype).ravel()
+    hv = _apply_checked(apply, v0).ravel()
     dtype = np.result_type(v0, hv)
     rows = min(max_basis, KRYLOV_ROWS)
     basis = np.empty((rows, hv.size), dtype)
@@ -272,7 +272,7 @@ def _davidson_cycle(apply, v0, max_basis, diagonal):
         if not after > SPAN_TOL * before:
             break  # the residual adds no direction: the subspace is invariant
         w /= after
-        hv = _apply_checked(apply, basis[k].reshape(shape), basis.dtype).ravel()
+        hv = _apply_checked(apply, basis[k].reshape(shape)).ravel()
         if not np.can_cast(hv.dtype, basis.dtype):
             basis, products, proj, ritz, resid = (
                 a.astype(hv.dtype) for a in (basis, products, proj, ritz, resid))
@@ -313,16 +313,11 @@ def _projected_ground(proj):
     return float(w[0]), z[:, 0]
 
 
-def _apply_checked(apply, v, dtype):
-    """``apply(v)`` as an array the caller may update in place with values
-    of ``dtype``: a result that is read-only, shares memory with ``v`` or
-    cannot hold ``dtype`` is copied."""
+def _apply_checked(apply, v):
+    """``apply(v)`` as an array of ``v``'s shape with finite entries."""
     out = np.asarray(apply(v))
     if out.shape != v.shape:
         raise ValueError(f"operator changed shape {v.shape} -> {out.shape}")
     if not np.all(np.isfinite(out)):
         raise NumericalError("operator application produced non-finite values")
-    if (not out.flags.writeable or np.may_share_memory(out, v)
-            or not np.can_cast(dtype, out.dtype)):
-        out = out.astype(np.result_type(out, dtype))
     return out

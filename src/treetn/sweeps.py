@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import ConfigError, InvariantViolation
 from .state import (
     PAIRINGS,
     ReconnectChoice,
@@ -32,7 +32,7 @@ from .topology import candidate_edge_indices, local_two_tensor, set_distance, tr
 
 __all__ = [
     "SETTLED_SWEEPS", "SelectionSettings", "SweepReport", "StepInfo", "Stage",
-    "ScheduleError", "schedule", "check_schedule", "run_sweep", "run_stage", "settled",
+    "schedule", "check_schedule", "run_sweep", "run_stage", "settled",
 ]
 
 # consecutive settled sweep pairs that end a stage
@@ -198,20 +198,12 @@ def _decompose_and_record(
             report.entropies[bond] = site_ee(half, axis % 2)
 
 
-class ScheduleError(ValueError):
-    """A broken schedule rule; ``field`` names the ``Stage`` field at fault,
-    or is None for a rule on the whole list."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
-
-
 @dataclass
 class Stage:
     """One schedule entry: bond-dimension cap, sweep limit, selection mode
     and the annealing of heat-bath selection. The temperature halves every
-    ``n_tau`` sweeps, by default every ``max(1, n_max // 2)``."""
+    ``n_tau`` sweeps, by default every ``max(1, n_max // 2)``. A broken
+    rule raises ``ConfigError`` naming the field."""
 
     chi: int
     n_max: int
@@ -222,9 +214,11 @@ class Stage:
     def __post_init__(self):
         if self.n_tau is None:
             self.n_tau = max(1, self.n_max // 2)
+        if self.mode not in (0, 1, 2):
+            raise ConfigError("mode", f"must be 0, 1 or 2, got {self.mode!r}")
         for name, low in (("chi", 1), ("n_max", 1), ("n_tau", 1), ("t0", 0)):
             if (value := getattr(self, name)) < low:
-                raise ScheduleError(f"{name} must be at least {low}, got {value}", name)
+                raise ConfigError(name, f"must be at least {low}, got {value}")
 
 
 def schedule(
@@ -236,8 +230,8 @@ def schedule(
     ``t0``, ``n_tau``) applies to the first stage only; later stages keep the
     structure fixed. The result obeys ``check_schedule``."""
     if len(chis) != len(limits):
-        raise ScheduleError(
-            f"need one sweep limit per bond dimension, got {list(chis)}, {list(limits)}"
+        raise ConfigError(
+            None, f"need one sweep limit per bond dimension, got {list(chis)}, {list(limits)}"
         )
     stages = [
         Stage(chi, n_max, mode, t0, n_tau) if i == 0 else Stage(chi, n_max)
@@ -250,16 +244,15 @@ def schedule(
 def check_schedule(stages: Sequence[Stage]) -> None:
     """The rules of every stage list: ``Stage`` records, at least one,
     strictly ascending in bond dimension, and structural selection on the
-    first stage only. A broken rule raises ``ScheduleError``."""
+    first stage only. A broken rule raises ``ConfigError``."""
     if not stages or not all(isinstance(s, Stage) for s in stages):
-        raise ScheduleError(f"a schedule needs one or more Stage records, got {stages!r}")
+        raise ConfigError(None, f"a schedule needs one or more Stage records, got {stages!r}")
     chis = [s.chi for s in stages]
     if any(b <= a for a, b in zip(chis, chis[1:])):
-        raise ScheduleError(f"bond dimensions must strictly ascend, got {chis}", "chi")
+        raise ConfigError("chi", f"must strictly ascend, got {chis}")
     if any(s.mode != 0 for s in stages[1:]):
-        raise ScheduleError(
-            f"structural selection applies to the first stage only, got modes "
-            f"{[s.mode for s in stages]}", "mode"
+        raise ConfigError(
+            "mode", f"must be 0 after the first stage, got {[s.mode for s in stages]}"
         )
 
 

@@ -15,12 +15,14 @@ from treetn.fileio import (
     parse_gss_config,
     save_tensor_bundle,
     write_basic_csv,
+    write_ft_outputs,
     write_gss_outputs,
 )
 from treetn.gss import GssConfig, run
 from treetn.spinmodel import SpinModel
 from treetn.state import to_dense
-from treetn.sweeps import schedule
+from treetn.sweeps import SweepReport, schedule
+from treetn.topology import Topology
 
 
 def write_gss_inputs(tmp_path, extra_system="", extra_numerics="", output=""):
@@ -196,10 +198,13 @@ class TestParseGssConfig:
             ("initial_bond_dimension: 4", "initial_bond_dimension: -2",
              "numerics.initial_bond_dimension"),
             ("N: 4", "N: 3", "system.N"),
+            ("max_num_sweeps: [6]", "max_num_sweeps: [6]\n  opt_structure: {type: 3}",
+             "numerics.opt_structure.type"),
         ],
         ids=["chi-init", "init-tree", "init-tree-two", "init-tree-negative",
              "energy-threshold", "degeneracy-list", "n-sites", "two-site-flag", "seed",
-             "chi-init-missing", "chi-init-zero", "chi-init-negative", "n-sites-three"],
+             "chi-init-missing", "chi-init-zero", "chi-init-negative", "n-sites-three",
+             "structure-type"],
     )
     def test_bad_scalar_names_key(self, tmp_path, old, new, key):
         path = write_gss_inputs(tmp_path)
@@ -244,6 +249,57 @@ class TestParseGssConfig:
         path.write_text(path.read_text().replace("type: XXZ", "type: XYZ"))
         model, _, _ = parse_gss_config(path)
         assert model.exchange_rows == [(0, 1, 1.0, 0.5, 0.3)]
+
+    def test_unknown_model_key_warns(self, tmp_path):
+        path = write_gss_inputs(tmp_path)
+        path.write_text(path.read_text().replace("    file: couplings.dat",
+                                                 "    file: couplings.dat\n    fiel: x"))
+        with pytest.warns(UserWarning, match="^unknown key 'fiel' in system.model$"):
+            parse_gss_config(path)
+
+    def test_missing_model_file_named(self, tmp_path):
+        path = write_gss_inputs(tmp_path)
+        path.write_text(path.read_text().replace("    file: couplings.dat\n", ""))
+        with pytest.raises(LoadError, match=r"^missing required key system\.model\.file$"):
+            parse_gss_config(path)
+
+    @pytest.mark.parametrize("key, value", [("spin_size", "1/2"), ("MF_Z", "0.5"),
+                                            ("SIA", "-0.25")])
+    @pytest.mark.parametrize("rows, line, problem", [
+        ("0 {v}\n1 {v}\n2 {v}\n3 {v}\n9 {v}\n", 5, "site 9 lies outside 0..3"),
+        ("0 {v}\n1 {v}\n0 {v}\n2 {v}\n3 {v}\n", 3, "site 0 is given twice"),
+    ], ids=["outside", "twice"])
+    def test_bad_site_row_names_line(self, tmp_path, key, value, rows, line, problem):
+        (tmp_path / "sites.dat").write_text(rows.format(v=value))
+        path = write_gss_inputs(tmp_path)
+        text = path.read_text()
+        if key == "spin_size":
+            text = text.replace("spin_size: 1/2", "spin_size: sites.dat")
+        else:
+            text = text.replace("  model:", f"  {key}: sites.dat\n  model:")
+        path.write_text(text)
+        with pytest.raises(LoadError, match=rf"^system\.{key} .*sites\.dat:{line}: {problem}$"):
+            parse_gss_config(path)
+
+    def test_site_table_values(self, tmp_path):
+        (tmp_path / "sia.dat").write_text("# site value\n3 -0.5\n1 0.25\n")
+        path = write_gss_inputs(tmp_path, extra_system="  SIA: sia.dat")
+        model, _, _ = parse_gss_config(path)
+        assert model.sia_table == {3: -0.5, 1: 0.25}
+
+    def test_fraction_string_field_is_a_value(self, tmp_path):
+        """A string that reads as a fraction is a value, never a file name;
+        only spin sizes take fractions."""
+        path = write_gss_inputs(tmp_path, extra_system='  MF_X: "1/4"')
+        with pytest.raises(LoadError, match=r"^system\.MF_X must be a number, got '1/4'$"):
+            parse_gss_config(path)
+
+    def test_spin_size_file_must_cover_every_site(self, tmp_path):
+        (tmp_path / "spins.dat").write_text("0 1/2\n1 1\n3 1/2\n")
+        path = write_gss_inputs(tmp_path)
+        path.write_text(path.read_text().replace("spin_size: 1/2", "spin_size: spins.dat"))
+        with pytest.raises(LoadError, match=r"^system\.spin_size: .*sites \[2\]"):
+            parse_gss_config(path)
 
 
 class TestParseFtConfig:
@@ -339,9 +395,11 @@ output:
              "max_num_sweeps: [4], convergence_threshold: tight}",
              "numerics.fidelity.convergence_threshold"),
             ("tensors: 1", "tensors: all", "output.tensors"),
+            ("max_sweep_num: 5", "max_sweep_num: 5\n  opt_structure: {type: 3}",
+             "numerics.opt_structure.type"),
         ],
         ids=["chi-init", "sweep-limit", "sigma", "entropy-threshold", "fidelity-threshold",
-             "tensors-flag"],
+             "tensors-flag", "structure-type"],
     )
     def test_bad_scalar_names_key(self, tmp_path, old, new, key):
         path = self.write(tmp_path, "  tensor: psi.npy")
@@ -380,6 +438,12 @@ output:
     def test_bad_threshold_names_key(self, tmp_path, key, extra, value):
         path = self.write(tmp_path, "  tensor: psi.npy", extra.format(value))
         with pytest.raises(LoadError, match=key.replace(".", "\\.") + " must be positive"):
+            parse_ft_config(path)
+
+    def test_cutoff_range_names_key(self, tmp_path):
+        path = self.write(tmp_path, "  tensor: psi.npy", "  max_truncated_singularvalue: 1.5")
+        with pytest.raises(LoadError, match=r"^numerics\.max_truncated_singularvalue must lie "
+                                            r"in \[0, 1\), got 1\.5$"):
             parse_ft_config(path)
 
     def test_zero_sweep_limit_rejected(self, tmp_path):
@@ -444,6 +508,19 @@ class TestOutputs:
         assert lines[0] == "i,j,xx,yy,zz,yz,zy,zx,xz,xy,yx"
         assert len(lines) == 1 + 6  # all pairs of 4 sites
         assert all(len(ln.split(",")) == 11 for ln in lines[1:])
+
+    @pytest.mark.parametrize("tensors", [False, True])
+    def test_ft_graph_written_once(self, tmp_path, rng, monkeypatch, tensors):
+        state = sequential_svd_to_mpn(normalize_target(rng.standard_normal((2,) * 5)), 4)
+        graphs = []
+        lines = Topology.to_graph_lines
+        monkeypatch.setattr(Topology, "to_graph_lines",
+                            lambda topo: graphs.append(topo) or lines(topo))
+        flags = OutputFlags(directory=tmp_path, tensors=tensors)
+        write_ft_outputs(tmp_path, state, SweepReport(), flags, with_fidelity=False)
+        assert len(graphs) == 1
+        assert (tmp_path / "graph.dat").read_text() == lines(state.topology)
+        assert (tmp_path / "norm.npy").exists() == tensors
 
     def test_fidelity_column_only_when_requested(self, tmp_path, rng):
         t = normalize_target(rng.standard_normal((2,) * 4))

@@ -9,7 +9,7 @@ import pytest
 from conftest import AuditObserver, heisenberg_chain, leaf_partitions
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
 from treetn import gss
-from treetn.errors import InvariantViolation
+from treetn.errors import ConfigError, InvariantViolation
 from treetn.factorize import FactorizeConfig
 from treetn.gss import (
     GssConfig,
@@ -25,7 +25,7 @@ from treetn.linalg import full_eigh, lanczos_lowest
 from treetn.operators import get_operator
 from treetn.spinmodel import SpinModel, local_spin_matrices
 from treetn.state import audit_state, merge_center, state_bond_entropy_dense
-from treetn.sweeps import ScheduleError, SelectionSettings, Stage, schedule
+from treetn.sweeps import SelectionSettings, Stage, schedule
 from treetn.topology import audit_topology, build_mpn, build_pbt
 
 
@@ -101,6 +101,23 @@ class TestPerturb:
         assert np.linalg.norm(vec[0]) == pytest.approx(1.0, abs=1e-9)
         trapped, _ = lanczos_lowest(apply, start, diagonal)
         assert trapped == pytest.approx(lows[1].eigenvalues[0], abs=1e-10)
+
+    # chi_init 1 cuts the tied pair of the strong antiferromagnetic bond
+    @pytest.mark.filterwarnings("ignore:degenerate multiplet straddles")
+    def test_run_escapes_magnetized_start(self):
+        """Two ferromagnetic bonds joined by a strong antiferromagnetic one,
+        in a small field: at bond dimension 1 each ferromagnetic block keeps
+        its all-up state, so the search starts at S^z = 2, which the
+        Hamiltonian conserves while the ground state has S^z = 1. Only the
+        start-vector noise leads the sweeps out of that sector."""
+        model = SpinModel(
+            n_sites=4,
+            spin_sizes=[0.5] * 4,
+            exchange_rows=[(0, 1, -1.0, 1.0), (1, 2, 5.0, 1.0), (2, 3, -1.0, 1.0)],
+            field_tables={"z": {i: 0.1 for i in range(4)}},
+        )
+        result = run(model, GssConfig(chi_init=1, stages=schedule([4], [4])))
+        assert result.energy == pytest.approx(ed_oracle(model).energy, abs=1e-9)
 
 
 class TestInitializeTtn:
@@ -229,7 +246,7 @@ class TestRun:
              "fidelity-hand-late-selection"],
     )
     def test_bad_schedule_rejected(self, build):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ConfigError):
             build()
 
     @pytest.mark.parametrize("chi_init", [0, -2])

@@ -521,7 +521,8 @@ class TestTridiagGround:
 
 class TestInPlaceUpdates:
     def test_read_only_product(self):
-        """A read-only product is copied before the in-place updates."""
+        """A read-only product is only read: the solver stores a copy of
+        every product and updates its own buffers in place."""
         h = np.diag([1.0, -2.0, 3.0, 0.5])
 
         def apply(v):

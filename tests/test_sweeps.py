@@ -7,12 +7,13 @@ import pytest
 from conftest import AuditObserver, heisenberg_chain, leaf_partitions, random_isometry
 from treetn import gss, sweeps
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
+from treetn.errors import ConfigError
 from treetn.factorize import (
     FactorizeConfig, normalize_target, reconstruct_sweep, sequential_svd_to_mpn,
 )
 from treetn.state import TTNState, cooled_temperature, merge_center, site_ee
 from treetn.sweeps import (
-    SETTLED_SWEEPS, ScheduleError, SelectionSettings, Stage, SweepReport, run_stage,
+    SETTLED_SWEEPS, SelectionSettings, Stage, SweepReport, run_stage,
     run_sweep, schedule, settled,
 )
 from treetn.topology import build_mpn, build_pbt, candidate_edge_indices, set_distance
@@ -178,12 +179,21 @@ class TestSchedule:
             ({"chi": 4, "n_max": 0}, "n_max"),
             ({"chi": 4, "n_max": 2, "n_tau": 0}, "n_tau"),
             ({"chi": 4, "n_max": 2, "t0": -0.1}, "t0"),
+            ({"chi": 8, "n_max": 4, "mode": 3}, "mode"),
+            ({"chi": 8, "n_max": 4, "mode": -1}, "mode"),
         ],
     )
     def test_stage_rejects(self, fields, bad):
-        with pytest.raises(ScheduleError, match=bad) as err:
+        with pytest.raises(ConfigError, match=bad) as err:
             Stage(**fields)
         assert err.value.field == bad
+        assert str(err.value) == f"{bad} {err.value.problem}"
+
+    def test_whole_schedule_rule_names_no_field(self):
+        with pytest.raises(ConfigError) as err:
+            schedule([4, 8], [2])
+        assert err.value.field is None
+        assert str(err.value) == err.value.problem
 
 
 
