@@ -11,6 +11,7 @@ optional tensor bundle (``isometry{i}.npy``, ``singular_values.npy``,
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -87,6 +88,22 @@ class TargetSpec:
     path: Path
 
 
+def _integer(value) -> int:
+    """``int(value)``, except that a float must be whole: 4.7 is refused,
+    not truncated to 4."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def _finite(value) -> float:
+    """``float(value)``, refused when it is NaN or infinite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 class _Section:
     """One mapping of a YAML config, read key by key. Each read types its
     value and names the key's full path in any ``LoadError``; ``close()``
@@ -120,25 +137,27 @@ class _Section:
 
     def scalar(self, key: str, kind, default=_REQUIRED):
         """The value under ``key`` read as ``kind``, or ``default`` when it is
-        absent."""
+        absent. ``int`` reads through ``_integer``, so it never truncates."""
         value = self.get(key, default)
         if key not in self.data:
             return value
         try:
-            return kind(value)
+            return (_integer if kind is int else kind)(value)
         except (TypeError, ValueError):
             what = "an integer" if kind is int else "a number"
+            if kind is _finite and isinstance(value, float):  # YAML's .nan or .inf
+                what = "a finite number"
             raise LoadError(f"{self.path(key)} must be {what}, got {value!r}") from None
 
     def ints(self, key: str) -> list[int]:
         """The required list of integers under ``key``."""
         value = self.get(key)
-        if not isinstance(value, list):
-            raise LoadError(f"{self.path(key)} must be a list of integers, got {value!r}")
-        try:
-            return [int(v) for v in value]
-        except (TypeError, ValueError) as exc:
-            raise LoadError(f"{self.path(key)}: {exc}") from exc
+        if isinstance(value, list):
+            try:
+                return [_integer(v) for v in value]
+            except (TypeError, ValueError):
+                pass
+        raise LoadError(f"{self.path(key)} must be a list of integers, got {value!r}")
 
     def close(self) -> None:
         for key in self.data:
@@ -160,7 +179,8 @@ def _keyed(where: str, keys: dict):
 def _load_yaml(path: Path) -> _Section:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            # libyaml's parser when PyYAML was built with it
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise LoadError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -208,7 +228,7 @@ def _names_file(value) -> bool:
     return False
 
 
-def _site_table(section: _Section, key: str, n: int, base: Path, kind=float) -> dict:
+def _site_table(section: _Section, key: str, n: int, base: Path, kind=_finite) -> dict:
     """Per-site values under ``key``: one value for every site, or a
     two-column ``site value`` file named relative to ``base`` whose rows each
     name a different site in ``0..n-1``. A string names the file unless it
@@ -267,7 +287,7 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     exchange_type = str(model_sec.get("type")).upper()
     n_cols = 4 if exchange_type == "XXZ" else 5
     exchange_rows = _read_rows(base / str(model_sec.get("file")), n_cols,
-                               (int, int) + (float,) * (n_cols - 2), "exchange couplings")
+                               (int, int) + (_finite,) * (n_cols - 2), "exchange couplings")
     model_sec.close()
 
     field_tables = {}
@@ -281,10 +301,10 @@ def parse_gss_config(path) -> tuple[SpinModel, GssConfig, OutputFlags]:
     for axis in "xyz":
         key = f"DM_{axis.upper()}"
         if key in system:
-            dm_tables[axis] = _read_rows(base / str(system.get(key)), 3, (int, int, float), key)
+            dm_tables[axis] = _read_rows(base / str(system.get(key)), 3, (int, int, _finite), key)
         key = f"SOD_{axis.upper()}"
         if key in system:
-            sod_tables[axis] = _read_rows(base / str(system.get(key)), 3, (int, int, float), key)
+            sod_tables[axis] = _read_rows(base / str(system.get(key)), 3, (int, int, _finite), key)
     system.close()
 
     model = SpinModel(

@@ -53,7 +53,8 @@ __all__ = [
 # column order of the two-site correlation components
 CORRELATION_ORDER = ("xx", "yy", "zz", "yz", "zy", "zx", "xz", "xy", "yx")
 
-# size of the fixed direction mixed into every Lanczos start vector
+# size of the fixed direction mixed into an eigensolver start vector; see
+# ``sweep`` for the starts that receive it
 LANCZOS_NOISE = 1e-7
 
 # read-only normals of the Philox(0x5EED) stream behind that direction. A
@@ -247,13 +248,16 @@ def sweep(
     observers=(),
 ) -> SweepReport:
     """One ground-state sweep: cache refreshes plus preconditioned
-    eigensolver updates."""
+    eigensolver updates. Each solve starts from the merged tensor, perturbed
+    by ``_perturb`` unless ``selection.settled``: a perturbed solve reaches
+    the lowest state of its superblock, and after a settled pair of
+    perturbed sweeps the merged tensors already are those states, up to the
+    convergence tolerances."""
 
     def update(psi, info: StepInfo):
         plan = build_superblock_plan(model, cache, info.merge_bonds)
-        energy, psi = lanczos_lowest(
-            plan.apply, _perturb(psi / np.linalg.norm(psi)), plan.diagonal(psi.shape)
-        )
+        start = psi if selection.settled else _perturb(psi / np.linalg.norm(psi))
+        energy, psi = lanczos_lowest(plan.apply, start, plan.diagonal(psi.shape))
         return psi, {"energy": energy}
 
     return run_sweep(
@@ -273,7 +277,8 @@ def run(
     Each stage of ``config.stages`` runs to convergence or its sweep limit
     (``sweeps.schedule`` puts structural selection on the first only). When
     observables are requested, each stage ends with one extra fixed-structure
-    sweep that collects them (the structure is frozen there by contract).
+    sweep that collects them (the structure is frozen there by contract); its
+    solves start unperturbed when the stage converged.
     """
     topology = build_initial_topology(model.n_sites, config.init_tree)
     state, cache, e_init = initialize_ttn(
@@ -290,7 +295,9 @@ def run(
         observables = None
         if want_observables:
             collector = ObservableCollector(model, cache)
-            sel = SelectionSettings(stage.chi, eps_s=config.eps_s, delta_s=config.delta_s)
+            sel = SelectionSettings(
+                stage.chi, eps_s=config.eps_s, delta_s=config.delta_s, settled=converged
+            )
             reports.append(run_one(sel, observers=(*observers, collector.on_step)))
             observables = collector.finish(reports[-1].energies[state.topology.origin])
         stages.append(StageResult(stage.chi, reports, observables, converged))

@@ -197,8 +197,10 @@ def decompose_tensor(
     are not evaluated and their entropies and errors are ``nan``. Modes 1 and
     2 compare pairing 0's full SVD with the singular values of pairings 1 and
     2, then run a full SVD of a chosen pairing other than 0, whose entropy
-    and error replace the values-only ones. The kept spectrum is truncated
-    to ``chi`` values (degeneracy-aware) and rescaled.
+    and error replace the values-only ones. Mode 1, which chooses by entropy,
+    takes those values from Gram matrices; mode 2 runs values-only SVDs,
+    because its degeneracy-aware cut reads the small values. The kept
+    spectrum is truncated to ``chi`` values (degeneracy-aware) and rescaled.
 
     Returns ``(v_left, weights, v_right, choice)`` where the left isometry
     carries the pairing's first two legs and the right one the other two.
@@ -213,7 +215,7 @@ def decompose_tensor(
     def split(pairing, vectors=True):
         perm = PAIRINGS[pairing]
         mat = psi.transpose(perm).reshape(dims[perm[0]] * dims[perm[1]], -1)
-        return full_svd(mat, vectors=vectors)
+        return full_svd(mat, vectors=vectors, gram=not vectors and mode == 1)
 
     spec = split(0)
     spectra = [spec.values] + [split(k, vectors=False) for k in (1, 2) if mode != 0]

@@ -41,7 +41,9 @@ SETTLED_SWEEPS = 3
 
 @dataclass
 class SelectionSettings:
-    """Bond dimension cap and structural-selection knobs for one sweep."""
+    """Bond dimension cap and structural-selection knobs for one sweep.
+    ``settled`` marks a sweep that follows a settled pair of reports (see
+    ``run_stage``): its updates start from states that have stopped moving."""
 
     chi: int
     mode: int = 0
@@ -50,6 +52,7 @@ class SelectionSettings:
     eps_s: float = 1e-8
     sigma: float = 0.0
     delta_s: float = 1e-8
+    settled: bool = False
 
 
 @dataclass
@@ -217,8 +220,9 @@ class Stage:
         if self.mode not in (0, 1, 2):
             raise ConfigError("mode", f"must be 0, 1 or 2, got {self.mode!r}")
         for name, low in (("chi", 1), ("n_max", 1), ("n_tau", 1), ("t0", 0)):
-            if (value := getattr(self, name)) < low:
-                raise ConfigError(name, f"must be at least {low}, got {value}")
+            # written so that NaN fails too
+            if not low <= (value := getattr(self, name)) < math.inf:
+                raise ConfigError(name, f"must be finite and at least {low}, got {value}")
 
 
 def schedule(
@@ -298,6 +302,8 @@ def run_stage(
 
     ``sweep(selection)`` runs one sweep. Under heat-bath selection (mode 1)
     the temperature of sweep ``n`` is ``cooled_temperature(t0, n, n_tau)``.
+    ``selection.settled`` is set while the current streak of settled pairs
+    is not empty, that is when the previous two sweeps settled.
     """
     reports: list[SweepReport] = []
     streak = 0
@@ -306,7 +312,8 @@ def run_stage(
         if stage.mode == 1 and stage.t0 > 0.0:
             temperature = cooled_temperature(stage.t0, n, stage.n_tau)
         selection = SelectionSettings(
-            stage.chi, stage.mode, temperature, rng, eps_s, sigma, delta_s
+            stage.chi, stage.mode, temperature, rng, eps_s, sigma, delta_s,
+            settled=streak > 0,
         )
         reports.append(sweep(selection))
         if len(reports) > 1 and settled(reports[-2], reports[-1], eps_s, eps_e, eps_f):

@@ -1,10 +1,14 @@
 """Tests for configuration parsing and output file contracts."""
 
+import re
 from functools import partial
 
 import numpy as np
 import pytest
+import yaml
 
+from treetn import fileio
+from treetn.cli import bench_main
 from treetn.errors import LoadError
 from treetn.factorize import normalize_target, sequential_svd_to_mpn
 from treetn.fileio import (
@@ -294,6 +298,73 @@ class TestParseGssConfig:
         with pytest.raises(LoadError, match=r"^system\.MF_X must be a number, got '1/4'$"):
             parse_gss_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("initial_bond_dimension: 4", "initial_bond_dimension: 4.7",
+             r"numerics\.initial_bond_dimension must be an integer, got 4\.7"),
+            ("max_bond_dimensions: [8]", "max_bond_dimensions: [8.9]",
+             r"numerics\.max_bond_dimensions must be a list of integers, got \[8\.9\]"),
+            ("max_num_sweeps: [6]", "max_num_sweeps: [6.5]",
+             r"numerics\.max_num_sweeps must be a list of integers"),
+            ("dir: out", "dir: out\n  single_site: 0.5",
+             r"output\.single_site must be an integer, got 0\.5"),
+            ("N: 4", "N: .inf", r"system\.N must be an integer, got inf"),
+        ],
+        ids=["chi-init", "chis", "limits", "flag", "n-infinite"],
+    )
+    def test_fractional_integer_names_key(self, tmp_path, old, new, message):
+        """An integer key refuses a fraction instead of truncating it."""
+        path = write_gss_inputs(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(LoadError, match=f"^{message}"):
+            parse_gss_config(path)
+
+    def test_whole_float_reads_as_integer(self, tmp_path):
+        path = write_gss_inputs(tmp_path)
+        path.write_text(path.read_text().replace("initial_bond_dimension: 4",
+                                                 "initial_bond_dimension: 4.0"))
+        _, config, _ = parse_gss_config(path)
+        assert config.chi_init == 4 and isinstance(config.chi_init, int)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_temperature_names_key(self, tmp_path, value):
+        path = write_gss_inputs(
+            tmp_path, extra_numerics=f"  opt_structure: {{type: 1, temperature: {value}}}"
+        )
+        with pytest.raises(LoadError, match=r"^numerics\.opt_structure\.temperature must be "
+                                            r"finite"):
+            parse_gss_config(path)
+
+    @pytest.mark.parametrize("key", ["MF_X", "MF_Z", "SIA"])
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_site_value_names_key(self, tmp_path, key, value):
+        path = write_gss_inputs(tmp_path, extra_system=f"  {key}: {value}")
+        with pytest.raises(LoadError, match=rf"^system\.{key} must be a finite number"):
+            parse_gss_config(path)
+
+    @pytest.mark.parametrize("key", ["MF_Y", "SIA"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_site_row_names_line(self, tmp_path, key, value):
+        (tmp_path / "sites.dat").write_text(f"0 0.5\n1 0.5\n2 {value}\n")
+        path = write_gss_inputs(tmp_path, extra_system=f"  {key}: sites.dat")
+        with pytest.raises(LoadError, match=rf"^system\.{key} .*sites\.dat:3: .*not finite"):
+            parse_gss_config(path)
+
+    @pytest.mark.parametrize("row", ["1 2 nan 0.5", "1 2 1.0 -inf"])
+    def test_non_finite_coupling_names_line(self, tmp_path, row):
+        path = write_gss_inputs(tmp_path)
+        (tmp_path / "couplings.dat").write_text(f"0 1 1.0 0.5\n{row}\n2 3 1.0 0.5\n")
+        with pytest.raises(LoadError, match=r"^exchange couplings .*couplings\.dat:2: "
+                                            r".*not finite"):
+            parse_gss_config(path)
+
+    def test_non_finite_dm_row_names_line(self, tmp_path):
+        (tmp_path / "dm.dat").write_text("0 1 0.1\n1 2 nan\n")
+        path = write_gss_inputs(tmp_path, extra_system="  DM_Z: dm.dat")
+        with pytest.raises(LoadError, match=r"^DM_Z .*dm\.dat:2: .*not finite"):
+            parse_gss_config(path)
+
     def test_spin_size_file_must_cover_every_site(self, tmp_path):
         (tmp_path / "spins.dat").write_text("0 1/2\n1 1\n3 1/2\n")
         path = write_gss_inputs(tmp_path)
@@ -446,11 +517,62 @@ output:
                                             r"in \[0, 1\), got 1\.5$"):
             parse_ft_config(path)
 
+    @pytest.mark.parametrize(
+        "numerics, message",
+        [
+            ("max_sweep_num: 2.5", r"numerics\.max_sweep_num must be an integer, got 2\.5"),
+            ("fidelity: {max_bond_dimensions: [4.5], max_num_sweeps: [4]}",
+             r"numerics\.fidelity\.max_bond_dimensions must be a list of integers"),
+        ],
+        ids=["sweep-limit", "fidelity-chis"],
+    )
+    def test_fractional_integer_names_key(self, tmp_path, numerics, message):
+        path = self.write(tmp_path, "  tensors: bundle")
+        path.write_text(path.read_text().replace("max_sweep_num: 5", numerics))
+        with pytest.raises(LoadError, match=f"^{message}"):
+            parse_ft_config(path)
+
     def test_zero_sweep_limit_rejected(self, tmp_path):
         path = self.write(tmp_path, "  tensors: bundle")
         path.write_text(path.read_text().replace("max_sweep_num: 5", "max_sweep_num: 0"))
         with pytest.raises(LoadError, match="numerics\\.max_sweep_num"):
             parse_ft_config(path)
+
+
+class TestYamlLoader:
+    """Configs parse through libyaml when PyYAML has it; the data must equal
+    what the pure-Python safe loader builds."""
+
+    @pytest.mark.parametrize("which, extra", [
+        ("hierarchical", ["--depth", "3"]),
+        ("quantics", ["--bits", "2", "--waves", "3"]),
+        ("normal", ["--vars", "2", "--bits", "2"]),
+    ])
+    def test_bench_config_parses_as_safe_loader(self, tmp_path, which, extra):
+        assert bench_main([which, "--out", str(tmp_path), *extra]) == 0
+        path = tmp_path / "input.yml"
+        expected = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert fileio._load_yaml(path).data == expected
+
+    def test_scalar_types_match_safe_loader(self, tmp_path):
+        text = ("a: 1e-9\nb: 1.0e-09\nc: 1/2\nd: yes\ne: ~\nf: [8, 16.0, '4']\n"
+                "g: {h: .inf, i: -3}\nj: 0x10\n")
+        path = tmp_path / "c.yml"
+        path.write_text(text)
+        data = fileio._load_yaml(path).data
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(data) == repr(expected)
+        assert data["a"] == "1e-9"  # YAML 1.1 floats need a dot
+
+    @pytest.mark.parametrize("text", [
+        "system: [1, 2\n", "system:\n\tN: 4\n", "a: b: c\n", "- a\nb: 1\n",
+        "a: !!python/object:os.system ls\n",
+    ], ids=["unclosed", "tab", "nested-colon", "mixed", "unsafe-tag"])
+    def test_malformed_yaml_raises_load_error(self, tmp_path, text):
+        path = tmp_path / "bad.yml"
+        path.write_text(text)
+        with pytest.raises(LoadError, match=f"^malformed YAML in {re.escape(str(path))}"):
+            parse_gss_config(path)
 
 
 class TestOutputs:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import AuditObserver, heisenberg_chain, leaf_partitions
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
-from treetn import gss
+from treetn import gss, sweeps
 from treetn.errors import ConfigError, InvariantViolation
 from treetn.factorize import FactorizeConfig
 from treetn.gss import (
@@ -118,6 +118,100 @@ class TestPerturb:
         )
         result = run(model, GssConfig(chi_init=1, stages=schedule([4], [4])))
         assert result.energy == pytest.approx(ed_oracle(model).energy, abs=1e-9)
+
+
+def traced_solves(monkeypatch):
+    """``[perturbed starts, solves]`` per phase of a ``gss.run``: entry 0 is
+    the initialization, then one entry per sweep, observable sweeps
+    included."""
+    log = [[0, 0]]
+    perturb, solve, walk = gss._perturb, gss.lanczos_lowest, gss.run_sweep
+
+    def counted_perturb(psi):
+        log[-1][0] += 1
+        return perturb(psi)
+
+    def counted_solve(*args, **kwargs):
+        log[-1][1] += 1
+        return solve(*args, **kwargs)
+
+    def marked_sweep(*args, **kwargs):
+        log.append([0, 0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(gss, "_perturb", counted_perturb)
+    monkeypatch.setattr(gss, "lanczos_lowest", counted_solve)
+    monkeypatch.setattr(gss, "run_sweep", marked_sweep)
+    return log
+
+
+def scripted_settled(monkeypatch, answers):
+    """Make ``sweeps.settled`` answer from ``answers`` in order, one per
+    compared pair."""
+    answers = iter(answers)
+    monkeypatch.setattr(sweeps, "settled", lambda *args, **kwargs: next(answers))
+
+
+class TestNoisePolicy:
+    """Solves start from a perturbed vector until their stage settles: each
+    sweep that follows a settled pair of the current streak, and the
+    observable sweep of a converged stage, solve from the unperturbed
+    merged tensor."""
+
+    def test_perturbed_up_to_first_settled_pair(self, monkeypatch):
+        model = heisenberg_chain(8)
+        cfg = GssConfig(chi_init=4, stages=schedule([8], [20]))
+        log = traced_solves(monkeypatch)
+        res = run(model, cfg, want_observables=True)
+        (stage,) = res.stages
+        reports = stage.reports[:-1]  # the last one is the observable sweep
+        pairs = [sweeps.settled(a, b, cfg.eps_s, cfg.eps_e)
+                 for a, b in zip(reports, reports[1:])]
+        first = pairs.index(True)
+        # the streak never resets, so the stage ends SETTLED_SWEEPS pairs on
+        assert stage.converged and all(pairs[first:])
+        assert len(pairs) == first + sweeps.SETTLED_SWEEPS
+        assert log[0] == [1, 1]  # the initialization
+        assert len(log) == 1 + len(reports) + 1
+        solves = [n for _, n in log[1:]]
+        assert all(n > 0 for n in solves)
+        # sweeps 0 .. first + 1 end the first settled pair; later ones and the
+        # observable sweep run without noise
+        expected = [n if k <= first + 1 else 0 for k, n in enumerate(solves)]
+        assert [p for p, _ in log[1:]] == expected
+        assert res.energy == pytest.approx(ed_oracle(model).energy, abs=1e-9)
+
+    def test_unsettled_stage_perturbs_every_solve(self, monkeypatch):
+        scripted_settled(monkeypatch, [False] * 3)
+        log = traced_solves(monkeypatch)
+        res = run(heisenberg_chain(6), GssConfig(chi_init=4, stages=schedule([8], [4])),
+                  want_observables=True)
+        assert not res.stages[0].converged
+        assert len(log) == 1 + 4 + 1
+        assert all(p == n > 0 for p, n in log)
+
+    def test_reset_streak_brings_noise_back(self, monkeypatch):
+        # pairs (0,1) settle, (1,2) do not, then (2,3), (3,4), (4,5) settle
+        scripted_settled(monkeypatch, [True, False, True, True, True])
+        log = traced_solves(monkeypatch)
+        res = run(heisenberg_chain(6), GssConfig(chi_init=4, stages=schedule([8], [10])),
+                  want_observables=True)
+        assert res.stages[0].converged
+        noisy = [p == n > 0 for p, n in log[1:]]
+        quiet = [p == 0 < n for p, n in log[1:]]
+        assert noisy == [True, True, False, True, False, False, False]
+        assert quiet == [not x for x in noisy]
+
+    def test_bare_sweep_perturbs(self, monkeypatch):
+        """A sweep called with default settings is not known to be settled."""
+        model = heisenberg_chain(6)
+        state, cache, _ = initialize_ttn(model, build_mpn(6), chi_init=4)
+        log = traced_solves(monkeypatch)
+        sweep(state, cache, model, SelectionSettings(chi=4))
+        sweep(state, cache, model, SelectionSettings(chi=4, settled=True))
+        (noisy, solves), (quiet, again) = log[1:]
+        assert noisy == solves == again > 0
+        assert quiet == 0
 
 
 class TestInitializeTtn:

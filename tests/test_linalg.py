@@ -61,6 +61,33 @@ class TestFullSvd:
         m[1, 1] = np.nan
         with pytest.raises(NumericalError):
             full_svd(m)
+        with pytest.raises(NumericalError):
+            full_svd(m, vectors=False, gram=True)
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (7, 7)])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_gram_values_match_svd(self, rng, shape, complex_):
+        m = rng.standard_normal(shape)
+        if complex_:
+            m = m + 1j * rng.standard_normal(shape)
+        values = full_svd(m, vectors=False, gram=True)
+        assert values.shape == (min(shape),)
+        assert np.all(np.diff(values) <= 0.0)
+        np.testing.assert_allclose(
+            values**2, np.linalg.svd(m, compute_uv=False) ** 2,
+            rtol=0, atol=1e-13 * values[0] ** 2,
+        )
+
+    def test_gram_rank_deficient_values_are_real(self, rng):
+        # rounding can leave tiny negative Gram eigenvalues; they read as zero
+        m = np.outer(rng.standard_normal(8), rng.standard_normal(5))
+        values = full_svd(m, vectors=False, gram=True)
+        assert np.isrealobj(values) and np.all(values >= 0.0)
+        assert np.all(values[1:] < 1e-7 * values[0])
+
+    def test_gram_has_no_vectors(self):
+        with pytest.raises(ValueError, match="no singular vectors"):
+            full_svd(np.eye(2), gram=True)
 
 
 class TestTruncateSpectrum:

@@ -165,13 +165,15 @@ class TestDecompose:
 
 
 def counted_svds(monkeypatch):
-    """Record the ``vectors`` flag of every SVD ``decompose_tensor`` runs."""
+    """Record every spectrum ``decompose_tensor`` computes: ``"full"`` for
+    a full SVD, ``"values"`` for a values-only SVD and ``"gram"`` for values
+    from the Gram matrix."""
     calls = []
     real = treetn.state.full_svd
 
-    def full_svd(matrix, vectors=True):
-        calls.append(vectors)
-        return real(matrix, vectors=vectors)
+    def full_svd(matrix, vectors=True, gram=False):
+        calls.append("full" if vectors else "gram" if gram else "values")
+        return real(matrix, vectors=vectors, gram=gram)
 
     monkeypatch.setattr(treetn.state, "full_svd", full_svd)
     return calls
@@ -190,13 +192,18 @@ def oracle_pairings(psi, chi):
     return entropies, errors
 
 
+# how the values of pairings 1 and 2 are computed: mode 1 reads only their
+# entropies, mode 2 also cuts them degeneracy-aware
+REJECTED_SPECTRUM = {1: "gram", 2: "values"}
+
+
 class TestDecomposeCost:
     """Each mode decomposes only what it reads."""
 
     def test_mode0_one_full_svd(self, rng, monkeypatch):
         calls = counted_svds(monkeypatch)
         _, _, _, choice = decompose_tensor(rng.standard_normal((2, 3, 2, 3)), chi=2)
-        assert calls == [True]
+        assert calls == ["full"]
         assert choice.pairing == 0
         assert not np.isnan(choice.entropies[0])
         assert not np.isnan(choice.truncation_errors[0])
@@ -212,14 +219,14 @@ class TestDecomposeCost:
             np.einsum("ab,cd->abcd", bell, bell), chi=2, mode=mode
         )
         assert choice.pairing == 0
-        assert calls == [True, False, False]
+        assert calls == ["full"] + [REJECTED_SPECTRUM[mode]] * 2
 
     @pytest.mark.parametrize("mode", [1, 2])
     def test_reconnect_second_full_svd(self, monkeypatch, mode):
         calls = counted_svds(monkeypatch)
         _, _, _, choice = decompose_tensor(rainbow_tensor(), chi=2, mode=mode)
         assert choice.pairing == 2
-        assert calls == [True, False, False, True]
+        assert calls == ["full"] + [REJECTED_SPECTRUM[mode]] * 2 + ["full"]
 
     @pytest.mark.parametrize("mode", [1, 2])
     @pytest.mark.parametrize("complex_", [False, True])

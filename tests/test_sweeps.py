@@ -84,6 +84,13 @@ class TestRunStage:
         assert converged
         assert len(out) == 7
 
+    def test_settled_flag_follows_streak(self):
+        # pairs (0,1) and (1,2) settle, (2,3) does not, then three settle
+        values = [-1.0] * 3 + [-2.0] * 5
+        out, converged, calls = drive([report(energy=v) for v in values])
+        assert converged and len(out) == 7
+        assert [c.settled for c in calls] == [False, False, True, True, False, True, True]
+
     def test_zero_energies_settle(self):
         out, converged, _ = drive([report(energy=0.0) for _ in range(6)])
         assert converged
@@ -181,6 +188,9 @@ class TestSchedule:
             ({"chi": 4, "n_max": 2, "t0": -0.1}, "t0"),
             ({"chi": 8, "n_max": 4, "mode": 3}, "mode"),
             ({"chi": 8, "n_max": 4, "mode": -1}, "mode"),
+            # NaN compares false with every bound
+            ({"chi": 4, "n_max": 2, "t0": float("nan")}, "t0"),
+            ({"chi": 4, "n_max": 2, "t0": float("inf")}, "t0"),
         ],
     )
     def test_stage_rejects(self, fields, bad):
