@@ -178,13 +178,14 @@ def contract_with_conjugates(
 
     Every other tensor's third bond points towards the pair, so the rest of
     the network splits into the subtrees behind the (up to four) outer
-    bonds. The contraction starts from ``T_B``, the target contracted with
-    the subtree behind the outer bond ``B`` holding the most sites, and
-    folds the other subtrees onto it, leaves first. ``T_b`` is built from
-    ``T`` of the larger child of the tensor owning ``b``, with the smaller
-    child's subtree and that tensor folded in, and is memoized on the target
-    while every isometry of its subtree is the same array with the same
-    bonds. Entries larger than a quarter of the target are not kept.
+    bonds, found by one walk. The contraction starts from ``T_B``, the
+    target contracted with the subtree behind the outer bond ``B`` holding
+    the most sites, and folds the other subtrees onto it, leaves first.
+    ``T_b`` is built from ``T`` of the larger child of the tensor owning
+    ``b``, with the smaller child's subtree and that tensor folded in, and
+    is memoized on the target while every isometry of its subtree is the
+    same array with the same bonds. Entries larger than a quarter of the
+    target are not kept.
     """
     topo = state.topology
     t, t_conn = pair
@@ -211,7 +212,7 @@ def contract_with_conjugates(
         ):
             return hit[1], hit[2]
         big, small = sorted(
-            (topo.walk([c], owners) for c in topo.edges[o][:2]), key=len, reverse=True
+            _split_walk(topo, owners, below[:-1], topo.edges[o][:2]), key=len, reverse=True
         )
         acc, legs = fold(*behind(big), small + [o])
         if 4 * acc.size <= target.data.size:
@@ -221,10 +222,26 @@ def contract_with_conjugates(
             target.envs.pop(o, None)
         return acc, legs
 
+    order = topo.walk(outer, owners, near=pair)
     first, *rest = sorted(
-        (topo.walk([b], owners, near=pair) for b in outer), key=len, reverse=True
+        _split_walk(topo, owners, order, outer, pair), key=len, reverse=True
     )
     return fold(*behind(first), [i for below in rest for i in below])
+
+
+def _split_walk(topo, owners, order, bonds, near=()):
+    """Cut ``order``, the walk behind ``bonds``, into the walk behind each
+    bond: the walk lists each bond's subtree in turn, ending with the tensor
+    that owns the bond."""
+    blocks, start = [], 0
+    for b in bonds:
+        end = start
+        if not topo.is_physical(b):
+            root = next(i for i in owners[b] if i not in near)
+            end = order.index(root, start) + 1
+        blocks.append(order[start:end])
+        start = end
+    return blocks
 
 
 def _absorb(acc, legs, tensor, edges):
@@ -275,12 +292,14 @@ def environment(
     return acc.transpose([legs.index(b) for b in bonds])
 
 
-def embed_environment(env: np.ndarray) -> np.ndarray:
-    """Normalize the environment into the new center tensor."""
+def embed_environment(env: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalize the environment into the new center tensor. Returns it and
+    the environment norm, the overlap of the embedded state with the
+    target."""
     nrm = float(np.linalg.norm(env))
     if nrm == 0.0:
         raise NumericalError("degenerate environment: state orthogonal to target")
-    return env / nrm
+    return env / nrm, nrm
 
 
 def fidelity(target: TargetTensor, state: TTNState) -> float:
@@ -296,18 +315,20 @@ def fidelity_sweep_run(
 ) -> tuple[TTNState, list[list[SweepReport]]]:
     """Staged fidelity-maximizing sweeps with optional reconnection.
 
-    Each step replaces the merged center with the normalized environment;
-    the per-bond running fidelity is the environment norm reduced by the
-    truncation at the following split. Each stage of ``config.fidelity``
-    runs to convergence or its sweep limit.
+    Each step replaces the two tensors with the normalized environment,
+    never contracting their merge; the per-bond running fidelity is the
+    environment norm reduced by the truncation at the following split.
+    Each stage of ``config.fidelity`` runs to convergence or its sweep
+    limit.
     """
     if not config.fidelity:
         raise ValueError("fidelity sweeps are disabled in this configuration")
     rng = np.random.Generator(np.random.Philox(config.fidelity_seed))
 
-    def update(psi, info: StepInfo):
+    def update(merge, info: StepInfo):
         env = environment(target, state, info.t, info.t_conn, info.merge_bonds)
-        return embed_environment(env), {"fidelity_scale": float(np.linalg.norm(env))}
+        psi, nrm = embed_environment(env)
+        return psi, {"fidelity_scale": nrm}
 
     sweep = partial(run_sweep, state, update_psi=update, observers=observers)
     stage_reports: list[list[SweepReport]] = []

@@ -254,7 +254,8 @@ def sweep(
     perturbed sweeps the merged tensors already are those states, up to the
     convergence tolerances."""
 
-    def update(psi, info: StepInfo):
+    def update(merge, info: StepInfo):
+        psi = merge()
         plan = build_superblock_plan(model, cache, info.merge_bonds)
         start = psi if selection.settled else _perturb(psi / np.linalg.norm(psi))
         energy, psi = lanczos_lowest(plan.apply, start, plan.diagonal(psi.shape))

@@ -21,6 +21,7 @@ __all__ = [
     "EigenSpectrum",
     "full_svd",
     "spectrum_cut",
+    "cut_spectrum",
     "truncate_spectrum",
     "full_eigh",
     "lanczos_lowest",
@@ -79,7 +80,7 @@ def full_svd(
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={matrix.ndim}")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise NumericalError("non-finite entries in SVD input")
     if gram:
         if vectors:
@@ -120,8 +121,9 @@ def spectrum_cut(
     values: np.ndarray, chi_max: int, sigma: float = 0.0, delta_s: float = 0.0
 ) -> tuple[int, float, bool]:
     """Where ``truncate_spectrum`` cuts a descending spectrum, silently:
-    the kept count, the truncation error ``1 - sum(kept D^2)``, and whether
-    a multiplet tied within ``delta_s`` straddles the cap (the cap wins)."""
+    the kept count, the kept weight ``sum(kept D^2)`` (the truncation error
+    is one minus it), and whether a multiplet tied within ``delta_s``
+    straddles the cap (the cap wins). ``cut_spectrum`` applies it."""
     if chi_max < 1:
         raise ValueError(f"chi_max must be positive, got {chi_max}")
     keep = min(chi_max, len(values))
@@ -130,7 +132,28 @@ def spectrum_cut(
     keep = min(keep, max(above, 1))
     walked = degenerate_cut(values, keep, delta_s) if delta_s > 0.0 else keep
     keep = walked or keep
-    return keep, 1.0 - float(np.sum(values[:keep] ** 2)), walked == 0
+    return keep, float((values[:keep] ** 2).sum()), walked == 0
+
+
+def cut_spectrum(
+    spec: SingularSpectrum, keep: int, weight: float, straddles: bool
+) -> SingularSpectrum:
+    """The first ``keep`` values and vectors of ``spec``, the values
+    rescaled to unit sum of squares by their ``weight``; ``(keep, weight,
+    straddles)`` is a ``spectrum_cut``. A straddling multiplet warns."""
+    if straddles:
+        warnings.warn(
+            "degenerate multiplet straddles the bond-dimension cap; "
+            f"keeping {keep} of a tied group",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    kept = spec.values[:keep]
+    return SingularSpectrum(
+        values=kept / np.sqrt(weight) if weight > 0.0 else kept,
+        left_vectors=spec.left_vectors[:, :keep],
+        right_vectors=spec.right_vectors[:keep, :],
+    )
 
 
 def truncate_spectrum(
@@ -150,22 +173,8 @@ def truncate_spectrum(
     Returns the truncated spectrum and the truncation error
     ``1 - sum(kept D^2)`` evaluated on the pre-rescaling values.
     """
-    keep, error, straddles = spectrum_cut(spec.values, chi_max, sigma, delta_s)
-    if straddles:
-        warnings.warn(
-            "degenerate multiplet straddles the bond-dimension cap; "
-            f"keeping {keep} of a tied group",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    kept = spec.values[:keep]
-    weight = float(np.sum(kept**2))
-    truncated = SingularSpectrum(
-        values=kept / np.sqrt(weight) if weight > 0.0 else kept,
-        left_vectors=spec.left_vectors[:, :keep],
-        right_vectors=spec.right_vectors[:keep, :],
-    )
-    return truncated, error
+    keep, weight, straddles = spectrum_cut(spec.values, chi_max, sigma, delta_s)
+    return cut_spectrum(spec, keep, weight, straddles), 1.0 - weight
 
 
 def full_eigh(hermitian: np.ndarray) -> EigenSpectrum:
@@ -191,7 +200,7 @@ def entanglement_entropy(singular_values: np.ndarray) -> float:
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
-    return float(-np.sum(w * np.log(w)))
+    return float(-(w * np.log(w)).sum())
 
 
 def lanczos_lowest(

@@ -11,6 +11,7 @@ whenever the Hamiltonian allows it.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -92,6 +93,17 @@ def _check_pairs(rows, n, what):
         if (i, j) in seen:
             raise LoadError(f"{what}: duplicate pair ({i}, {j})")
         seen.add((i, j))
+        for value in row[2:]:
+            if not cmath.isfinite(value):
+                raise LoadError(f"{what}: non-finite value {value!r} for pair ({i}, {j})")
+
+
+def _check_sites(table, n, what):
+    for i, value in table.items():
+        if not 0 <= i < n:
+            raise LoadError(f"{what}: site {i} out of range")
+        if not cmath.isfinite(value):
+            raise LoadError(f"{what}: non-finite value {value!r} at site {i}")
 
 
 def _dm_sod_terms(axis: str, c: float, sod: bool) -> list[PairTerm]:
@@ -154,12 +166,8 @@ class SpinModel:
         for axis, rows in self.sod_tables.items():
             _check_pairs(rows, n, f"SOD_{axis} table")
         for axis, table in self.field_tables.items():
-            for i in table:
-                if not 0 <= i < n:
-                    raise LoadError(f"MF_{axis}: site {i} out of range")
-        for i in self.sia_table:
-            if not 0 <= i < n:
-                raise LoadError(f"SIA: site {i} out of range")
+            _check_sites(table, n, f"MF_{axis}")
+        _check_sites(self.sia_table, n, "SIA")
 
         self.pair_terms = self._build_pair_terms()
         self.site_terms = self._build_site_terms()

@@ -8,12 +8,13 @@ canonical center bond and sums to one in square.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import entanglement_entropy, full_svd, spectrum_cut, truncate_spectrum
+from .linalg import cut_spectrum, entanglement_entropy, full_svd, spectrum_cut
 from .topology import Topology, subtree_sites
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "PAIRINGS",
     "merge_center",
     "merge_moving",
+    "moved_edges",
     "decompose_tensor",
     "site_ee",
     "cooled_temperature",
@@ -112,36 +114,41 @@ def merge_center(state: TTNState, t: int, t_conn: int) -> np.ndarray:
     return np.tensordot(a, state.tensors[t_conn], axes=[2, 2])
 
 
-def merge_moving(
-    state: TTNState, t: int, t_conn: int, e_c: int, e_new: int
-) -> tuple[np.ndarray, list[int]]:
-    """Contract across ``e_new`` while absorbing the weights on ``e_c``.
+def moved_edges(
+    topology: Topology, t: int, t_conn: int, e_c: int, e_new: int
+) -> list[int]:
+    """The bond triple of ``t`` once the center moves from ``e_c`` to
+    ``e_new``.
 
     ``t`` is a center tensor (slot 3 = ``e_c``) holding ``e_new`` in a child
     slot; ``t_conn`` is the tensor pointing at ``t`` through ``e_new``. The
-    child slot of ``t`` that held ``e_new`` is taken over by ``e_c``, so the
-    merged tensor is indexed by the post-move legs
-    (e1(t), e2(t), e1(t'), e2(t')). Returns the tensor and the new triple
-    for ``t``.
+    child slot of ``t`` that held ``e_new`` is taken over by ``e_c``.
     """
-    et = state.topology.edges[t]
-    ec = state.topology.edges[t_conn]
+    et = topology.edges[t]
     if et[2] != e_c:
         raise InvariantViolation(f"tensor {t} does not point at bond {e_c}")
-    if ec[2] != e_new:
+    if topology.edges[t_conn][2] != e_new:
         raise InvariantViolation(f"tensor {t_conn} does not point at bond {e_new}")
-    weighted = state.tensors[t] * state.center_weights
     if et[0] == e_new:
+        return [e_c, et[1], e_new]
+    if et[1] == e_new:
+        return [et[0], e_c, e_new]
+    raise InvariantViolation(f"bond {e_new} is not a child of tensor {t}")
+
+
+def merge_moving(state: TTNState, t: int, t_conn: int, e_c: int, e_new: int) -> np.ndarray:
+    """Contract across ``e_new`` while absorbing the weights on ``e_c``.
+
+    The merged tensor is indexed by the post-move legs (e1(t), e2(t),
+    e1(t'), e2(t')), the triple of ``t`` being ``moved_edges``.
+    """
+    new_et = moved_edges(state.topology, t, t_conn, e_c, e_new)
+    weighted = state.tensors[t] * state.center_weights
+    if new_et[0] == e_c:
         psi = np.tensordot(weighted, state.tensors[t_conn], axes=[0, 2])
         # axes now (e2(t), e_c, e1(t'), e2(t')) -> bring e_c first
-        psi = psi.transpose(1, 0, 2, 3)
-        new_et = [e_c, et[1], e_new]
-    elif et[1] == e_new:
-        psi = np.tensordot(weighted, state.tensors[t_conn], axes=[1, 2])
-        new_et = [et[0], e_c, e_new]
-    else:
-        raise InvariantViolation(f"bond {e_new} is not a child of tensor {t}")
-    return psi, new_et
+        return psi.transpose(1, 0, 2, 3)
+    return np.tensordot(weighted, state.tensors[t_conn], axes=[1, 2])
 
 
 def selection_probabilities(entropies, temperature: float) -> np.ndarray:
@@ -152,8 +159,8 @@ def selection_probabilities(entropies, temperature: float) -> np.ndarray:
 
 
 def _choose_pairing(
-    entropies: np.ndarray,
-    trunc_errors: np.ndarray,
+    entropies: list[float],
+    trunc_errors: list[float],
     mode: int,
     temperature: float,
     rng: np.random.Generator | None,
@@ -170,9 +177,10 @@ def _choose_pairing(
         return int(rng.choice(3, p=probs)), tuple(probs)
     # least entanglement among all pairings (mode 1) or among those tied in
     # least truncation error (mode 2); pairing 0 is kept within eps_s of it
-    errors = trunc_errors if mode == 2 else np.zeros(3)
-    tied = np.flatnonzero(errors - errors.min() < 1e-13)
-    best = int(tied[np.argmin(entropies[tied])])
+    errors = trunc_errors if mode == 2 else [0.0] * 3
+    low = min(errors)
+    tied = [k for k in range(3) if errors[k] - low < 1e-13]
+    best = min(tied, key=entropies.__getitem__)
     if 0 in tied and entropies[0] - entropies[best] < eps_s:
         return 0, None
     return best, None
@@ -219,25 +227,28 @@ def decompose_tensor(
 
     spec = split(0)
     spectra = [spec.values] + [split(k, vectors=False) for k in (1, 2) if mode != 0]
-    entropies = np.full(3, np.nan)
-    trunc_errors = np.full(3, np.nan)
+    entropies = [math.nan] * 3
+    trunc_errors = [math.nan] * 3
+    cuts = []
     for k, values in enumerate(spectra):
         entropies[k] = entanglement_entropy(values)
-        trunc_errors[k] = spectrum_cut(values, chi, sigma, delta_s)[1]
+        cuts.append(spectrum_cut(values, chi, sigma, delta_s))
+        trunc_errors[k] = 1.0 - cuts[k][1]
 
     pairing, probs = _choose_pairing(
         entropies, trunc_errors, mode, temperature, rng, eps_s
     )
+    cut = cuts[0]
     if pairing != 0:
         spec = split(pairing)
         entropies[pairing] = entanglement_entropy(spec.values)
-    kept, trunc_errors[pairing] = truncate_spectrum(spec, chi, sigma, delta_s)
+        cut = spectrum_cut(spec.values, chi, sigma, delta_s)
+        trunc_errors[pairing] = 1.0 - cut[1]
+    kept = cut_spectrum(spec, *cut)
     perm = PAIRINGS[pairing]
     chi_kept = kept.rank
     v_left = kept.left_vectors.reshape(dims[perm[0]], dims[perm[1]], chi_kept)
-    v_right = np.moveaxis(
-        kept.right_vectors.reshape(chi_kept, dims[perm[2]], dims[perm[3]]), 0, 2
-    )
+    v_right = kept.right_vectors.reshape(chi_kept, dims[perm[2]], dims[perm[3]])
     choice = ReconnectChoice(
         pairing=pairing,
         entropies=tuple(entropies),
@@ -245,7 +256,7 @@ def decompose_tensor(
         selected_entropy=entanglement_entropy(kept.values),
         probabilities=probs,
     )
-    return v_left, kept.values, v_right, choice
+    return v_left, kept.values, v_right.transpose(1, 2, 0), choice
 
 
 def site_ee(psi: np.ndarray, leg: int) -> float:
@@ -256,13 +267,19 @@ def site_ee(psi: np.ndarray, leg: int) -> float:
     """
     if not 0 <= leg < psi.ndim:
         raise ValueError(f"leg {leg} out of range for ndim={psi.ndim}")
+    # the two transposed copies and the product that tensordot over the
+    # other legs makes, without its argument handling: the same bits
     others = [a for a in range(psi.ndim) if a != leg]
-    rho = np.tensordot(psi, psi.conj(), axes=[others, others])
+    d = psi.shape[leg]
+    rho = np.dot(
+        psi.transpose([leg, *others]).reshape(d, -1),
+        psi.conj().transpose([*others, leg]).reshape(-1, d),
+    )
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > 0.0]
     if lam.size == 0:
         return 0.0
-    return float(-np.sum(lam * np.log(lam)))
+    return float(-(lam * np.log(lam)).sum())
 
 
 def isometry_defect(tensor: np.ndarray) -> float:

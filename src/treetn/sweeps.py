@@ -3,16 +3,18 @@
 One sweep starts and ends at the origin bond. Each step moves the canonical
 center across the unflagged candidate bond farthest from the origin, read
 off the walk's path from the origin (a reconnection never relabels a bond on
-it), merges the two adjacent tensors, optionally updates the merged tensor
-(eigensolver or environment embedding), and decomposes it back with
-structural selection. A bond's flag is raised once the subtree behind it is
-complete, which steers the walk over every tensor and back to the origin.
+it), takes the two adjacent tensors merged or their update (an eigensolver
+step from the merge, or the environment embedding, which never contracts
+the merge), and decomposes that back with structural selection. A bond's
+flag is raised once the subtree behind it is complete, which steers the
+walk over every tensor and back to the origin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from .state import (
     decompose_tensor,
     merge_center,
     merge_moving,
+    moved_edges,
     site_ee,
 )
 from .topology import candidate_edge_indices, local_two_tensor, set_distance, tree_shape
@@ -78,7 +81,7 @@ class StepInfo:
     extras: dict
 
 
-UpdateFn = Callable[[np.ndarray, "StepInfo"], tuple[np.ndarray, dict]]
+UpdateFn = Callable[[Callable[[], np.ndarray], "StepInfo"], tuple[np.ndarray, dict]]
 PrepareFn = Callable[[TTNState, int], None]
 Observer = Callable[[TTNState, StepInfo], None]
 
@@ -92,11 +95,14 @@ def run_sweep(
 ) -> SweepReport:
     """Execute one full sweep and return the recorded bond quantities.
 
-    ``prepare_step(state, tensor_prev)`` runs before each merge, after
-    the previously updated tensor is known (operator-cache refresh hook).
-    ``update_psi(psi, info)`` replaces the merged tensor (Lanczos step,
-    environment embedding); returning extras ``{"energy": E}`` or
-    ``{"fidelity_scale": s}`` records them per bond.
+    ``prepare_step(state, tensor_prev)`` runs before each step's merge,
+    after the previously updated tensor is known (operator-cache refresh
+    hook). ``update_psi(merge, info)`` returns the new two-tensor of the
+    step (eigensolver step, environment embedding) and extras
+    ``{"energy": E}`` or ``{"fidelity_scale": s}``, which are recorded per
+    bond. ``merge()`` contracts the merged tensor, legs ordered as
+    ``info.merge_bonds``; an update that does not read it skips the
+    contraction. Without an update the step splits the merged tensor.
     """
     topo = state.topology
     o_c = topo.origin
@@ -124,13 +130,14 @@ def run_sweep(
         if static:
             t, t_conn = topo.center_tensors()
             e_new = e_c
-            psi = merge_center(state, t, t_conn)
+            merge = partial(merge_center, state, t, t_conn)
             merge_bonds = (*topo.edges[t][:2], *topo.edges[t_conn][:2])
         else:
             e_new, t, t_conn, t_prev = local_two_tensor(topo, e_c, flags, path)
             if prepare_step is not None:
                 prepare_step(state, t_prev)
-            psi, new_et = merge_moving(state, t, t_conn, e_c, e_new)
+            new_et = moved_edges(topo, t, t_conn, e_c, e_new)
+            merge = partial(merge_moving, state, t, t_conn, e_c, e_new)
             merge_bonds = (new_et[0], new_et[1], *topo.edges[t_conn][:2])
         info = StepInfo(
             t=t,
@@ -140,8 +147,10 @@ def run_sweep(
             choice=None,
             extras={},
         )
-        if update_psi is not None:
-            psi, info.extras = update_psi(psi, info)
+        if update_psi is None:
+            psi = merge()
+        else:
+            psi, info.extras = update_psi(merge, info)
 
         _decompose_and_record(
             state, psi, t, t_conn, e_new, merge_bonds, selection, info, report

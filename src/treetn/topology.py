@@ -214,17 +214,22 @@ def local_two_tensor(
     ``t_prev`` only the current.
     """
     edges = topology.edges
-    pair = [i for i, e in enumerate(edges) if e[2] == e_c]
+    # one pass over the tensors collects the slot-3 bonds; the searches run in C
+    slot3 = [e[2] for e in edges]
+    pair = []
+    if slot3.count(e_c) == 2:
+        first = slot3.index(e_c)
+        pair = [first, slot3.index(e_c, first + 1)]
     back = path[-2] if len(path) > 1 else None
     beside = [c for i in pair if back in edges[i][:2] for c in edges[i][:2]]
     cands = sorted(c for i in pair for c in edges[i][:2] if flags[c] == 0)
-    if len(pair) != 2 or not cands:
-        raise InvariantViolation(f"no candidate bonds at {e_c} ({len(pair)} owners)")
+    if not cands:
+        raise InvariantViolation(f"no candidate bonds at {e_c} ({slot3.count(e_c)} owners)")
     e_new = min(cands, key=lambda c: (c in beside) + (c == back))
     t, t_prev = pair if e_new in edges[pair[0]] else pair[::-1]
-    t_conn = next((i for i, e in enumerate(edges) if e[2] == e_new), None)
-    if t_conn is None:
+    if e_new not in slot3:
         raise InvariantViolation(f"no tensor points at the next center {e_new}")
+    t_conn = slot3.index(e_new)
     if back is not None and all(flags[e] == 1 for e in edges[t_prev][:2]):
         flags[e_c] = 1
     if e_new in beside:  # a move across or back leaves the old center

@@ -244,12 +244,14 @@ class TestEnvironment:
     def test_embedding_scale_invariant(self, rng):
         env = rng.standard_normal((2, 2, 2, 2))
         np.testing.assert_allclose(
-            embed_environment(env), embed_environment(3.7 * env), atol=1e-14
+            embed_environment(env)[0], embed_environment(3.7 * env)[0], atol=1e-14
         )
 
     def test_embedding_unit_norm(self, rng):
-        out = embed_environment(rng.standard_normal((2, 2, 2, 2)))
+        env = rng.standard_normal((2, 2, 2, 2))
+        out, nrm = embed_environment(env)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
+        assert nrm == float(np.linalg.norm(env))
 
     def test_zero_environment_rejected(self):
         with pytest.raises(NumericalError):

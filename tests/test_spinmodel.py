@@ -103,6 +103,30 @@ class TestSpinModelValidation:
                 field_tables={"z": {4: 1.0}},
             )
 
+    def test_non_finite_values_named(self):
+        """A NaN coupling fails at construction, naming the table and the
+        pair, not later in the eigensolver."""
+        rows = [(0, 1, 1.0, 1.0), (1, 2, float("nan"), 1.0), (2, 3, 1.0, 1.0)]
+        with pytest.raises(LoadError, match=r"exchange table: .* nan for pair \(1, 2\)"):
+            SpinModel(n_sites=4, spin_sizes=[0.5] * 4, exchange_rows=rows,
+                      field_tables={"z": {0: float("inf")}})
+
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            ({"field_tables": {"z": {0: float("inf")}}}, "MF_z: non-finite value inf at site 0"),
+            ({"exchange_type": "XYZ", "exchange_rows": [(0, 1, 1.0, -float("inf"), 1.0)]},
+             r"exchange table: non-finite value -inf for pair \(0, 1\)"),
+            ({"dm_tables": {"x": [(1, 3, float("nan"))]}}, r"DM_x table: .* pair \(1, 3\)"),
+            ({"sod_tables": {"y": [(0, 2, float("inf"))]}}, r"SOD_y table: .* pair \(0, 2\)"),
+            ({"sia_table": {2: float("nan")}}, "SIA: non-finite value nan at site 2"),
+        ],
+        ids=["field", "xyz", "dm", "sod", "sia"],
+    )
+    def test_non_finite_in_every_table(self, tables, message):
+        with pytest.raises(LoadError, match=message):
+            SpinModel(n_sites=4, spin_sizes=[0.5] * 4, **tables)
+
     def test_spin_count_mismatch(self):
         with pytest.raises(LoadError):
             SpinModel(n_sites=4, spin_sizes=[0.5] * 3)

@@ -8,7 +8,7 @@ import pytest
 
 import treetn.state
 from conftest import random_isometry
-from treetn.linalg import entanglement_entropy, full_svd
+from treetn.linalg import entanglement_entropy, full_svd, spectrum_cut, truncate_spectrum
 from treetn.state import (
     PAIRINGS,
     TTNState,
@@ -272,6 +272,85 @@ class TestTruncationWarnings:
         assert len(caught) == 1
         assert choice.pairing == 0
         assert len(w) == chi
+
+
+def composed_decomposition(psi, chi, mode, eps_s=1e-8, sigma=0.0, delta_s=1e-8):
+    """``decompose_tensor`` at zero temperature, composed from ``full_svd``,
+    ``spectrum_cut``, ``truncate_spectrum`` and ``entanglement_entropy``."""
+    def matrix(pairing):
+        perm = PAIRINGS[pairing]
+        return psi.transpose(perm).reshape(psi.shape[perm[0]] * psi.shape[perm[1]], -1)
+
+    spec = full_svd(matrix(0))
+    spectra = [spec.values] + [
+        full_svd(matrix(k), vectors=False, gram=mode == 1) for k in (1, 2) if mode != 0
+    ]
+    entropies, errors = [np.nan] * 3, [np.nan] * 3
+    for k, values in enumerate(spectra):
+        entropies[k] = entanglement_entropy(values)
+        errors[k] = 1.0 - spectrum_cut(values, chi, sigma, delta_s)[1]
+    pairing = 0
+    if mode != 0:
+        ranked = errors if mode == 2 else [0.0] * 3
+        tied = [k for k in range(3) if ranked[k] - min(ranked) < 1e-13]
+        best = min(tied, key=lambda k: entropies[k])
+        if not (0 in tied and entropies[0] - entropies[best] < eps_s):
+            pairing = best
+    if pairing != 0:
+        spec = full_svd(matrix(pairing))
+        entropies[pairing] = entanglement_entropy(spec.values)
+    kept, errors[pairing] = truncate_spectrum(spec, chi, sigma, delta_s)
+    perm = PAIRINGS[pairing]
+    v_left = kept.left_vectors.reshape(psi.shape[perm[0]], psi.shape[perm[1]], -1)
+    v_right = np.moveaxis(
+        kept.right_vectors.reshape(-1, psi.shape[perm[2]], psi.shape[perm[3]]), 0, 2
+    )
+    selected = entanglement_entropy(kept.values)
+    return v_left, kept.values, v_right, pairing, entropies, errors, selected
+
+
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestDecomposeComposition:
+    """``decompose_tensor`` returns bit for bit what its parts give."""
+
+    @staticmethod
+    def tensor(kind):
+        gen = np.random.default_rng(11)
+        if kind == "real":
+            return gen.standard_normal((2, 3, 4, 2))
+        if kind == "complex":
+            return gen.standard_normal((3, 2, 2, 3)) + 1j * gen.standard_normal((3, 2, 2, 3))
+        if kind == "reconnect":  # legs (0, 2) and (1, 3) entangled, plus noise
+            pairs = np.einsum("ac,bd->abcd", np.eye(3), np.eye(3))
+            return pairs + 0.05 * gen.standard_normal((3, 3, 3, 3))
+        # tied: all three pairings split into two equal values
+        return np.einsum("i,j,k,l->ijkl", *[[1, 0]] * 4) + np.einsum("i,j,k,l->ijkl", *[[0, 1]] * 4)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "kind, chi", [("real", 3), ("complex", 3), ("reconnect", 4), ("tied", 1)]
+    )
+    def test_matches_composed_parts(self, kind, chi, mode):
+        psi = self.tensor(kind)
+        psi = psi / np.linalg.norm(psi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the tied cut straddles chi
+            v_l, w, v_r, choice = decompose_tensor(psi, chi, mode=mode)
+            ref_l, ref_w, ref_r, pairing, entropies, errors, selected = composed_decomposition(
+                psi, chi, mode
+            )
+        if kind == "reconnect" and mode != 0:
+            assert choice.pairing != 0
+        assert choice.pairing == pairing and choice.probabilities is None
+        for got, want in ((v_l, ref_l), (w, ref_w), (v_r, ref_r)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert bits(got) == bits(want)
+        assert bits(choice.entropies) == bits(entropies)
+        assert bits(choice.truncation_errors) == bits(errors)
+        assert bits(choice.selected_entropy) == bits(selected)
 
 
 class TestSelectionProbabilities:

@@ -9,7 +9,8 @@ from treetn import gss, sweeps
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
 from treetn.errors import ConfigError
 from treetn.factorize import (
-    FactorizeConfig, normalize_target, reconstruct_sweep, sequential_svd_to_mpn,
+    FactorizeConfig, fidelity_sweep_run, normalize_target, reconstruct_sweep,
+    sequential_svd_to_mpn,
 )
 from treetn.state import TTNState, cooled_temperature, merge_center, site_ee
 from treetn.sweeps import (
@@ -217,8 +218,9 @@ class TestSiteEntropies:
         state = sequential_svd_to_mpn(normalize_target(target), chi_init=4)
         merged = {}
 
-        def update(psi, info):
-            new = rng.standard_normal(psi.shape) + 1j * rng.standard_normal(psi.shape)
+        def update(merge, info):
+            shape = merge().shape
+            new = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             return new / np.linalg.norm(new), {}
 
         def observe(state, info):
@@ -235,6 +237,52 @@ class TestSiteEntropies:
         assert sorted(merged) == list(range(len(dims)))
         for bond, entropy in merged.items():
             assert report.entropies[bond] == pytest.approx(entropy, abs=1e-12)
+
+
+def quantics_cosine(bits=8):
+    """A sum of cosines on a 2^bits grid, one leg per bit."""
+    x = np.arange(2**bits) / 2**bits
+    return (np.cos(2 * np.pi * 3 * x) + 0.5 * np.cos(2 * np.pi * 11 * x + 0.3)).reshape(
+        (2,) * bits
+    )
+
+
+class TestMergeOnDemand:
+    """A step contracts the merged tensor only for an update that reads it:
+    the fidelity update embeds the environment instead, so a fidelity sweep
+    merges nothing, while reconstruction and ground-state sweeps merge once
+    per step."""
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        calls = []
+        for name in ("merge_moving", "merge_center"):
+            def counted(*args, _merge=getattr(sweeps, name), _name=name):
+                calls.append(_name)
+                return _merge(*args)
+
+            monkeypatch.setattr(sweeps, name, counted)
+        return calls
+
+    def test_fidelity_sweeps_merge_nothing(self, merges):
+        target = normalize_target(quantics_cosine())
+        state = sequential_svd_to_mpn(target, chi_init=2)
+        config = FactorizeConfig(chi_init=2, fidelity=schedule([2, 4], [3, 2], mode=2))
+        audit = AuditObserver()
+        fidelity_sweep_run(target, state, config, observers=[audit])
+        assert audit.steps > 0 and merges == []
+
+    def test_reconstruction_merges_once_per_step(self, merges):
+        state = sequential_svd_to_mpn(normalize_target(quantics_cosine()), chi_init=2)
+        audit = AuditObserver()
+        reconstruct_sweep(state, FactorizeConfig(chi_init=2, opt_mode=2, n_max=3), [audit])
+        assert audit.steps > 0 and len(merges) == audit.steps
+
+    def test_ground_state_search_merges_once_per_step(self, merges):
+        config = gss.GssConfig(chi_init=4, stages=schedule([4], [3], mode=1))
+        audit = AuditObserver()
+        gss.run(heisenberg_chain(8), config, observers=[audit])
+        assert audit.steps > 0 and len(merges) == audit.steps
 
 
 def record_pairing(pairings):
