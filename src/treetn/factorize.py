@@ -86,7 +86,9 @@ class TargetTensor:
 
 def normalize_target(raw: np.ndarray) -> TargetTensor:
     """Scale a tensor to unit Frobenius norm, remembering the factor. Single
-    precision is promoted to double first."""
+    precision is promoted to double first. When the sum of squares
+    overflows, or may have lost bits to underflow, the norm is taken from
+    the tensor divided by its largest magnitude instead."""
     raw = np.asarray(raw)
     if raw.dtype.kind not in "biufc":
         raise ValueError(f"target tensor must be numeric, got dtype {raw.dtype}")
@@ -95,12 +97,20 @@ def normalize_target(raw: np.ndarray) -> TargetTensor:
         raise ValueError(f"need at least 4 tensor legs, got {raw.ndim}")
     if any(d < 2 for d in raw.shape):
         raise ValueError(f"every leg needs dimension >= 2, got shape {raw.shape}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(raw))
+    # squares below the smallest normal double (~1e-308) lose bits, but
+    # their sum cannot shift a norm above 1e-100
+    if 1e-100 < norm < np.inf:
+        return TargetTensor(data=raw / norm, norm=norm)
     if not np.all(np.isfinite(raw)):
         raise NumericalError("non-finite entries in target tensor")
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
+    scale = float(np.max(np.abs(raw)))
+    if scale == 0.0:
         raise ValueError("target tensor is identically zero")
-    return TargetTensor(data=raw / norm, norm=norm)
+    data = raw / scale
+    unit = float(np.linalg.norm(data))
+    return TargetTensor(data=data / unit, norm=scale * unit)
 
 
 def sequential_svd_to_mpn(
@@ -180,12 +190,18 @@ def contract_with_conjugates(
     the network splits into the subtrees behind the (up to four) outer
     bonds, found by one walk. The contraction starts from ``T_B``, the
     target contracted with the subtree behind the outer bond ``B`` holding
-    the most sites, and folds the other subtrees onto it, leaves first.
-    ``T_b`` is built from ``T`` of the larger child of the tensor owning
-    ``b``, with the smaller child's subtree and that tensor folded in, and
-    is memoized on the target while every isometry of its subtree is the
-    same array with the same bonds. Entries larger than a quarter of the
-    target are not kept.
+    the most sites, and adds the other subtrees to it. ``T_b`` is built
+    from ``T`` of the larger child of the tensor owning ``b``, with the
+    smaller child's subtree and that tensor folded in one isometry at a
+    time (``_absorb``), and is memoized on the target while every isometry
+    of its subtree is the same array with the same bonds. Entries larger
+    than a quarter of the target are not kept.
+
+    A partial contraction larger than that bound is never folded. When the
+    larger child's ``T`` would exceed it, the subtree's isometries are
+    contracted with each other into one composite isometry, which meets the
+    dense target in one product (``_absorb_subtree``); when ``T_B`` exceeds
+    it, each other subtree is added to ``T_B`` the same way.
     """
     topo = state.topology
     t, t_conn = pair
@@ -194,11 +210,20 @@ def contract_with_conjugates(
         raise InvariantViolation(f"tensors {t},{t_conn} do not share one bond")
     outer = [b for b in (*topo.edges[t], *topo.edges[t_conn]) if b not in shared]
     owners = topo.owners()
+    dims, size = target.data.shape, target.data.size
 
     def fold(acc, legs, tensors):
         for i in tensors:
             acc, legs = _absorb(acc, legs, state.tensors[i], topo.edges[i])
         return acc, legs
+
+    def within_bound(below, chi):
+        """Whether ``T`` of the subtree ``below`` with bond dimension
+        ``chi`` is at most a quarter of the target."""
+        if not below:  # the bond is a site, and T the target itself
+            return False
+        sites = prod(dims[c] for i in below for c in topo.edges[i][:2] if topo.is_physical(c))
+        return 4 * (size // sites * chi) <= size
 
     def behind(below):
         """``T_b`` for the tensors ``below`` a bond ``b``, children first."""
@@ -211,22 +236,32 @@ def contract_with_conjugates(
             a is x and e == f for (a, e), (x, f) in zip(hit[0], deps)
         ):
             return hit[1], hit[2]
-        big, small = sorted(
-            _split_walk(topo, owners, below[:-1], topo.edges[o][:2]), key=len, reverse=True
-        )
-        acc, legs = fold(*behind(big), small + [o])
-        if 4 * acc.size <= target.data.size:
+        children = _split_walk(topo, owners, below[:-1], topo.edges[o][:2])
+        slot = int(len(children[1]) > len(children[0]))
+        if within_bound(children[slot], state.tensors[o].shape[slot]):
+            acc, legs = fold(*behind(children[slot]), children[1 - slot] + [o])
+        else:
+            for i in below:
+                target.envs.pop(i, None)
+            acc, legs = _absorb_subtree(
+                target.data, list(range(topo.n_sites)), topo.edges, state.tensors, below
+            )
+        if 4 * acc.size <= size:
             acc.flags.writeable = False
             target.envs[o] = (deps, acc, legs)
-        else:
-            target.envs.pop(o, None)
         return acc, legs
 
     order = topo.walk(outer, owners, near=pair)
     first, *rest = sorted(
         _split_walk(topo, owners, order, outer, pair), key=len, reverse=True
     )
-    return fold(*behind(first), [i for below in rest for i in below])
+    acc, legs = behind(first)
+    if 4 * acc.size <= size:
+        return fold(acc, legs, [i for below in rest for i in below])
+    for below in rest:
+        if below:
+            acc, legs = _absorb_subtree(acc, legs, topo.edges, state.tensors, below)
+    return acc, legs
 
 
 def _split_walk(topo, owners, order, bonds, near=()):
@@ -274,6 +309,58 @@ def _absorb(acc, legs, tensor, edges):
         out = np.matmul(mat.T, acc.reshape(a, d1 * d2, b * c))
     legs = [*legs[:ax1], edges[2], *legs[ax1 + 1:ax2], *legs[ax2 + 1:]]
     return out.reshape(*shape[:ax1], k, *shape[ax1 + 1:ax2], *shape[ax2 + 1:]), legs
+
+
+def _absorb_subtree(acc, legs, edges, tensors, below):
+    """Contract the conjugated isometries of the subtree ``below`` (children
+    first, the root last) with each other, then with ``acc`` in one product.
+
+    The composite is a matrix whose rows run over the subtree's sites in
+    their order in ``acc`` and whose columns are the bond above the root.
+    When the sites are one run of adjacent legs, ``acc`` is viewed as
+    ``(a, s, c)``, the product is one ``matmul`` with no copy, and the bond
+    takes the place of the run. Otherwise the legs between the sites are
+    moved in front of them first, which copies ``acc`` once but keeps the
+    last run and the legs behind it in place, and the bond takes the place
+    of the last run.
+    """
+    parts = {}
+    for i in below:
+        e1, e2, e3 = edges[i]
+        c1, c2, k = tensors[i].shape
+        w, sites = tensors[i].reshape(c1, c2 * k), [e1]
+        if e1 in parts:
+            w1, sites = parts.pop(e1)
+            w = w1 @ w
+        w = w.reshape(-1, c2, k)
+        if e2 in parts:
+            w2, more = parts.pop(e2)
+            w = np.matmul(w2, w)
+        else:
+            more = [e2]
+        parts[e3] = (w.reshape(-1, k), sites + more)
+    ((w, sites),) = parts.values()
+    pos = [legs.index(c) for c in sites]
+    if pos != sorted(pos):
+        rank = sorted(range(len(pos)), key=pos.__getitem__)
+        w = w.reshape(*(acc.shape[p] for p in pos), -1)
+        w = w.transpose(*rank, len(rank)).reshape(-1, w.shape[-1])
+        pos = sorted(pos)
+    if np.iscomplexobj(w):
+        w = w.conj()
+    lo, hi = pos[0], pos[-1] + 1
+    between = [j for j in range(lo, hi) if j not in pos]
+    shape = acc.shape
+    front = [*range(lo), *between]
+    view = acc.transpose(*front, *pos, *range(hi, acc.ndim))
+    a = prod(shape[j] for j in front)
+    view = view.reshape(a, w.shape[0], -1)
+    if view.shape[2] == 1:
+        out = view.reshape(a, -1) @ w
+    else:
+        out = np.matmul(w.T, view)
+    legs = [*(legs[j] for j in front), edges[below[-1]][2], *legs[hi:]]
+    return out.reshape(*(shape[j] for j in front), w.shape[1], *shape[hi:]), legs
 
 
 def environment(

@@ -85,8 +85,24 @@ class TestNormalizeTarget:
         assert np.linalg.norm(t.data) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="identically zero"):
             normalize_target(np.zeros((2,) * 4))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-170])
+    def test_extreme_scale_normalized(self, rng, scale):
+        # the squares of these entries overflow, lose bits, or vanish
+        raw = rng.standard_normal((2,) * 8)
+        raw /= np.linalg.norm(raw)
+        t = normalize_target(raw * scale)
+        assert t.norm == pytest.approx(scale, rel=1e-12)
+        np.testing.assert_allclose(t.data, raw, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        raw = np.ones((2,) * 4)
+        raw[1, 0, 1, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            normalize_target(raw)
 
     def test_small_legs_rejected(self):
         with pytest.raises(ValueError):
@@ -398,6 +414,10 @@ class TestFidelitySweeps:
 class TestCachedEnvironment:
     """The memoized environment against the full rebuild from the target."""
 
+    # reconnection spreads subtrees of three and more isometries over sites
+    # that are not adjacent in the target
+    SPREAD = (10, 1, 0.5, 5, False)
+
     @pytest.mark.parametrize(
         "n, mode, t0, seed, complex_",
         [
@@ -406,15 +426,19 @@ class TestCachedEnvironment:
             (10, 1, 1.0, 2, False),
             (10, 2, 0.0, 3, False),
             (8, 1, 0.5, 4, True),
+            pytest.param(*SPREAD, id="composites-over-sites-apart"),
+            # a tuple gives the leg dimensions
+            pytest.param((3,) * 7, 1, 0.5, 2, False, id="legs-of-dimension-3"),
         ],
     )
     def test_every_step_matches_full_rebuild(
         self, monkeypatch, n, mode, t0, seed, complex_
     ):
+        shape = (2,) * n if isinstance(n, int) else n
         gen = np.random.default_rng(seed)
-        raw = gen.standard_normal((2,) * n)
+        raw = gen.standard_normal(shape)
         if complex_:
-            raw = raw + 1j * gen.standard_normal((2,) * n)
+            raw = raw + 1j * gen.standard_normal(shape)
         t = normalize_target(raw)
         state = sequential_svd_to_mpn(t, 2)
         cached = factorize.contract_with_conjugates
@@ -426,7 +450,17 @@ class TestCachedEnvironment:
             calls.append(pair)
             return acc, legs
 
+        composite = factorize._absorb_subtree
+        spread = []
+
+        def recorded(acc, legs, edges, tensors, below):
+            inner = {edges[i][2] for i in below}
+            pos = sorted(legs.index(c) for i in below for c in edges[i][:2] if c not in inner)
+            spread.append(len(below) >= 3 and pos[-1] - pos[0] >= len(pos))
+            return composite(acc, legs, edges, tensors, below)
+
         monkeypatch.setattr(factorize, "contract_with_conjugates", checked)
+        monkeypatch.setattr(factorize, "_absorb_subtree", recorded)
         pairings = []
         cfg = FactorizeConfig(
             chi_init=2,
@@ -440,6 +474,34 @@ class TestCachedEnvironment:
         assert any(p != 0 for p in pairings), "no reconnection happened"
         assert t.envs, "nothing was memoized"
         assert_entries_bounded(t)
+        assert spread, "no subtree met the target as one composite"
+        if (n, mode, t0, seed, complex_) == self.SPREAD:
+            assert any(spread)
+
+    def test_folds_stay_within_bound(self, monkeypatch):
+        """No isometry is folded onto a partial contraction larger than a
+        quarter of the target; those meet whole subtrees at once."""
+        gen = np.random.default_rng(7)
+        t = normalize_target(gen.standard_normal((2,) * 12))
+        state = sequential_svd_to_mpn(t, 2)
+        absorb = factorize._absorb
+        sizes = []
+
+        def recorded(acc, legs, tensor, edges):
+            sizes.append(acc.size)
+            return absorb(acc, legs, tensor, edges)
+
+        monkeypatch.setattr(factorize, "_absorb", recorded)
+        pairings = []
+        cfg = FactorizeConfig(
+            chi_init=2, fidelity=schedule([2, 4, 8], [3, 2, 2], mode=1, t0=0.5), fidelity_seed=7
+        )
+        fidelity_sweep_run(
+            t, state, cfg, observers=[lambda s, info: pairings.append(info.choice.pairing)]
+        )
+        assert any(p != 0 for p in pairings), "no reconnection happened"
+        assert sizes
+        assert 4 * max(sizes) <= t.data.size
 
     def test_unchanged_network_reuses_entries(self, rng):
         t = normalize_target(rng.standard_normal((2,) * 10))
