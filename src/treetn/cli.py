@@ -103,6 +103,11 @@ def ft_main(argv=None) -> int:
             final_report = reports[-1]
             print(f"fidelity: {fidelity(target, state):.12e}")
         else:
+            if config.fidelity:
+                raise LoadError(
+                    "numerics.fidelity needs a dense target (target.tensor); "
+                    "network reconstruction takes no fidelity sweeps"
+                )
             state = load_tensor_bundle(target_spec.path)
             if config.opt_mode not in (1, 2):
                 raise LoadError(

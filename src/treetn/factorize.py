@@ -190,18 +190,15 @@ def contract_with_conjugates(
     the network splits into the subtrees behind the (up to four) outer
     bonds, found by one walk. The contraction starts from ``T_B``, the
     target contracted with the subtree behind the outer bond ``B`` holding
-    the most sites, and adds the other subtrees to it. ``T_b`` is built
-    from ``T`` of the larger child of the tensor owning ``b``, with the
-    smaller child's subtree and that tensor folded in one isometry at a
-    time (``_absorb``), and is memoized on the target while every isometry
+    the most sites, and adds each other subtree to it. There is one rule
+    for every contraction: a start meets the isometries it still lacks in
+    one product with their composite (``_absorb_subtree``). ``T_b`` starts
+    from ``T`` of the larger child of the tensor owning ``b`` when that is
+    at most a quarter of the target, and adds the smaller child's subtree
+    and the owner; otherwise it starts from the dense target and adds the
+    whole subtree. ``T_b`` is memoized on the target while every isometry
     of its subtree is the same array with the same bonds. Entries larger
     than a quarter of the target are not kept.
-
-    A partial contraction larger than that bound is never folded. When the
-    larger child's ``T`` would exceed it, the subtree's isometries are
-    contracted with each other into one composite isometry, which meets the
-    dense target in one product (``_absorb_subtree``); when ``T_B`` exceeds
-    it, each other subtree is added to ``T_B`` the same way.
     """
     topo = state.topology
     t, t_conn = pair
@@ -211,11 +208,6 @@ def contract_with_conjugates(
     outer = [b for b in (*topo.edges[t], *topo.edges[t_conn]) if b not in shared]
     owners = topo.owners()
     dims, size = target.data.shape, target.data.size
-
-    def fold(acc, legs, tensors):
-        for i in tensors:
-            acc, legs = _absorb(acc, legs, state.tensors[i], topo.edges[i])
-        return acc, legs
 
     def within_bound(below, chi):
         """Whether ``T`` of the subtree ``below`` with bond dimension
@@ -239,13 +231,13 @@ def contract_with_conjugates(
         children = _split_walk(topo, owners, below[:-1], topo.edges[o][:2])
         slot = int(len(children[1]) > len(children[0]))
         if within_bound(children[slot], state.tensors[o].shape[slot]):
-            acc, legs = fold(*behind(children[slot]), children[1 - slot] + [o])
+            acc, legs = behind(children[slot])
+            rest = children[1 - slot] + [o]
         else:
             for i in below:
                 target.envs.pop(i, None)
-            acc, legs = _absorb_subtree(
-                target.data, list(range(topo.n_sites)), topo.edges, state.tensors, below
-            )
+            acc, legs, rest = target.data, list(range(topo.n_sites)), below
+        acc, legs = _absorb_subtree(acc, legs, topo.edges, state.tensors, rest)
         if 4 * acc.size <= size:
             acc.flags.writeable = False
             target.envs[o] = (deps, acc, legs)
@@ -256,8 +248,6 @@ def contract_with_conjugates(
         _split_walk(topo, owners, order, outer, pair), key=len, reverse=True
     )
     acc, legs = behind(first)
-    if 4 * acc.size <= size:
-        return fold(acc, legs, [i for below in rest for i in below])
     for below in rest:
         if below:
             acc, legs = _absorb_subtree(acc, legs, topo.edges, state.tensors, below)
@@ -279,58 +269,28 @@ def _split_walk(topo, owners, order, bonds, near=()):
     return blocks
 
 
-def _absorb(acc, legs, tensor, edges):
-    """Contract a conjugated isometry over its first two bonds with one
-    matmul; its third bond takes the place of the contracted leg that comes
-    first in ``acc``, so along a chain the new leg sits next to the next
-    site.
-
-    ``acc`` is viewed as ``(a, d1, b, d2, c)``, the untouched legs merged
-    into three runs. Only when ``b > 1`` (legs between the two) is that
-    five-axis view copied, to ``(a, d1, d2, b, c)``; ``tensordot`` would
-    copy ``acc`` into a transposed layout of all its axes instead. When both
-    legs are trailing the product is one right-multiply.
-    """
-    ax1, ax2 = legs.index(edges[0]), legs.index(edges[1])
-    if ax1 > ax2:
-        ax1, ax2 = ax2, ax1
-        tensor = tensor.transpose(1, 0, 2)
-    if np.iscomplexobj(tensor):
-        tensor = tensor.conj()
-    d1, d2, k = tensor.shape
-    shape = acc.shape
-    a, b, c = prod(shape[:ax1]), prod(shape[ax1 + 1:ax2]), prod(shape[ax2 + 1:])
-    mat = tensor.reshape(d1 * d2, k)
-    if b > 1:
-        acc = acc.reshape(a, d1, b, d2, c).transpose(0, 1, 3, 2, 4)
-    if b * c == 1:
-        out = acc.reshape(a, d1 * d2) @ mat
-    else:
-        out = np.matmul(mat.T, acc.reshape(a, d1 * d2, b * c))
-    legs = [*legs[:ax1], edges[2], *legs[ax1 + 1:ax2], *legs[ax2 + 1:]]
-    return out.reshape(*shape[:ax1], k, *shape[ax1 + 1:ax2], *shape[ax2 + 1:]), legs
-
-
 def _absorb_subtree(acc, legs, edges, tensors, below):
-    """Contract the conjugated isometries of the subtree ``below`` (children
-    first, the root last) with each other, then with ``acc`` in one product.
+    """Contract the conjugated isometries ``below`` (children first, the
+    root last) with each other, then with ``acc`` in one product.
 
-    The composite is a matrix whose rows run over the subtree's sites in
-    their order in ``acc`` and whose columns are the bond above the root.
-    When the sites are one run of adjacent legs, ``acc`` is viewed as
+    ``below`` is a subtree, or the top of one whose other tensors ``acc``
+    already holds. The composite is a matrix whose columns are the bond
+    above the root and whose rows run, in their order in ``acc``, over the
+    legs of ``acc`` it contracts: sites, and the bonds into tensors not in
+    ``below``. When those legs are one run, ``acc`` is viewed as
     ``(a, s, c)``, the product is one ``matmul`` with no copy, and the bond
-    takes the place of the run. Otherwise the legs between the sites are
-    moved in front of them first, which copies ``acc`` once but keeps the
-    last run and the legs behind it in place, and the bond takes the place
-    of the last run.
+    takes the place of the run. Otherwise the legs between them are moved
+    in front of them first, which copies ``acc`` once but keeps the last
+    run and the legs behind it in place, and the bond takes the place of
+    the last run.
     """
     parts = {}
     for i in below:
         e1, e2, e3 = edges[i]
         c1, c2, k = tensors[i].shape
-        w, sites = tensors[i].reshape(c1, c2 * k), [e1]
+        w, rows = tensors[i].reshape(c1, c2 * k), [e1]
         if e1 in parts:
-            w1, sites = parts.pop(e1)
+            w1, rows = parts.pop(e1)
             w = w1 @ w
         w = w.reshape(-1, c2, k)
         if e2 in parts:
@@ -338,9 +298,9 @@ def _absorb_subtree(acc, legs, edges, tensors, below):
             w = np.matmul(w2, w)
         else:
             more = [e2]
-        parts[e3] = (w.reshape(-1, k), sites + more)
-    ((w, sites),) = parts.values()
-    pos = [legs.index(c) for c in sites]
+        parts[e3] = (w.reshape(-1, k), rows + more)
+    ((w, rows),) = parts.values()
+    pos = [legs.index(c) for c in rows]
     if pos != sorted(pos):
         rank = sorted(range(len(pos)), key=pos.__getitem__)
         w = w.reshape(*(acc.shape[p] for p in pos), -1)

@@ -147,6 +147,31 @@ output:
         )
         assert ft_main([str(ft_workspace / "recon.yml")]) == 1
 
+    def test_reconstruction_refuses_fidelity(self, ft_workspace, capsys):
+        """Fidelity sweeps need a dense target, which a bundle lacks."""
+        assert ft_main([str(ft_workspace / "input.yml")]) == 0
+        (ft_workspace / "recon.yml").write_text(
+            """
+target:
+  tensors: results
+numerics:
+  initial_bond_dimension: 8
+  opt_structure:
+    type: 1
+  fidelity:
+    max_bond_dimensions: [8]
+    max_num_sweeps: [2]
+output:
+  dir: recon_out
+"""
+        )
+        capsys.readouterr()
+        assert ft_main([str(ft_workspace / "recon.yml")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "numerics.fidelity" in err
+        assert not (ft_workspace / "recon_out" / "basic.csv").exists()
+
     @pytest.mark.parametrize("junk", [b"not an npy file", b"", None])
     def test_unreadable_target_fails(self, ft_workspace, capsys, junk):
         target = ft_workspace / "psi.npy"

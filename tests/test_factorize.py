@@ -39,18 +39,16 @@ def full_rebuild(target, state, pair):
     topo = state.topology
     (root,) = set(topo.edges[pair[0]]) & set(topo.edges[pair[1]])
     dist = set_distance(topo, root)
-    legs = list(range(topo.n_sites))
-    acc = target.data
     order = sorted(
         (i for i in range(topo.n_tensors) if i not in pair),
         key=lambda i: -dist[topo.edges[i][2]],
     )
-    for i in order:
-        e1, e2, e3 = topo.edges[i]
-        ax1, ax2 = legs.index(e1), legs.index(e2)
-        acc = np.tensordot(acc, state.tensors[i].conj(), axes=[[ax1, ax2], [0, 1]])
-        legs = [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [e3]
-    return acc, legs
+    return absorb_reference(
+        target.data,
+        list(range(topo.n_sites)),
+        [state.tensors[i] for i in order],
+        [topo.edges[i] for i in order],
+    )
 
 
 def assert_matches_full_rebuild(target, state, pair, acc, legs):
@@ -286,60 +284,83 @@ class TestEnvironment:
             assert f_before <= np.linalg.norm(env) + 1e-12
 
 
-def absorb_reference(acc, legs, tensor, edges):
-    """The contraction as ``tensordot`` does it: the isometry's third bond
-    becomes the last leg."""
-    ax1, ax2 = legs.index(edges[0]), legs.index(edges[1])
-    out = np.tensordot(acc, tensor.conj(), axes=[[ax1, ax2], [0, 1]])
-    return out, [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [edges[2]]
+def absorb_reference(acc, legs, tensors, edges):
+    """The contraction as ``tensordot`` does it, one conjugated isometry at
+    a time in the order given: each third bond becomes the last leg."""
+    for tensor, (e1, e2, e3) in zip(tensors, edges):
+        ax1, ax2 = legs.index(e1), legs.index(e2)
+        acc = np.tensordot(acc, tensor.conj(), axes=[[ax1, ax2], [0, 1]])
+        legs = [l for k, l in enumerate(legs) if k not in (ax1, ax2)] + [e3]
+    return acc, legs
 
 
 class TestAbsorb:
-    """``_absorb`` on every layout of the two contracted legs, against
-    ``tensordot`` with the old leg order."""
+    """``_absorb_subtree`` on one isometry over every layout of its two legs,
+    and on subtrees whose rows include bonds of the partial contraction,
+    against ``tensordot``."""
 
-    # accumulator shape, its leg labels, and the isometry's bonds; sites have
-    # dimension 2 or 3 and the auxiliary bonds (labels >= 20) 1, 4 or 8
+    # accumulator shape, its leg labels, and the bonds of the isometries,
+    # children first; sites have dimension 2 or 3, the partial's auxiliary
+    # bonds (labels 20-29) 1, 4 or 8, and new bonds (labels >= 30) 3, 5 or 6
     LAYOUTS = {
-        "adjacent-front": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (0, 1, 30)),
-        "adjacent-middle": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (20, 3, 30)),
-        "adjacent-back": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (3, 21, 30)),
-        "reversed-front": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (1, 0, 30)),
-        "reversed-middle": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (3, 20, 30)),
-        "reversed-back": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (21, 3, 30)),
-        "apart": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (1, 3, 30)),
-        "apart-reversed": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (21, 1, 30)),
-        "apart-ends": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], (0, 21, 30)),
-        "apart-over-unit-bond": ((3, 1, 2, 4, 2), [0, 20, 1, 21, 2], (0, 1, 30)),
-        "only-two-legs": ((4, 8), [20, 21], (21, 20, 30)),
-        "chi-legs-apart": ((2, 8, 3, 4, 2, 2), [0, 20, 1, 21, 2, 3], (20, 21, 30)),
+        "adjacent-front": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(0, 1, 30)]),
+        "adjacent-middle": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(20, 3, 30)]),
+        "adjacent-back": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(3, 21, 30)]),
+        "reversed-front": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(1, 0, 30)]),
+        "reversed-middle": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(3, 20, 30)]),
+        "reversed-back": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(21, 3, 30)]),
+        "apart": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(1, 3, 30)]),
+        "apart-reversed": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(21, 1, 30)]),
+        "apart-ends": ((2, 3, 4, 2, 8), [0, 1, 20, 3, 21], [(0, 21, 30)]),
+        "apart-over-unit-bond": ((3, 1, 2, 4, 2), [0, 20, 1, 21, 2], [(0, 1, 30)]),
+        "only-two-legs": ((4, 8), [20, 21], [(21, 20, 30)]),
+        "chi-legs-apart": ((2, 8, 3, 4, 2, 2), [0, 20, 1, 21, 2, 3], [(20, 21, 30)]),
+        # the owner of a child whose subtree the partial holds: the child's
+        # bond is a row like a site
+        "bond-then-run": ((2, 4, 3, 2, 8), [0, 20, 1, 2, 21], [(1, 2, 30), (20, 30, 31)]),
+        "run-then-bond": ((2, 3, 2, 4, 8), [0, 1, 2, 20, 21], [(1, 2, 30), (30, 20, 31)]),
+        "bond-apart": ((4, 2, 3, 8, 2), [20, 0, 1, 21, 2], [(0, 2, 30), (20, 30, 31)]),
+        "bond-reversed": ((4, 3, 2, 2, 8), [20, 1, 2, 0, 21], [(2, 1, 30), (30, 20, 31)]),
+        "two-bonds": ((2, 4, 3, 2, 8), [0, 20, 1, 2, 21], [(20, 1, 30), (30, 21, 31)]),
+        "bond-under-root": (
+            (2, 3, 4, 2, 8, 3),
+            [0, 1, 20, 3, 21, 2],
+            [(0, 1, 30), (3, 21, 31), (30, 31, 32)],
+        ),
     }
+    NEW = {30: 5, 31: 6, 32: 3}
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("acc_complex", [False, True])
     @pytest.mark.parametrize("tensor_complex", [False, True])
     def test_matches_tensordot(self, rng, layout, acc_complex, tensor_complex):
         shape, legs, edges = self.LAYOUTS[layout]
-        dims = dict(zip(legs, shape))
+        dims = {**dict(zip(legs, shape)), **self.NEW}
         acc = rng.standard_normal(shape)
-        tensor = rng.standard_normal((dims[edges[0]], dims[edges[1]], 5))
         if acc_complex:
             acc = acc + 1j * rng.standard_normal(shape)
-        if tensor_complex:
-            tensor = tensor + 1j * rng.standard_normal(tensor.shape)
+        tensors = []
+        for e in edges:
+            tensor = rng.standard_normal(tuple(dims[b] for b in e))
+            if tensor_complex:
+                tensor = tensor + 1j * rng.standard_normal(tensor.shape)
+            tensors.append(tensor)
         acc.flags.writeable = False
         before = acc.copy()
 
-        out, out_legs = factorize._absorb(acc, list(legs), tensor, edges)
-        ref, ref_legs = absorb_reference(acc, legs, tensor, edges)
+        below = list(range(len(edges)))
+        out, out_legs = factorize._absorb_subtree(acc, list(legs), edges, tensors, below)
+        ref, ref_legs = absorb_reference(acc, legs, tensors, edges)
 
         np.testing.assert_array_equal(acc, before)
-        assert out.ndim == len(out_legs) == len(legs) - 1
         assert sorted(out_legs) == sorted(ref_legs)
-        dims[edges[2]] = 5
         assert out.shape == tuple(dims[l] for l in out_legs)
-        # the new leg takes the place of the contracted leg that came first
-        assert out_legs.index(edges[2]) == min(legs.index(edges[0]), legs.index(edges[1]))
+        # the untouched legs keep their order, and the new bond goes after
+        # the legs between the rows, in place of the last run of rows
+        new = edges[-1][2]
+        rows = [l for l in legs if l not in out_legs]
+        assert [l for l in out_legs if l != new] == [l for l in legs if l in out_legs]
+        assert out_legs.index(new) == max(map(legs.index, rows)) + 1 - len(rows)
         assert out.dtype == ref.dtype
         np.testing.assert_allclose(
             out.transpose([out_legs.index(l) for l in ref_legs]), ref, rtol=0, atol=1e-12
@@ -478,20 +499,42 @@ class TestCachedEnvironment:
         if (n, mode, t0, seed, complex_) == self.SPREAD:
             assert any(spread)
 
-    def test_folds_stay_within_bound(self, monkeypatch):
-        """No isometry is folded onto a partial contraction larger than a
-        quarter of the target; those meet whole subtrees at once."""
+    def test_one_product_per_contraction(self, monkeypatch):
+        """Each environment calls the kernel once per ``T_b`` it computes
+        and once per other non-empty outer subtree, whatever their sizes:
+        nothing is folded onto a partial one isometry at a time. A computed
+        ``T_b`` is a memo miss, and each miss splits the subtree's children
+        once (``_split_walk``); the walk behind the outer bonds is split
+        once more."""
         gen = np.random.default_rng(7)
         t = normalize_target(gen.standard_normal((2,) * 12))
         state = sequential_svd_to_mpn(t, 2)
-        absorb = factorize._absorb
-        sizes = []
+        calls = {}
 
-        def recorded(acc, legs, tensor, edges):
-            sizes.append(acc.size)
-            return absorb(acc, legs, tensor, edges)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(factorize, "_absorb", recorded)
+            return wrapper
+
+        contract = factorize.contract_with_conjugates
+        envs = []
+
+        def checked(target, st, pair):
+            calls.update(kernel=0, split=0)
+            out = contract(target, st, pair)
+            topo = st.topology
+            outer = set(topo.edges[pair[0]]) ^ set(topo.edges[pair[1]])
+            subtrees = sum(not topo.is_physical(b) for b in outer)
+            misses = calls["split"] - 1
+            assert calls["kernel"] == misses + max(subtrees - 1, 0)
+            envs.append(misses)
+            return out
+
+        monkeypatch.setattr(factorize, "contract_with_conjugates", checked)
+        monkeypatch.setattr(factorize, "_absorb_subtree", counted("kernel", factorize._absorb_subtree))
+        monkeypatch.setattr(factorize, "_split_walk", counted("split", factorize._split_walk))
         pairings = []
         cfg = FactorizeConfig(
             chi_init=2, fidelity=schedule([2, 4, 8], [3, 2, 2], mode=1, t0=0.5), fidelity_seed=7
@@ -500,8 +543,9 @@ class TestCachedEnvironment:
             t, state, cfg, observers=[lambda s, info: pairings.append(info.choice.pairing)]
         )
         assert any(p != 0 for p in pairings), "no reconnection happened"
-        assert sizes
-        assert 4 * max(sizes) <= t.data.size
+        assert len(envs) == len(pairings)
+        assert any(m > 1 for m in envs), "no environment rebuilt a chain of entries"
+        assert_entries_bounded(t)
 
     def test_unchanged_network_reuses_entries(self, rng):
         t = normalize_target(rng.standard_normal((2,) * 10))
