@@ -22,10 +22,8 @@ from .gss import (
     GssResult,
     Observables,
     initialize_ttn,
-    one_site_expectations,
     run,
     sweep,
-    two_site_correlations,
 )
 from .linalg import (
     EigenSpectrum,
@@ -34,7 +32,6 @@ from .linalg import (
     full_eigh,
     full_svd,
     lanczos_lowest,
-    truncate_spectrum,
 )
 from .spinmodel import SpinModel, local_spin_matrices, parse_spin_size
 from .state import (
@@ -63,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TreetnError", "LoadError", "ConfigError", "InvariantViolation", "NumericalError",
-    "SingularSpectrum", "EigenSpectrum", "full_svd", "truncate_spectrum",
+    "SingularSpectrum", "EigenSpectrum", "full_svd",
     "full_eigh", "lanczos_lowest", "entanglement_entropy",
     "Topology", "set_distance", "candidate_edge_indices", "local_two_tensor",
     "build_mpn", "build_pbt", "build_initial_topology",
@@ -72,7 +69,6 @@ __all__ = [
     "SpinModel", "local_spin_matrices", "parse_spin_size",
     "SelectionSettings", "SweepReport", "StepInfo", "run_sweep", "Stage", "schedule",
     "GssConfig", "GssResult", "Observables", "initialize_ttn", "sweep", "run",
-    "one_site_expectations", "two_site_correlations",
     "FactorizeConfig", "TargetTensor", "normalize_target",
     "sequential_svd_to_mpn", "reconstruct_sweep", "environment",
     "embed_environment", "fidelity", "fidelity_sweep_run",

@@ -113,7 +113,6 @@ def ft_main(argv=None) -> int:
                 raise LoadError(
                     "network reconstruction requires opt_structure.type 1 or 2"
                 )
-            config.chi_init = state.max_bond_dimension()
             state, reports = reconstruct_sweep(state, config)
             final_report = reports[-1]
         write_ft_outputs(flags.directory, state, final_report, flags, with_fidelity)

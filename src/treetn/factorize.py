@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, NumericalError
-from .linalg import full_svd, truncate_spectrum
+from .linalg import cut_spectrum, full_svd, spectrum_cut
 from .state import TTNState, merge_center
 from .sweeps import Stage, StepInfo, SweepReport, check_schedule, run_stage, run_sweep
 from .topology import build_mpn
@@ -130,14 +130,18 @@ def sequential_svd_to_mpn(
     q = p + 1
     tensors: list[np.ndarray] = [None] * nt  # type: ignore[list-item]
 
+    def truncated(matrix):
+        spec = full_svd(matrix)
+        return cut_spectrum(spec, *spectrum_cut(spec.values, chi_init, sigma, delta_s))
+
     acc = target.data.reshape(dims[0] * dims[1], -1)
-    spec, _ = truncate_spectrum(full_svd(acc), chi_init, sigma, delta_s)
+    spec = truncated(acc)
     tensors[0] = spec.left_vectors.reshape(dims[0], dims[1], spec.rank)
     acc = spec.values[:, None] * spec.right_vectors
     chi_left = spec.rank
     for t in range(1, nt - 1):
         acc = acc.reshape(chi_left * dims[t + 1], -1)
-        spec, _ = truncate_spectrum(full_svd(acc), chi_init, sigma, delta_s)
+        spec = truncated(acc)
         tensors[t] = spec.left_vectors.reshape(chi_left, dims[t + 1], spec.rank)
         acc = spec.values[:, None] * spec.right_vectors
         chi_left = spec.rank
@@ -147,14 +151,14 @@ def sequential_svd_to_mpn(
     # carrier's legs are (slot 3, slot 1, slot 2) of the tensor it becomes
     for t in range(nt - 1, p, -1):
         mat = carrier.reshape(carrier.shape[0], -1)
-        spec, _ = truncate_spectrum(full_svd(mat), chi_init, sigma, delta_s)
+        spec = truncated(mat)
         tensors[t] = np.moveaxis(
             spec.right_vectors.reshape(spec.rank, *carrier.shape[1:]), 0, 2
         )
         passed = spec.left_vectors * spec.values
         if t > q:
             carrier = np.tensordot(tensors[t - 1], passed, axes=[2, 0]).transpose(0, 2, 1)
-    spec, _ = truncate_spectrum(full_svd(passed), chi_init, sigma, delta_s)
+    spec = truncated(passed)
     tensors[p] = np.tensordot(tensors[p], spec.left_vectors, axes=[2, 0])
     tensors[q] = np.tensordot(tensors[q], spec.right_vectors, axes=[2, 1])
 

@@ -26,7 +26,7 @@ from .operators import (
     refresh_bond,
     xyz_stack,
 )
-from .spinmodel import SpinModel, local_spin_matrices
+from .spinmodel import SpinModel
 from .state import TTNState, decompose_tensor, merge_center
 from .sweeps import (
     SelectionSettings, Stage, StepInfo, SweepReport, check_schedule, run_stage,
@@ -42,8 +42,6 @@ __all__ = [
     "initialize_ttn",
     "sweep",
     "run",
-    "one_site_expectations",
-    "two_site_correlations",
     "leg_expectations",
     "leg_pair_correlations",
     "ObservableCollector",
@@ -95,7 +93,6 @@ class Observables:
 
     single: dict[int, tuple[float, float, float]] = field(default_factory=dict)
     pairs: dict[tuple[int, int], dict[str, float]] = field(default_factory=dict)
-    energy: float | None = None
 
 
 @dataclass
@@ -300,7 +297,7 @@ def run(
                 stage.chi, eps_s=config.eps_s, delta_s=config.delta_s, settled=converged
             )
             reports.append(run_one(sel, observers=(*observers, collector.on_step)))
-            observables = collector.finish(reports[-1].energies[state.topology.origin])
+            observables = collector.finish()
         stages.append(StageResult(stage.chi, reports, observables, converged))
     return GssResult(state=state, cache=cache, stages=stages, initial_energy=e_init)
 
@@ -336,10 +333,6 @@ def _real_parts(values: np.ndarray, describe, mask=True) -> np.ndarray:
     return values.real
 
 
-def _spin_stack(ops: dict) -> np.ndarray:
-    return np.stack([ops["x"], ops["y"], ops["z"]])
-
-
 # rows and columns of the 3x3 (x, y, z) block behind each correlation component
 _COMPONENT_ROWS = np.array(["xyz".index(c[0]) for c in CORRELATION_ORDER])
 _COMPONENT_COLS = np.array(["xyz".index(c[1]) for c in CORRELATION_ORDER])
@@ -354,26 +347,6 @@ def _moments(psi: np.ndarray, leg: int, stack: np.ndarray, where: str):
     values = leg_expectations(psi, {leg: stack})
     values = _real_parts(values, lambda index: f"<s^{'xyz'[index[0]]}> at {where}")
     return tuple(values.tolist())
-
-
-def one_site_expectations(psi: np.ndarray, leg: int, spin_size: float):
-    """Spin moments (x, y, z) of one physical leg of a center tensor."""
-    sz, _, sx, sy = local_spin_matrices(spin_size)
-    return _moments(psi, leg, np.stack([sx, sy, sz]), f"leg {leg}")
-
-
-def two_site_correlations(
-    psi: np.ndarray, leg_i: int, ops_i: dict, leg_j: int, ops_j: dict
-):
-    """All nine correlation components between operators on two legs.
-
-    ``ops_i`` and ``ops_j`` map axis names to the operators of the two
-    physical sites renormalized onto the respective legs. Component ``ab``
-    means the ``a`` operator acting on site ``i`` and ``b`` on site ``j``;
-    an error names the two sites as 0 and 1.
-    """
-    stacks = {leg_i: _spin_stack(ops_i), leg_j: _spin_stack(ops_j)}
-    return leg_pair_correlations(psi, {leg_i: (0,), leg_j: (1,)}, stacks)[0, 1]
 
 
 def leg_pair_correlations(
@@ -465,7 +438,7 @@ class ObservableCollector:
             self._measured[np.ix_(sites_a, sites_b)] = True
             self._measured[np.ix_(sites_b, sites_a)] = True
 
-    def finish(self, energy: float) -> Observables:
+    def finish(self) -> Observables:
         n = self.model.n_sites
         missing_sites = set(range(n)) - self.single.keys()
         if missing_sites:
@@ -477,4 +450,4 @@ class ObservableCollector:
         extra = self.pairs.keys() - expected
         if extra:
             raise InvariantViolation(f"unexpected pair keys: {sorted(extra)[:5]}")
-        return Observables(single=dict(self.single), pairs=dict(self.pairs), energy=energy)
+        return Observables(single=dict(self.single), pairs=dict(self.pairs))

@@ -22,7 +22,6 @@ __all__ = [
     "full_svd",
     "spectrum_cut",
     "cut_spectrum",
-    "truncate_spectrum",
     "full_eigh",
     "lanczos_lowest",
     "entanglement_entropy",
@@ -53,9 +52,6 @@ class SingularSpectrum:
     @property
     def rank(self) -> int:
         return len(self.values)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.values) @ self.right_vectors
 
 
 @dataclass
@@ -120,10 +116,16 @@ def degenerate_cut(values: np.ndarray, keep: int, delta: float) -> int:
 def spectrum_cut(
     values: np.ndarray, chi_max: int, sigma: float = 0.0, delta_s: float = 0.0
 ) -> tuple[int, float, bool]:
-    """Where ``truncate_spectrum`` cuts a descending spectrum, silently:
-    the kept count, the kept weight ``sum(kept D^2)`` (the truncation error
-    is one minus it), and whether a multiplet tied within ``delta_s``
-    straddles the cap (the cap wins). ``cut_spectrum`` applies it."""
+    """Where to cut a descending singular spectrum to at most ``chi_max``
+    values, silently.
+
+    Values with ``D_i / D_1 <= sigma`` are dropped. If the cut would split a
+    multiplet whose relative internal gaps are below ``delta_s``, it moves
+    down so the whole multiplet is dropped together; when the multiplet
+    cannot be kept whole under ``chi_max`` the hard cap wins. Returns the
+    kept count, the kept weight ``sum(kept D^2)`` (the truncation error is
+    one minus it), and whether a multiplet straddles the cap.
+    ``cut_spectrum`` applies the cut and warns on a straddle."""
     if chi_max < 1:
         raise ValueError(f"chi_max must be positive, got {chi_max}")
     keep = min(chi_max, len(values))
@@ -154,27 +156,6 @@ def cut_spectrum(
         left_vectors=spec.left_vectors[:, :keep],
         right_vectors=spec.right_vectors[:keep, :],
     )
-
-
-def truncate_spectrum(
-    spec: SingularSpectrum,
-    chi_max: int,
-    sigma: float = 0.0,
-    delta_s: float = 0.0,
-) -> tuple[SingularSpectrum, float]:
-    """Truncate a singular spectrum to at most ``chi_max`` values.
-
-    Values with ``D_i / D_1 <= sigma`` are dropped. If the cut would split a
-    multiplet whose relative internal gaps are below ``delta_s``, the cut
-    moves down so the whole multiplet is discarded together; when the
-    multiplet cannot be kept whole under ``chi_max`` the hard cap wins and a
-    warning is emitted. Kept values are rescaled to unit sum of squares.
-
-    Returns the truncated spectrum and the truncation error
-    ``1 - sum(kept D^2)`` evaluated on the pre-rescaling values.
-    """
-    keep, weight, straddles = spectrum_cut(spec.values, chi_max, sigma, delta_s)
-    return cut_spectrum(spec, keep, weight, straddles), 1.0 - weight
 
 
 def full_eigh(hermitian: np.ndarray) -> EigenSpectrum:

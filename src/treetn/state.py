@@ -37,7 +37,6 @@ __all__ = [
 # the three ways to split the merged 4-leg tensor (p1 p2 q1 q2):
 # axis groupings of the left factor; the right factor takes the rest
 PAIRINGS = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 1, 3))
-PAIRING_NAMES = ("p1p2|q1q2", "p1q2|p2q1", "p1q1|p2q2")
 
 
 @dataclass
@@ -50,10 +49,6 @@ class ReconnectChoice:
     truncation_errors: tuple[float, float, float]
     selected_entropy: float
     probabilities: tuple[float, float, float] | None = None
-
-    @property
-    def name(self) -> str:
-        return PAIRING_NAMES[self.pairing]
 
 
 @dataclass

@@ -113,10 +113,6 @@ class Topology:
     def snapshot(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(tuple(e) for e in self.edges)
 
-    def shape_snapshot(self) -> tuple[tuple[int, ...], ...]:
-        """The tree shape, see ``tree_shape``."""
-        return tree_shape(self.edges)
-
     def to_graph_lines(self) -> str:
         return "".join(f"{e[0]} {e[1]} {e[2]}\n" for e in self.edges)
 

@@ -132,6 +132,27 @@ output:
         assert ft_main([str(ft_workspace / "recon.yml")]) == 0
         assert (ft_workspace / "recon_out" / "basic.csv").exists()
 
+    def test_reconstruction_obeys_initial_bond_dimension(self, ft_workspace):
+        assert ft_main([str(ft_workspace / "input.yml")]) == 0
+        assert max(load_tensor_bundle(ft_workspace / "results").bond_dimensions().values()) > 2
+        (ft_workspace / "recon.yml").write_text(
+            """
+target:
+  tensors: results
+numerics:
+  initial_bond_dimension: 2
+  opt_structure:
+    type: 1
+  max_sweep_num: 5
+output:
+  dir: recon_out
+  tensors: 1
+"""
+        )
+        assert ft_main([str(ft_workspace / "recon.yml")]) == 0
+        rebuilt = load_tensor_bundle(ft_workspace / "recon_out")
+        assert max(rebuilt.bond_dimensions().values()) <= 2
+
     def test_reconstruction_requires_opt_mode(self, ft_workspace):
         assert ft_main([str(ft_workspace / "input.yml")]) == 0
         (ft_workspace / "recon.yml").write_text(

@@ -1,7 +1,9 @@
 """The package imports nothing beyond the standard library, numpy, scipy and
-PyYAML, the dependencies declared in pyproject.toml."""
+PyYAML, the dependencies declared in pyproject.toml, and every name it
+exports exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -27,3 +29,15 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_declared_dependencies(path):
     assert sorted(set(top_level_imports(path)) - ALLOWED) == []
+
+
+@pytest.mark.parametrize(
+    "module", ["treetn", *(f"treetn.{p.stem}" for p in SOURCES if p.stem != "__init__")]
+)
+def test_exports_resolve(module):
+    namespace = importlib.import_module(module)
+    exported = getattr(namespace, "__all__", [])
+    assert [name for name in exported if not hasattr(namespace, name)] == []
+    star: dict = {}
+    exec(f"from {module} import *", star)
+    assert set(exported) <= star.keys()

@@ -19,7 +19,7 @@ from treetn.factorize import (
 )
 from treetn.state import audit_state, merge_center, to_dense
 from treetn.sweeps import schedule
-from treetn.topology import audit_topology, set_distance
+from treetn.topology import audit_topology, set_distance, tree_shape
 
 
 def rainbow_target(n):
@@ -194,9 +194,9 @@ class TestReconstructSweep:
         state = sequential_svd_to_mpn(t, 8)
         cfg = FactorizeConfig(chi_init=8, opt_mode=1, n_max=6)
         state, reports = reconstruct_sweep(state, cfg)
-        shape = state.topology.shape_snapshot()
+        shape = tree_shape(state.topology.edges)
         state, reports2 = reconstruct_sweep(state, cfg)
-        assert state.topology.shape_snapshot() == shape
+        assert tree_shape(state.topology.edges) == shape
 
     def test_rainbow_reduces_peak_entropy(self):
         t = rainbow_target(6)

@@ -16,10 +16,8 @@ from treetn.gss import (
     degenerate_keep_count,
     initialize_ttn,
     leg_pair_correlations,
-    one_site_expectations,
     run,
     sweep,
-    two_site_correlations,
 )
 from treetn.linalg import full_eigh, lanczos_lowest
 from treetn.operators import get_operator
@@ -380,24 +378,36 @@ class TestRun:
             assert rep.entropies[b] == pytest.approx(dense, abs=1e-8)
 
 
+def spin_stack(spin_size):
+    """The (x, y, z) stack of one site's spin matrices."""
+    sz, _, sx, sy = local_spin_matrices(spin_size)
+    return np.stack([sx, sy, sz])
+
+
+def one_pair(psi, stack_0, stack_1, legs=(0, 1)):
+    """Correlation components between site 0 on ``legs[0]`` and site 1 on
+    ``legs[1]``."""
+    sites = {legs[0]: (0,), legs[1]: (1,)}
+    return leg_pair_correlations(psi, sites, {legs[0]: stack_0, legs[1]: stack_1})[0, 1]
+
+
 class TestExpectationFunctions:
     def test_polarized_product(self):
         psi = np.zeros((2, 2, 2, 2))
         psi[0, 0, 0, 0] = 1.0  # all spins up
         for leg in range(4):
-            sx, sy, sz = one_site_expectations(psi, leg, 0.5)
+            sx, sy, sz = gss._moments(psi, leg, spin_stack(0.5), f"leg {leg}")
             assert (sx, sy, sz) == pytest.approx((0.0, 0.0, 0.5), abs=1e-14)
 
     def test_singlet_pair(self):
         psi = np.zeros((2, 2, 1, 1))
         psi[0, 1, 0, 0] = 2**-0.5
         psi[1, 0, 0, 0] = -(2**-0.5)
+        stack = spin_stack(0.5)
         for leg in (0, 1):
-            moments = one_site_expectations(psi, leg, 0.5)
+            moments = gss._moments(psi, leg, stack, f"leg {leg}")
             assert moments == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
-        sz, sp, sx, sy = local_spin_matrices(0.5)
-        ops = {"x": sx, "y": sy, "z": sz}
-        comps = two_site_correlations(psi, 0, ops, 1, ops)
+        comps = one_pair(psi, stack, stack)
         assert comps["zz"] == pytest.approx(-0.25, abs=1e-14)
         assert comps["xx"] == pytest.approx(-0.25, abs=1e-14)
         assert comps["yy"] == pytest.approx(-0.25, abs=1e-14)
@@ -408,11 +418,10 @@ class TestExpectationFunctions:
         b = rng.standard_normal(2)
         psi = np.einsum("a,b->ab", a, b).reshape(2, 2, 1, 1)
         psi /= np.linalg.norm(psi)
-        sz, sp, sx, sy = local_spin_matrices(0.5)
-        ops = {"x": sx, "y": sy, "z": sz}
-        single_0 = one_site_expectations(psi, 0, 0.5)
-        single_1 = one_site_expectations(psi, 1, 0.5)
-        comps = two_site_correlations(psi, 0, ops, 1, ops)
+        stack = spin_stack(0.5)
+        single_0 = gss._moments(psi, 0, stack, "leg 0")
+        single_1 = gss._moments(psi, 1, stack, "leg 1")
+        comps = one_pair(psi, stack, stack)
         for comp in ("xx", "zz", "xz", "zx"):
             a_idx = "xyz".index(comp[0])
             b_idx = "xyz".index(comp[1])
@@ -460,10 +469,12 @@ class TestLegPairKernel:
             for site in sites
         }
 
+    @staticmethod
+    def xyz(site_ops):
+        return np.stack([site_ops["x"], site_ops["y"], site_ops["z"]])
+
     def stack(self, ops, leg):
-        return np.concatenate([
-            np.stack([ops[r]["x"], ops[r]["y"], ops[r]["z"]]) for r in self.SITES[leg]
-        ])
+        return np.concatenate([self.xyz(ops[r]) for r in self.SITES[leg]])
 
     @pytest.mark.parametrize("legs", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     def test_matches_dense_einsum(self, psi, ops, legs):
@@ -498,14 +509,15 @@ class TestLegPairKernel:
             if key in pairs
         }
 
-    def test_wrappers_match_dense_einsum(self, psi, ops):
-        # one-pair case with the first site on the later leg
-        comps = two_site_correlations(psi, 3, ops[5], 1, ops[3])
+    def test_one_pair_and_moments_match_dense_einsum(self, psi, ops):
+        # one pair with the smaller site on the later leg
+        comps = one_pair(psi, self.xyz(ops[5]), self.xyz(ops[3]), legs=(3, 1))
+        assert list(comps) == list(gss.CORRELATION_ORDER)
         for comp, value in comps.items():
             dense = dense_expectation(psi, {3: ops[5][comp[0]], 1: ops[3][comp[1]]})
             assert value == pytest.approx(dense.real, abs=1e-13)
-        sz, _, sx, sy = local_spin_matrices(1.0)
-        moments = one_site_expectations(psi, 1, 1.0)
+        moments = gss._moments(psi, 1, spin_stack(1.0), "leg 1")
+        sx, sy, sz = spin_stack(1.0)
         dense = [dense_expectation(psi, {1: op}).real for op in (sx, sy, sz)]
         assert moments == pytest.approx(dense, abs=1e-13)
 
@@ -517,9 +529,10 @@ class TestLegPairKernel:
         # the first pair checked is site 6 (x) with site 2 (y), named in site order
         with pytest.raises(InvariantViolation, match=r"<s\^y s\^x> at sites \(2, 6\)"):
             leg_pair_correlations(psi, sites, stacks)
-        # the one-pair wrapper names its sites 0 and 1
+        # one pair names its own sites, here 0 and 1
+        bad = self.xyz({**ops[2], "z": 1j * ops[2]["z"]})
         with pytest.raises(InvariantViolation, match=r"<s\^z s\^.> at sites \(0, 1\)"):
-            two_site_correlations(psi, 3, {**ops[2], "z": 1j * ops[2]["z"]}, 0, ops[1])
+            one_pair(psi, bad, self.xyz(ops[1]), legs=(3, 0))
         with pytest.raises(InvariantViolation, match=r"<s\^y> at leg 2 has"):
             gss._moments(psi, 2, np.stack([ops[0]["x"], 1j * ops[0]["y"], ops[0]["z"]]), "leg 2")
 

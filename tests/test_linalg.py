@@ -14,11 +14,12 @@ from treetn.errors import NumericalError
 from treetn.linalg import (
     _projected_ground,
     _reorthogonalize,
+    cut_spectrum,
     entanglement_entropy,
     full_eigh,
     full_svd,
     lanczos_lowest,
-    truncate_spectrum,
+    spectrum_cut,
 )
 from treetn.spinmodel import local_spin_matrices
 
@@ -42,13 +43,15 @@ class TestFullSvd:
     def test_random_reconstruction(self, rng):
         m = rng.standard_normal((8, 6))
         spec = full_svd(m)
-        err = np.linalg.norm(spec.reconstruct() - m) / np.linalg.norm(m)
+        product = (spec.left_vectors * spec.values) @ spec.right_vectors
+        err = np.linalg.norm(product - m) / np.linalg.norm(m)
         assert err < 1e-10
 
     def test_complex_reconstruction(self, rng):
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         spec = full_svd(m)
-        assert np.linalg.norm(spec.reconstruct() - m) < 1e-10 * np.linalg.norm(m)
+        product = (spec.left_vectors * spec.values) @ spec.right_vectors
+        assert np.linalg.norm(product - m) < 1e-10 * np.linalg.norm(m)
 
     def test_orthonormal_columns(self, rng):
         spec = full_svd(rng.standard_normal((9, 4)))
@@ -91,51 +94,51 @@ class TestFullSvd:
 
 
 class TestTruncateSpectrum:
+    """The cut of every decomposition: ``spectrum_cut`` finds it and
+    ``cut_spectrum`` applies it."""
+
     def test_no_weight_lost(self):
         spec = full_svd(np.diag([1.0, 0.0, 0.0]))
-        kept, err = truncate_spectrum(spec, chi_max=1)
+        keep, weight, straddles = spectrum_cut(spec.values, chi_max=1)
+        kept = cut_spectrum(spec, keep, weight, straddles)
         np.testing.assert_allclose(kept.values, [1.0])
-        assert err == pytest.approx(0.0, abs=1e-14)
+        assert 1.0 - weight == pytest.approx(0.0, abs=1e-14)
 
     def test_exact_degenerate_pair_under_hard_cap(self):
         spec = full_svd(np.diag([2**-0.5, 2**-0.5]))
-        with pytest.warns(RuntimeWarning):
-            kept, err = truncate_spectrum(spec, chi_max=1, delta_s=1e-8)
+        keep, weight, straddles = spectrum_cut(spec.values, chi_max=1, delta_s=1e-8)
+        assert straddles
+        with pytest.warns(RuntimeWarning, match="straddles the bond-dimension cap"):
+            kept = cut_spectrum(spec, keep, weight, straddles)
         assert kept.rank == 1
-        assert err == pytest.approx(0.5, abs=1e-12)
+        assert 1.0 - weight == pytest.approx(0.5, abs=1e-12)
 
     def test_hand_evaluated_four_vector(self):
         values = np.array([0.9, 0.3, 0.3 * (1 - 1e-9), 0.1])
-        spec = full_svd(np.diag(values))
-        kept, err = truncate_spectrum(spec, chi_max=3, delta_s=1e-8)
+        keep, weight, straddles = spectrum_cut(values, chi_max=3, delta_s=1e-8)
         # the internal near-degenerate pair sits strictly inside the kept set
-        assert kept.rank == 3
-        expected = 1.0 - float(np.sum(values[:3] ** 2))
-        assert err == pytest.approx(expected, abs=1e-14)
+        assert (keep, straddles) == (3, False)
+        assert weight == pytest.approx(float(np.sum(values[:3] ** 2)), abs=1e-14)
 
     def test_cut_moves_down_through_multiplet(self):
         values = np.array([0.8, 0.4, 0.4 * (1 - 1e-12), 0.2])
-        spec = full_svd(np.diag(values))
-        kept, err = truncate_spectrum(spec, chi_max=2, delta_s=1e-8)
-        assert kept.rank == 1
-        assert err == pytest.approx(1.0 - 0.64, abs=1e-12)
+        keep, weight, straddles = spectrum_cut(values, chi_max=2, delta_s=1e-8)
+        assert (keep, straddles) == (1, False)
+        assert 1.0 - weight == pytest.approx(1.0 - 0.64, abs=1e-12)
 
     def test_sigma_cutoff(self):
         values = np.array([1.0, 0.5, 1e-5, 1e-7])
-        spec = full_svd(np.diag(values))
-        kept, _ = truncate_spectrum(spec, chi_max=4, sigma=1e-4)
-        assert kept.rank == 2
+        assert spectrum_cut(values, chi_max=4, sigma=1e-4)[0] == 2
 
     def test_rescaled_to_unit_weight(self):
-        values = np.array([0.8, 0.5, 0.2])
-        spec = full_svd(np.diag(values))
-        kept, _ = truncate_spectrum(spec, chi_max=2)
+        spec = full_svd(np.diag([0.8, 0.5, 0.2]))
+        kept = cut_spectrum(spec, *spectrum_cut(spec.values, chi_max=2))
+        assert kept.rank == 2
         assert float(np.sum(kept.values**2)) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_chi_rejected(self):
-        spec = full_svd(np.eye(2))
         with pytest.raises(ValueError):
-            truncate_spectrum(spec, chi_max=0)
+            spectrum_cut(np.ones(2), chi_max=0)
 
     @given(
         n_values=st.integers(2, 12),
@@ -148,9 +151,10 @@ class TestTruncateSpectrum:
         values = np.sort(rng.random(n_values))[::-1] + 1e-3
         values = values / np.linalg.norm(values)
         spec = full_svd(np.diag(values))
-        kept, err = truncate_spectrum(spec, chi_max=chi, delta_s=1e-13)
+        keep, weight, straddles = spectrum_cut(spec.values, chi_max=chi, delta_s=1e-13)
+        kept = cut_spectrum(spec, keep, weight, straddles)
         pre = spec.values[: kept.rank]
-        assert err == pytest.approx(1.0 - float(np.sum(pre**2)), abs=1e-14)
+        assert 1.0 - weight == pytest.approx(1.0 - float(np.sum(pre**2)), abs=1e-14)
 
 
 class TestFullEigh:

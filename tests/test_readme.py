@@ -1,4 +1,5 @@
-"""The README's YAML examples parse as documented: no unknown key, no error."""
+"""The README's YAML examples parse as documented, with no unknown key and no
+error, and its Python example runs as written."""
 
 import re
 import warnings
@@ -14,6 +15,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def yaml_blocks(text):
     return re.findall(r"^```yaml\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+
+
+def python_block(text, heading):
+    """The one Python block of the README section under ``## heading``."""
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```", section, flags=re.MULTILINE | re.DOTALL)
+    return block
 
 
 @pytest.fixture
@@ -57,3 +65,7 @@ class TestReadmeExamples:
         assert target.path == workspace / "psi.npy"
         assert [s.chi for s in config.fidelity] == [8, 16]
         assert flags.tensors
+
+    def test_library_example_runs(self):
+        block = python_block(README.read_text(), "Library entry points")
+        exec(compile(block, str(README), "exec"), {})

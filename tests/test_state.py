@@ -8,7 +8,7 @@ import pytest
 
 import treetn.state
 from conftest import random_isometry
-from treetn.linalg import entanglement_entropy, full_svd, spectrum_cut, truncate_spectrum
+from treetn.linalg import cut_spectrum, entanglement_entropy, full_svd, spectrum_cut
 from treetn.state import (
     PAIRINGS,
     TTNState,
@@ -276,7 +276,7 @@ class TestTruncationWarnings:
 
 def composed_decomposition(psi, chi, mode, eps_s=1e-8, sigma=0.0, delta_s=1e-8):
     """``decompose_tensor`` at zero temperature, composed from ``full_svd``,
-    ``spectrum_cut``, ``truncate_spectrum`` and ``entanglement_entropy``."""
+    ``spectrum_cut``, ``cut_spectrum`` and ``entanglement_entropy``."""
     def matrix(pairing):
         perm = PAIRINGS[pairing]
         return psi.transpose(perm).reshape(psi.shape[perm[0]] * psi.shape[perm[1]], -1)
@@ -299,7 +299,8 @@ def composed_decomposition(psi, chi, mode, eps_s=1e-8, sigma=0.0, delta_s=1e-8):
     if pairing != 0:
         spec = full_svd(matrix(pairing))
         entropies[pairing] = entanglement_entropy(spec.values)
-    kept, errors[pairing] = truncate_spectrum(spec, chi, sigma, delta_s)
+    cut = spectrum_cut(spec.values, chi, sigma, delta_s)
+    kept, errors[pairing] = cut_spectrum(spec, *cut), 1.0 - cut[1]
     perm = PAIRINGS[pairing]
     v_left = kept.left_vectors.reshape(psi.shape[perm[0]], psi.shape[perm[1]], -1)
     v_right = np.moveaxis(

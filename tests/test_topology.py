@@ -21,6 +21,7 @@ from treetn.topology import (
     local_two_tensor,
     set_distance,
     subtree_sites,
+    tree_shape,
 )
 
 
@@ -238,7 +239,7 @@ def reconnected(seed=4, n_sites=12):
     state = sequential_svd_to_mpn(target, 2 ** (n_sites // 2))
     config = FactorizeConfig(chi_init=2 ** (n_sites // 2), opt_mode=1, seed=seed, n_max=3)
     state, _ = reconstruct_sweep(state, config)
-    assert state.topology.shape_snapshot() != build_mpn(n_sites).shape_snapshot()
+    assert tree_shape(state.topology.edges) != tree_shape(build_mpn(n_sites).edges)
     return target, state
 
 
