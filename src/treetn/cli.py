@@ -59,9 +59,9 @@ def gss_main(argv=None) -> int:
         if args.verify:
             _verify(result.state)
         for m, (stage, res) in enumerate(zip(config.stages, result.stages), 1):
-            # the observable sweep closes a stage but is not one of its sweeps
-            n = len(res.reports) - int(want_obs)
-            end = (f"converged after {n} sweeps" if res.converged
+            # the sweeps that ran: a converged stage measures in its closing
+            # sweep, and needs an observable sweep only if that one reconnected
+            end = (f"converged after {len(res.reports)} sweeps" if res.converged
                    else f"hit the sweep limit {stage.n_max}")
             print(f"stage {m} (chi {stage.chi}): {end}")
         print(f"energy: {result.energy:.12e}")

@@ -274,17 +274,28 @@ def run(
 
     Each stage of ``config.stages`` runs to convergence or its sweep limit
     (``sweeps.schedule`` puts structural selection on the first only). When
-    observables are requested, each stage ends with one extra fixed-structure
-    sweep that collects them (the structure is frozen there by contract); its
-    solves start unperturbed when the stage converged.
+    observables are requested, they are collected along every sweep that can
+    close its stage (``SelectionSettings.closing``); a stage that converges
+    on such a sweep without reconnecting there keeps that sweep's
+    observables, so a converged stage computes the same with or without
+    them. Any other stage ends with one extra fixed-structure sweep that
+    collects them; its solves start unperturbed when the stage converged.
     """
     topology = build_initial_topology(model.n_sites, config.init_tree)
     state, cache, e_init = initialize_ttn(
         model, topology, config.chi_init, config.delta_e, config.delta_s
     )
     rng = np.random.Generator(np.random.Philox(config.seed))
+    collector: ObservableCollector | None = None
 
-    run_one = partial(sweep, state, cache, model, observers=observers)
+    def run_one(selection: SelectionSettings) -> SweepReport:
+        nonlocal collector
+        watch = observers
+        if want_observables and selection.closing:
+            collector = ObservableCollector(model, cache)
+            watch = (*observers, collector.on_closing_step)
+        return sweep(state, cache, model, selection, observers=watch)
+
     stages: list[StageResult] = []
     for stage in config.stages:
         reports, converged = run_stage(
@@ -292,11 +303,15 @@ def run(
         )
         observables = None
         if want_observables:
-            collector = ObservableCollector(model, cache)
-            sel = SelectionSettings(
-                stage.chi, eps_s=config.eps_s, delta_s=config.delta_s, settled=converged
-            )
-            reports.append(run_one(sel, observers=(*observers, collector.on_step)))
+            # a converged stage ended on a closing sweep, which set the collector
+            if not converged or collector.reconnected:
+                collector = ObservableCollector(model, cache)
+                sel = SelectionSettings(
+                    stage.chi, eps_s=config.eps_s, delta_s=config.delta_s, settled=converged
+                )
+                reports.append(sweep(
+                    state, cache, model, sel, observers=(*observers, collector.on_step)
+                ))
             observables = collector.finish()
         stages.append(StageResult(stage.chi, reports, observables, converged))
     return GssResult(state=state, cache=cache, stages=stages, initial_energy=e_init)
@@ -394,6 +409,12 @@ class ObservableCollector:
     into different legs. The final step at the origin splits every remaining
     pair, so one sweep always achieves full coverage.
 
+    ``on_step`` refuses a step that reconnects. ``on_closing_step`` serves a
+    sweep that may reconnect, the closing sweep of a stage with structural
+    selection: the first reconnecting step sets ``reconnected`` and the
+    collector measures nothing more, since its values would no longer come
+    from one structure.
+
     A step measures per leg pair, not per site pair: the x, y and z
     operators of every site behind a leg are stacked, and one reduced
     matrix of the two legs gives all their site pairs at once
@@ -407,6 +428,12 @@ class ObservableCollector:
         self.single: dict[int, tuple[float, float, float]] = {}
         self.pairs: dict[tuple[int, int], dict[str, float]] = {}
         self._measured = np.zeros((model.n_sites, model.n_sites), dtype=bool)
+        self.reconnected = False
+
+    def on_closing_step(self, state: TTNState, info: StepInfo):
+        self.reconnected = self.reconnected or info.choice.pairing != 0
+        if not self.reconnected:
+            self.on_step(state, info)
 
     def on_step(self, state: TTNState, info: StepInfo):
         # pairing 0 keeps each tensor's bond set; pairings 1 and 2 reconnect

@@ -62,6 +62,17 @@ class EigenSpectrum:
     eigenvectors: np.ndarray
 
 
+def lapack(routine: str, matrix: np.ndarray, **kwargs):
+    """``np.linalg.<routine>(matrix, **kwargs)``, with a LAPACK failure
+    raised as ``NumericalError`` naming the routine and the matrix shape."""
+    try:
+        return getattr(np.linalg, routine)(matrix, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"{routine} of a {matrix.shape} matrix failed: {exc}"
+        ) from exc
+
+
 def full_svd(
     matrix: np.ndarray, vectors: bool = True, gram: bool = False
 ) -> SingularSpectrum | np.ndarray:
@@ -83,11 +94,11 @@ def full_svd(
             raise ValueError("a Gram spectrum has no singular vectors")
         rows, cols = matrix.shape
         h = matrix.conj().T
-        squares = np.linalg.eigvalsh(matrix @ h if rows <= cols else h @ matrix)
+        squares = lapack("eigvalsh", matrix @ h if rows <= cols else h @ matrix)
         return np.sqrt(np.maximum(squares[::-1], 0.0))
     if not vectors:
-        return np.linalg.svd(matrix, compute_uv=False)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+        return lapack("svd", matrix, compute_uv=False)
+    u, s, vh = lapack("svd", matrix, full_matrices=False)
     return SingularSpectrum(values=s, left_vectors=u, right_vectors=vh)
 
 
@@ -168,7 +179,7 @@ def full_eigh(hermitian: np.ndarray) -> EigenSpectrum:
     scale = max(1.0, float(np.max(np.abs(hermitian))))
     if np.max(np.abs(hermitian - hermitian.conj().T)) > HERMITIAN_TOL * scale:
         raise NumericalError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(hermitian)
+    vals, vecs = lapack("eigh", hermitian)
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import cut_spectrum, entanglement_entropy, full_svd, spectrum_cut
+from .linalg import cut_spectrum, entanglement_entropy, full_svd, lapack, spectrum_cut
 from .topology import Topology, subtree_sites
 
 __all__ = [
@@ -270,7 +270,7 @@ def site_ee(psi: np.ndarray, leg: int) -> float:
         psi.transpose([leg, *others]).reshape(d, -1),
         psi.conj().transpose([*others, leg]).reshape(-1, d),
     )
-    lam = np.linalg.eigvalsh(rho)
+    lam = lapack("eigvalsh", rho)
     lam = lam[lam > 0.0]
     if lam.size == 0:
         return 0.0

@@ -46,7 +46,9 @@ SETTLED_SWEEPS = 3
 class SelectionSettings:
     """Bond dimension cap and structural-selection knobs for one sweep.
     ``settled`` marks a sweep that follows a settled pair of reports (see
-    ``run_stage``): its updates start from states that have stopped moving."""
+    ``run_stage``): its updates start from states that have stopped moving.
+    ``closing`` marks a sweep entered with ``SETTLED_SWEEPS - 1`` settled
+    pairs, the only kind on which a stage can converge."""
 
     chi: int
     mode: int = 0
@@ -56,6 +58,7 @@ class SelectionSettings:
     sigma: float = 0.0
     delta_s: float = 1e-8
     settled: bool = False
+    closing: bool = False
 
 
 @dataclass
@@ -312,7 +315,9 @@ def run_stage(
     ``sweep(selection)`` runs one sweep. Under heat-bath selection (mode 1)
     the temperature of sweep ``n`` is ``cooled_temperature(t0, n, n_tau)``.
     ``selection.settled`` is set while the current streak of settled pairs
-    is not empty, that is when the previous two sweeps settled.
+    is not empty, that is when the previous two sweeps settled, and
+    ``selection.closing`` when the streak is one pair short of ending the
+    stage: a converged stage ends on such a sweep.
     """
     reports: list[SweepReport] = []
     streak = 0
@@ -322,7 +327,7 @@ def run_stage(
             temperature = cooled_temperature(stage.t0, n, stage.n_tau)
         selection = SelectionSettings(
             stage.chi, stage.mode, temperature, rng, eps_s, sigma, delta_s,
-            settled=streak > 0,
+            settled=streak > 0, closing=streak == SETTLED_SWEEPS - 1,
         )
         reports.append(sweep(selection))
         if len(reports) > 1 and settled(reports[-2], reports[-1], eps_s, eps_e, eps_f):

@@ -9,6 +9,7 @@ import pytest
 from conftest import AuditObserver, heisenberg_chain, leaf_partitions
 from treetn.benchmarks import ed_oracle, hierarchical_chain_model
 from treetn import gss, sweeps
+from treetn import state as state_module
 from treetn.errors import ConfigError, InvariantViolation
 from treetn.factorize import FactorizeConfig
 from treetn.gss import (
@@ -154,7 +155,8 @@ class TestNoisePolicy:
     """Solves start from a perturbed vector until their stage settles: each
     sweep that follows a settled pair of the current streak, and the
     observable sweep of a converged stage, solve from the unperturbed
-    merged tensor."""
+    merged tensor. A converged stage measures in its closing sweep, so it
+    runs no observable sweep unless that one reconnected."""
 
     def test_perturbed_up_to_first_settled_pair(self, monkeypatch):
         model = heisenberg_chain(8)
@@ -162,7 +164,7 @@ class TestNoisePolicy:
         log = traced_solves(monkeypatch)
         res = run(model, cfg, want_observables=True)
         (stage,) = res.stages
-        reports = stage.reports[:-1]  # the last one is the observable sweep
+        reports = stage.reports  # the closing sweep measured; no observable sweep
         pairs = [sweeps.settled(a, b, cfg.eps_s, cfg.eps_e)
                  for a, b in zip(reports, reports[1:])]
         first = pairs.index(True)
@@ -170,11 +172,11 @@ class TestNoisePolicy:
         assert stage.converged and all(pairs[first:])
         assert len(pairs) == first + sweeps.SETTLED_SWEEPS
         assert log[0] == [1, 1]  # the initialization
-        assert len(log) == 1 + len(reports) + 1
+        assert len(log) == 1 + len(reports)
         solves = [n for _, n in log[1:]]
         assert all(n > 0 for n in solves)
-        # sweeps 0 .. first + 1 end the first settled pair; later ones and the
-        # observable sweep run without noise
+        # sweeps 0 .. first + 1 end the first settled pair; later ones run
+        # without noise
         expected = [n if k <= first + 1 else 0 for k, n in enumerate(solves)]
         assert [p for p, _ in log[1:]] == expected
         assert res.energy == pytest.approx(ed_oracle(model).energy, abs=1e-9)
@@ -197,7 +199,8 @@ class TestNoisePolicy:
         assert res.stages[0].converged
         noisy = [p == n > 0 for p, n in log[1:]]
         quiet = [p == 0 < n for p, n in log[1:]]
-        assert noisy == [True, True, False, True, False, False, False]
+        # six sweeps: the sixth closes the stage and measures there
+        assert noisy == [True, True, False, True, False, False]
         assert quiet == [not x for x in noisy]
 
     def test_bare_sweep_perturbs(self, monkeypatch):
@@ -663,3 +666,106 @@ class TestObservablePass:
             abs(comps[c] - ref.pairs[key][c]) for key, comps in obs.pairs.items() for c in comps
         )
         assert worst <= 1e-13
+
+
+def run_record(result):
+    """Everything a run computes but its observables, for bit-for-bit
+    comparison."""
+    reports = [
+        [(r.energies, r.entropies, r.truncation_errors, r.structure_snapshot)
+         for r in stage.reports]
+        for stage in result.stages
+    ]
+    state = result.state
+    return (reports, [s.converged for s in result.stages], result.energy,
+            [t.tobytes() for t in state.tensors], state.center_weights.tobytes(),
+            state.topology.snapshot())
+
+
+def fixed_structure_pass(model, cfg, result, settled):
+    """The fixed-structure observable sweep, run after the fact on a
+    single-stage run made without observables."""
+    collector = gss.ObservableCollector(model, result.cache)
+    selection = SelectionSettings(
+        cfg.stages[-1].chi, eps_s=cfg.eps_s, delta_s=cfg.delta_s, settled=settled
+    )
+    report = sweep(result.state, result.cache, model, selection,
+                   observers=[collector.on_step])
+    result.stages[-1].reports.append(report)
+    return collector.finish()
+
+
+def assert_same_observables(a, b):
+    assert a.single == b.single
+    assert a.pairs == b.pairs
+
+
+class TestClosingSweepObservables:
+    """A stage that converges measures along its closing sweep and runs no
+    further sweep; a stage that hits its limit, or whose closing sweep
+    reconnected, ends with the fixed-structure observable sweep."""
+
+    def test_converged_run_computes_the_same_with_or_without(self):
+        model = hierarchical_chain_model(3, 1.0, 0.5)
+        cfg = GssConfig(chi_init=4, stages=schedule([4, 16], [20, 20], mode=1))
+        bare = run(model, cfg)
+        measured = run(model, cfg, want_observables=True)
+        assert all(stage.converged for stage in bare.stages)
+        assert run_record(measured) == run_record(bare)
+        assert all(stage.observables is not None for stage in measured.stages)
+        ed = ed_oracle(model)
+        for (i, j), comps in measured.observables.pairs.items():
+            for c, v in comps.items():
+                assert v == pytest.approx(ed.correlation(i, j)[c], abs=1e-8)
+
+    def test_stage_at_its_limit_keeps_the_observable_sweep(self, monkeypatch):
+        model = heisenberg_chain(8)
+        cfg = GssConfig(chi_init=4, stages=schedule([8], [2]))
+        log = traced_solves(monkeypatch)
+        measured = run(model, cfg, want_observables=True)
+        assert not measured.stages[0].converged
+        assert len(measured.stages[0].reports) == 3
+        assert all(p == n > 0 for p, n in log)  # the observable sweep is perturbed
+        bare = run(model, cfg)
+        reference = fixed_structure_pass(model, cfg, bare, settled=False)
+        assert run_record(measured) == run_record(bare)
+        assert_same_observables(measured.observables, reference)
+
+    def test_reconnecting_closing_sweep_falls_back(self, monkeypatch):
+        """The first step of every closing sweep is forced to reconnect and
+        the stage is scripted to converge on it: its observables come from
+        the fixed-structure sweep that follows, solved unperturbed."""
+        model = heisenberg_chain(8)
+        cfg = GssConfig(chi_init=4, stages=schedule([8], [10]))
+        # one entry per sweep: a closing sweep whose first step is still to come
+        closing = [False]
+        walk, choose = gss.sweep, state_module._choose_pairing
+
+        def marked_sweep(*args, **kwargs):
+            closing.append(args[3].closing)
+            return walk(*args, **kwargs)
+
+        def forced_choice(*args):
+            pairing, probs = choose(*args)
+            if closing[-1]:
+                closing[-1] = False
+                return 1, probs
+            return pairing, probs
+
+        monkeypatch.setattr(gss, "sweep", marked_sweep)
+        monkeypatch.setattr(state_module, "_choose_pairing", forced_choice)
+        scripted_settled(monkeypatch, [True] * sweeps.SETTLED_SWEEPS)
+        log = traced_solves(monkeypatch)
+        measured = run(model, cfg, want_observables=True)
+        (stage,) = measured.stages
+        assert stage.converged and len(stage.reports) == sweeps.SETTLED_SWEEPS + 2
+        assert [p > 0 for p, _ in log[1:]] == [True, True, False, False, False]
+        reconnected = stage.reports[-2].structure_snapshot
+        assert reconnected != stage.reports[-3].structure_snapshot
+
+        scripted_settled(monkeypatch, [True] * sweeps.SETTLED_SWEEPS)
+        closing[:] = [False]
+        bare = run(model, cfg)
+        reference = fixed_structure_pass(model, cfg, bare, settled=True)
+        assert run_record(measured) == run_record(bare)
+        assert_same_observables(measured.observables, reference)

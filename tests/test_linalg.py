@@ -191,6 +191,30 @@ class TestFullEigh:
             full_eigh(m)
 
 
+def failing(name):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+    return fail
+
+
+class TestLapackFailures:
+    """A LAPACK failure inside numpy leaves as a ``NumericalError`` that
+    names the routine and the shape of the matrix it was given."""
+
+    @pytest.mark.parametrize("routine, call, shape", [
+        ("svd", lambda m: full_svd(m), r"\(3, 5\)"),
+        ("svd", lambda m: full_svd(m, vectors=False), r"\(3, 5\)"),
+        ("eigvalsh", lambda m: full_svd(m, vectors=False, gram=True), r"\(3, 3\)"),
+        ("eigh", lambda m: full_eigh(m[:, :3] @ m[:, :3].T), r"\(3, 3\)"),
+    ])
+    def test_failure_named(self, monkeypatch, rng, routine, call, shape):
+        monkeypatch.setattr(np.linalg, routine, failing(routine))
+        with pytest.raises(NumericalError, match=rf"{routine} of a {shape} matrix failed: "
+                                                 rf"{routine} did not converge") as info:
+            call(rng.standard_normal((3, 5)))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 class TestEntanglementEntropy:
     def test_pure(self):
         assert entanglement_entropy(np.array([1.0])) == 0.0

@@ -8,6 +8,7 @@ import pytest
 
 import treetn.state
 from conftest import random_isometry
+from treetn.errors import NumericalError
 from treetn.linalg import cut_spectrum, entanglement_entropy, full_svd, spectrum_cut
 from treetn.state import (
     PAIRINGS,
@@ -390,6 +391,15 @@ class TestSiteEE:
             mat = psi.transpose([leg] + rest).reshape(psi.shape[leg], -1)
             expected = entanglement_entropy(full_svd(mat).values)
             assert site_ee(psi, leg) == pytest.approx(expected, abs=1e-12)
+
+
+    def test_lapack_failure_named(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigvalsh did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match=r"eigvalsh of a \(2, 2\) matrix failed"):
+            site_ee(rainbow_tensor(), 0)
 
 
 class TestCooledTemperature:

@@ -91,6 +91,8 @@ class TestRunStage:
         out, converged, calls = drive([report(energy=v) for v in values])
         assert converged and len(out) == 7
         assert [c.settled for c in calls] == [False, False, True, True, False, True, True]
+        # sweeps entered one settled pair short of the end; sweep 3 does not close
+        assert [c.closing for c in calls] == [False, False, False, True, False, False, True]
 
     def test_zero_energies_settle(self):
         out, converged, _ = drive([report(energy=0.0) for _ in range(6)])
