@@ -33,95 +33,85 @@ from .state import audit_state
 from .topology import audit_topology
 
 
-def _verify(state):
-    audit_topology(state.topology)
-    audit_state(state)
-    print("invariant audit passed")
+def _run_command(prog: str, description: str, argv, body) -> int:
+    """Parse a command's YAML input path and ``--verify``, then run
+    ``body(config_path)``, which returns the final state; ``--verify``
+    audits it. A failed run prints one error line and returns 1."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    parser.add_argument("config", type=str, help="path to the YAML input file")
+    parser.add_argument(
+        "--verify", action="store_true", help="run the invariant audit after the run"
+    )
+    args = parser.parse_args(argv)
+    try:
+        state = body(args.config)
+        if args.verify:
+            audit_topology(state.topology)
+            audit_state(state)
+            print("invariant audit passed")
+    except (TreetnError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def gss_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="gss", description="Variational ground-state search"
+    return _run_command("gss", "Variational ground-state search", argv, _gss)
+
+
+def _gss(config_path):
+    model, config, flags = parse_gss_config(config_path)
+    flags.directory.mkdir(parents=True, exist_ok=True)
+    result = gss_run(model, config, want_observables=flags.single_site or flags.two_site)
+    write_gss_outputs(
+        RunManifest(out_dir=flags.directory), result.state, result.stages, flags
     )
-    parser.add_argument("config", type=str, help="path to the YAML input file")
-    parser.add_argument(
-        "--verify", action="store_true", help="run the invariant audit after the run"
-    )
-    args = parser.parse_args(argv)
-    try:
-        model, config, flags = parse_gss_config(args.config)
-        want_obs = flags.single_site or flags.two_site
-        flags.directory.mkdir(parents=True, exist_ok=True)
-        result = gss_run(model, config, want_observables=want_obs)
-        write_gss_outputs(
-            RunManifest(out_dir=flags.directory), result.state, result.stages, flags
-        )
-        if args.verify:
-            _verify(result.state)
-        for m, (stage, res) in enumerate(zip(config.stages, result.stages), 1):
-            # the sweeps that ran: a converged stage measures in its closing
-            # sweep, and needs an observable sweep only if that one reconnected
-            end = (f"converged after {len(res.reports)} sweeps" if res.converged
-                   else f"hit the sweep limit {stage.n_max}")
-            print(f"stage {m} (chi {stage.chi}): {end}")
-        print(f"energy: {result.energy:.12e}")
-    except (TreetnError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    for m, (stage, res) in enumerate(zip(config.stages, result.stages), 1):
+        # the sweeps that ran: a converged stage measures in its closing
+        # sweep, and needs an observable sweep only if that one reconnected
+        end = (f"converged after {len(res.reports)} sweeps" if res.converged
+               else f"hit the sweep limit {stage.n_max}")
+        print(f"stage {m} (chi {stage.chi}): {end}")
+    print(f"energy: {result.energy:.12e}")
+    return result.state
 
 
 def ft_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ft", description="Tensor factorization / network reconstruction"
-    )
-    parser.add_argument("config", type=str, help="path to the YAML input file")
-    parser.add_argument(
-        "--verify", action="store_true", help="run the invariant audit after the run"
-    )
-    args = parser.parse_args(argv)
-    try:
-        target_spec, config, flags = parse_ft_config(args.config)
-        flags.directory.mkdir(parents=True, exist_ok=True)
-        with_fidelity = False
-        if target_spec.kind == "tensor":
-            target = normalize_target(load_array(target_spec.path))
-            state = sequential_svd_to_mpn(
-                target, config.chi_init, config.sigma, config.delta_s
-            )
-            reports = []
-            if config.opt_mode in (1, 2):
-                state, reports = reconstruct_sweep(state, config)
-            if config.fidelity:
-                state, stage_reports = fidelity_sweep_run(target, state, config)
-                reports = [r for stage in stage_reports for r in stage]
-                with_fidelity = True
-            if not reports:
-                # fixed-structure networks still need one report for outputs
-                frozen = replace(config, opt_mode=0, n_max=1, fidelity=[])
-                state, reports = reconstruct_sweep(state, frozen)
-            final_report = reports[-1]
-            print(f"fidelity: {fidelity(target, state):.12e}")
-        else:
-            if config.fidelity:
-                raise LoadError(
-                    "numerics.fidelity needs a dense target (target.tensor); "
-                    "network reconstruction takes no fidelity sweeps"
-                )
-            state = load_tensor_bundle(target_spec.path)
-            if config.opt_mode not in (1, 2):
-                raise LoadError(
-                    "network reconstruction requires opt_structure.type 1 or 2"
-                )
+    return _run_command("ft", "Tensor factorization / network reconstruction", argv, _ft)
+
+
+def _ft(config_path):
+    target_spec, config, flags = parse_ft_config(config_path)
+    flags.directory.mkdir(parents=True, exist_ok=True)
+    if target_spec.kind == "tensor":
+        target = normalize_target(load_array(target_spec.path))
+        state = sequential_svd_to_mpn(target, config.chi_init, config.sigma, config.delta_s)
+        reports = []
+        if config.opt_mode in (1, 2):
             state, reports = reconstruct_sweep(state, config)
-            final_report = reports[-1]
-        write_ft_outputs(flags.directory, state, final_report, flags, with_fidelity)
-        if args.verify:
-            _verify(state)
-    except (TreetnError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        if config.fidelity:
+            state, stage_reports = fidelity_sweep_run(target, state, config)
+            reports = [r for stage in stage_reports for r in stage]
+        if not reports:
+            # fixed-structure networks still need one report for outputs
+            frozen = replace(config, opt_mode=0, n_max=1, fidelity=[])
+            state, reports = reconstruct_sweep(state, frozen)
+        print(f"fidelity: {fidelity(target, state):.12e}")
+    else:
+        if config.fidelity:
+            raise LoadError(
+                "numerics.fidelity needs a dense target (target.tensor); "
+                "network reconstruction takes no fidelity sweeps"
+            )
+        state = load_tensor_bundle(target_spec.path)
+        if config.opt_mode not in (1, 2):
+            raise LoadError(
+                "network reconstruction requires opt_structure.type 1 or 2"
+            )
+        state, reports = reconstruct_sweep(state, config)
+    # a network reconstruction has refused a fidelity block above
+    write_ft_outputs(flags.directory, state, reports[-1], flags, bool(config.fidelity))
+    return state
 
 
 def bench_main(argv=None) -> int:

@@ -62,6 +62,9 @@ class FactorizeConfig:
         for name in ("eps_s", "delta_s", "eps_f"):
             if not 0.0 < (value := getattr(self, name)) < np.inf:
                 raise ConfigError(name, f"must be positive and finite, got {value!r}")
+        for name in ("seed", "fidelity_seed"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(name, f"must be non-negative, got {value}")
         self.reconstruction()
         if self.fidelity:
             check_schedule(self.fidelity)

@@ -53,7 +53,8 @@ SCHEDULE_KEYS = {
     "chi": "max_bond_dimensions", "n_max": "max_num_sweeps",
     None: "max_bond_dimensions/max_num_sweeps",
     "mode": "opt_structure.type", "t0": "opt_structure.temperature",
-    "n_tau": "opt_structure.tau", "chi_init": "initial_bond_dimension",
+    "n_tau": "opt_structure.tau", "seed": "opt_structure.seed",
+    "chi_init": "initial_bond_dimension",
     "eps_e": "energy_convergence_threshold", "eps_s": "entanglement_convergence_threshold",
     "delta_e": "energy_degeneracy_threshold", "delta_s": "entanglement_degeneracy_threshold",
 }
@@ -62,7 +63,8 @@ FT_KEYS = {
     "mode": "opt_structure.type", "t0": "opt_structure.temperature",
     "n_tau": "opt_structure.tau", "sigma": "max_truncated_singularvalue",
     "eps_s": "entanglement_convergence_threshold", "delta_s": "entanglement_degeneracy_threshold",
-    "eps_f": "fidelity.convergence_threshold",
+    "eps_f": "fidelity.convergence_threshold", "seed": "opt_structure.seed",
+    "fidelity_seed": "fidelity.opt_structure.seed",
 }
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .linalg import full_eigh, lanczos_lowest
+from .linalg import degenerate_cut, full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
     build_superblock_plan,
@@ -82,6 +82,8 @@ class GssConfig:
         check_schedule(self.stages)
         if self.chi_init < 1:
             raise ConfigError("chi_init", f"must be at least 1, got {self.chi_init}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be non-negative, got {self.seed}")
         for name in ("eps_e", "eps_s", "delta_e", "delta_s"):
             if not 0.0 < (value := getattr(self, name)) < np.inf:
                 raise ConfigError(name, f"must be positive and finite, got {value!r}")
@@ -125,26 +127,20 @@ class GssResult:
 
 
 def degenerate_keep_count(eigenvalues: np.ndarray, chi: int, delta_e: float) -> int:
-    """Number of lowest eigenvectors to keep without splitting a multiplet.
-
-    Walks the cut down while the boundary gap is below ``delta_e``; if the
-    walk exhausts the spectrum the hard cap wins with a warning.
-    """
-    dim = len(eigenvalues)
-    m = min(chi, dim)
-    if m == dim:
-        return m
-    while m > 0 and abs(eigenvalues[m] - eigenvalues[m - 1]) < delta_e:
-        m -= 1
-    if m == 0:
+    """Number of lowest eigenvectors to keep without splitting a multiplet:
+    ``linalg.degenerate_cut`` with the absolute gap ``delta_e``. If the walk
+    exhausts the spectrum the hard cap wins with a warning."""
+    cap = min(chi, len(eigenvalues))
+    keep = degenerate_cut(eigenvalues, cap, delta_e, relative=False)
+    if keep == 0:
         warnings.warn(
             "degenerate block multiplet exceeds the initial bond dimension; "
-            f"keeping {min(chi, dim)} states of a tied group",
+            f"keeping {cap} states of a tied group",
             RuntimeWarning,
             stacklevel=2,
         )
-        m = min(chi, dim)
-    return m
+        return cap
+    return keep
 
 
 def _perturb(psi: np.ndarray) -> np.ndarray:
@@ -172,16 +168,6 @@ def _perturb(psi: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _rsrg_isometry(model, cache, e1, e2, chi_init, delta_e):
-    d1 = cache.dimension(e1)
-    d2 = cache.dimension(e2)
-    plan = build_superblock_plan(model, cache, (e1, e2))
-    h = plan.apply(np.eye(d1 * d2).reshape(d1, d2, d1 * d2))
-    spec = full_eigh(h.reshape(d1 * d2, d1 * d2))
-    keep = degenerate_keep_count(spec.eigenvalues, chi_init, delta_e)
-    return spec.eigenvectors[:, :keep].reshape(d1, d2, keep).astype(model.dtype)
-
-
 def initialize_ttn(
     model: SpinModel,
     topology: Topology,
@@ -205,18 +191,20 @@ def initialize_ttn(
         center_weights=np.ones(1),
     )
     p, q = topology.center_tensors()
-    sequence = sorted(
-        (i for i in range(topology.n_tensors) if i not in (p, q)),
-        key=lambda i: (-dist[topology.edges[i][2]], topology.edges[i][2]),
-    )
-    for i in sequence:
+    # leaf to root, the center pair last: its bond is split below, not renormalized
+    for i in sorted(
+        range(topology.n_tensors),
+        key=lambda i: (i in (p, q), -dist[topology.edges[i][2]], topology.edges[i][2]),
+    ):
         e1, e2, _ = topology.edges[i]
-        state.tensors[i] = _rsrg_isometry(model, cache, e1, e2, chi_init, delta_e)
-        refresh_bond(cache, model, state, i)
-
-    for i in (p, q):
-        e1, e2, _ = topology.edges[i]
-        state.tensors[i] = _rsrg_isometry(model, cache, e1, e2, chi_init, delta_e)
+        d1, d2 = cache.dimension(e1), cache.dimension(e2)
+        plan = build_superblock_plan(model, cache, (e1, e2))
+        h = plan.apply(np.eye(d1 * d2).reshape(d1, d2, d1 * d2))
+        spec = full_eigh(h.reshape(d1 * d2, d1 * d2))
+        keep = degenerate_keep_count(spec.eigenvalues, chi_init, delta_e)
+        state.tensors[i] = spec.eigenvectors[:, :keep].reshape(d1, d2, keep).astype(model.dtype)
+        if i not in (p, q):
+            refresh_bond(cache, model, state, i)
 
     legs = (*topology.edges[p][:2], *topology.edges[q][:2])
     plan = build_superblock_plan(model, cache, legs)
@@ -293,7 +281,7 @@ def run(
         watch = observers
         if want_observables and selection.closing:
             collector = ObservableCollector(model, cache)
-            watch = (*observers, collector.on_closing_step)
+            watch = (*observers, collector.on_step)
         return sweep(state, cache, model, selection, observers=watch)
 
     stages: list[StageResult] = []
@@ -409,11 +397,10 @@ class ObservableCollector:
     into different legs. The final step at the origin splits every remaining
     pair, so one sweep always achieves full coverage.
 
-    ``on_step`` refuses a step that reconnects. ``on_closing_step`` serves a
-    sweep that may reconnect, the closing sweep of a stage with structural
-    selection: the first reconnecting step sets ``reconnected`` and the
+    The sweep may reconnect, as the closing sweep of a stage with structural
+    selection can: the first reconnecting step sets ``reconnected`` and the
     collector measures nothing more, since its values would no longer come
-    from one structure.
+    from one structure, and ``finish`` refuses the pass.
 
     A step measures per leg pair, not per site pair: the x, y and z
     operators of every site behind a leg are stacked, and one reduced
@@ -430,15 +417,11 @@ class ObservableCollector:
         self._measured = np.zeros((model.n_sites, model.n_sites), dtype=bool)
         self.reconnected = False
 
-    def on_closing_step(self, state: TTNState, info: StepInfo):
-        self.reconnected = self.reconnected or info.choice.pairing != 0
-        if not self.reconnected:
-            self.on_step(state, info)
-
     def on_step(self, state: TTNState, info: StepInfo):
         # pairing 0 keeps each tensor's bond set; pairings 1 and 2 reconnect
-        if info.choice.pairing != 0:
-            raise InvariantViolation("structure changed during an observable pass")
+        self.reconnected = self.reconnected or info.choice.pairing != 0
+        if self.reconnected:
+            return
         psi = merge_center(state, info.t, info.t_conn)
         bonds = info.center_bonds
         topo = state.topology
@@ -466,6 +449,8 @@ class ObservableCollector:
             self._measured[np.ix_(sites_b, sites_a)] = True
 
     def finish(self) -> Observables:
+        if self.reconnected:
+            raise InvariantViolation("structure changed during an observable pass")
         n = self.model.n_sites
         missing_sites = set(range(n)) - self.single.keys()
         if missing_sites:

@@ -102,25 +102,29 @@ def full_svd(
     return SingularSpectrum(values=s, left_vectors=u, right_vectors=vh)
 
 
-def degenerate_cut(values: np.ndarray, keep: int, delta: float) -> int:
+def degenerate_cut(
+    values: np.ndarray, keep: int, delta: float, relative: bool = True
+) -> int:
     """Move a cut boundary down so it does not split a degenerate multiplet.
 
-    ``values`` are sorted descending. The boundary sits between index
-    ``keep - 1`` (last kept) and ``keep`` (first dropped); while the relative
-    gap there is below ``delta`` the last kept value is dropped as well.
-    Returns 0 when the walk exhausts the spectrum (multiplet does not fit).
+    ``values`` are sorted, descending singular values or ascending
+    eigenvalues. The boundary sits between index ``keep - 1`` (last kept)
+    and ``keep`` (first dropped); while the gap there is below ``delta`` the
+    last kept value is dropped as well. The gap is ``|values[keep] -
+    values[keep - 1]|``, divided by ``|values[keep - 1]|`` when ``relative``
+    (a zero last kept value counts as tied). Returns 0 when the walk
+    exhausts the spectrum (multiplet does not fit).
     """
     if keep >= len(values):
         return len(values)
     while keep > 0:
         prev = values[keep - 1]
-        if prev == 0.0:
-            keep -= 1
-            continue
-        if abs(values[keep] - prev) / abs(prev) < delta:
-            keep -= 1
-        else:
+        gap = abs(values[keep] - prev)
+        if relative:
+            gap = gap / abs(prev) if prev != 0.0 else 0.0
+        if not gap < delta:
             break
+        keep -= 1
     return keep
 
 
@@ -143,7 +147,7 @@ def spectrum_cut(
     # numerical zeros (relative ~1e-14) are rank noise and always dropped
     above = np.count_nonzero(values > max(sigma, ZERO_FLOOR) * values[0])
     keep = min(keep, max(above, 1))
-    walked = degenerate_cut(values, keep, delta_s) if delta_s > 0.0 else keep
+    walked = degenerate_cut(values, keep, delta_s)
     keep = walked or keep
     return keep, float((values[:keep] ** 2).sum()), walked == 0
 

@@ -235,27 +235,17 @@ def build_superblock_plan(
     for ax_a, ax_b in combinations(range(len(leg_bonds)), 2):
         ba, bb = leg_bonds[ax_a], leg_bonds[ax_b]
         groups = _cross_rows(model, cache.sites[ba], cache.sites[bb])
-        for (ka, kb), rows in groups.items():
-            sites_a = sorted({r[0] for r in rows})
-            sites_b = sorted({r[1] for r in rows})
-            if len(sites_a) <= len(sites_b):
-                for sa in sites_a:
-                    mb = sum(
-                        coef * get_operator(cache, bb, sb, kb)
-                        for s, sb, coef in rows
-                        if s == sa
-                    )
-                    double.append(
-                        (ax_a, ax_b, get_operator(cache, ba, sa, ka), mb)
-                    )
-            else:
-                for sb in sites_b:
-                    ma = sum(
-                        coef * get_operator(cache, ba, sa, ka)
-                        for sa, s, coef in rows
-                        if s == sb
-                    )
-                    double.append(
-                        (ax_a, ax_b, ma, get_operator(cache, bb, sb, kb))
-                    )
+        for kinds, rows in groups.items():
+            # side k, the one with fewer sites, keeps one operator per site;
+            # the other side's terms with that site fold into one matrix
+            k = 0 if len({r[0] for r in rows}) <= len({r[1] for r in rows}) else 1
+            f, bonds = 1 - k, (ba, bb)
+            for site in sorted({r[k] for r in rows}):
+                kept = get_operator(cache, bonds[k], site, kinds[k])
+                folded = sum(
+                    r[2] * get_operator(cache, bonds[f], r[f], kinds[f])
+                    for r in rows
+                    if r[k] == site
+                )
+                double.append((ax_a, ax_b, *((kept, folded) if k == 0 else (folded, kept))))
     return SuperblockPlan(single=single, double=double, dtype=model.dtype)

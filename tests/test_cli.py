@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from treetn import sweeps
 from treetn.benchmarks import ed_oracle
 from treetn.cli import bench_main, ft_main, gss_main
 from treetn.fileio import load_tensor_bundle
@@ -68,6 +69,17 @@ class TestGssCli:
         assert len(stages) == 2
         assert re.fullmatch(r"stage 1 \(chi 4\): converged after [4-7] sweeps", stages[0])
         assert stages[1] == "stage 2 (chi 8): hit the sweep limit 2"
+
+    def test_settling_on_the_last_allowed_sweep_reads_converged(
+        self, gss_workspace, capsys, monkeypatch
+    ):
+        config = gss_workspace / "input.yml"
+        config.write_text(config.read_text().replace("max_num_sweeps: [8]", "max_num_sweeps: [4]"))
+        # the three compared pairs of the four sweeps all settle
+        answers = iter([True] * sweeps.SETTLED_SWEEPS)
+        monkeypatch.setattr(sweeps, "settled", lambda *args, **kwargs: next(answers))
+        assert gss_main([str(config)]) == 0
+        assert "stage 1 (chi 8): converged after 4 sweeps" in capsys.readouterr().out.splitlines()
 
     def test_missing_config_fails(self, tmp_path, capsys):
         rc = gss_main([str(tmp_path / "nope.yml")])

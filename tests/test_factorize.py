@@ -6,7 +6,7 @@ import pytest
 from conftest import AuditObserver, leaf_partitions
 from treetn import factorize
 from treetn.benchmarks import balanced_tree_edges, gen_multivariate_normal
-from treetn.errors import NumericalError
+from treetn.errors import ConfigError, NumericalError
 from treetn.factorize import (
     FactorizeConfig,
     embed_environment,
@@ -144,6 +144,11 @@ class TestFactorizeConfig:
     def test_bad_threshold_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             FactorizeConfig(chi_init=4, **{name: value})
+
+    @pytest.mark.parametrize("name", ["seed", "fidelity_seed"])
+    def test_negative_seed_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be non-negative, got -1$"):
+            FactorizeConfig(chi_init=4, **{name: -1})
 
 
 class TestSequentialSvd:

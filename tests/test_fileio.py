@@ -247,6 +247,12 @@ class TestParseGssConfig:
         with pytest.raises(LoadError, match=f"numerics\\.{key} must be positive and finite"):
             parse_gss_config(path)
 
+    def test_negative_seed_names_key(self, tmp_path):
+        path = write_gss_inputs(tmp_path, extra_numerics="  opt_structure: {type: 1, seed: -5}")
+        with pytest.raises(LoadError, match=r"^numerics\.opt_structure\.seed must be "
+                                            r"non-negative, got -5$"):
+            parse_gss_config(path)
+
     def test_xyz_column_count(self, tmp_path):
         path = write_gss_inputs(tmp_path)
         (tmp_path / "couplings.dat").write_text("0 1 1.0 0.5 0.3\n")
@@ -509,6 +515,18 @@ output:
     def test_bad_threshold_names_key(self, tmp_path, key, extra, value):
         path = self.write(tmp_path, "  tensor: psi.npy", extra.format(value))
         with pytest.raises(LoadError, match=key.replace(".", "\\.") + " must be positive"):
+            parse_ft_config(path)
+
+    @pytest.mark.parametrize("key, extra", [
+        ("numerics.opt_structure.seed", "  opt_structure: {type: 1, seed: -5}"),
+        ("numerics.fidelity.opt_structure.seed",
+         "  fidelity: {max_bond_dimensions: [8], max_num_sweeps: [4], "
+         "opt_structure: {type: 1, seed: -5}}"),
+    ], ids=["reconstruction", "fidelity"])
+    def test_negative_seed_names_key(self, tmp_path, key, extra):
+        path = self.write(tmp_path, "  tensor: psi.npy", extra)
+        with pytest.raises(LoadError, match="^" + key.replace(".", "\\.")
+                           + " must be non-negative, got -5$"):
             parse_ft_config(path)
 
     def test_cutoff_range_names_key(self, tmp_path):

@@ -349,6 +349,10 @@ class TestRun:
         with pytest.raises(ValueError, match="chi_init"):
             GssConfig(chi_init=chi_init, stages=schedule([8], [2]))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            GssConfig(chi_init=4, stages=schedule([8], [2]), seed=-1)
+
     def test_structure_recovery_small_hierarchical(self):
         model = hierarchical_chain_model(3, 1.0, 0.5)  # 8 sites
         cfg = GssConfig(chi_init=4, stages=schedule([8], [20], mode=1))
@@ -542,7 +546,7 @@ class TestLegPairKernel:
 
 class TestCollectorErrors:
     """An imaginary expectation value names the site or site pair; a step
-    that reconnects is refused."""
+    that reconnects is not measured, and the pass is refused at its end."""
 
     def collector_step(self, corrupt, measured_singles, pairing=0):
         model = heisenberg_chain(6)
@@ -561,6 +565,7 @@ class TestCollectorErrors:
             t=t, t_conn=t_conn, center_bonds=bonds, choice=SimpleNamespace(pairing=pairing)
         )
         collector.on_step(state, info)
+        return collector
 
     def test_one_site_moment_names_the_site(self):
         with pytest.raises(InvariantViolation, match=r"<s\^z> at site 2 has imaginary"):
@@ -573,8 +578,10 @@ class TestCollectorErrors:
 
     @pytest.mark.parametrize("pairing", [1, 2])
     def test_reconnecting_step_is_refused(self, pairing):
+        collector = self.collector_step(0.0, measured_singles=False, pairing=pairing)
+        assert collector.reconnected and not collector.single and not collector.pairs
         with pytest.raises(InvariantViolation, match="structure changed during an observable pass"):
-            self.collector_step(0.0, measured_singles=False, pairing=pairing)
+            collector.finish()
 
 
 class PerPairReference:
@@ -730,6 +737,27 @@ class TestClosingSweepObservables:
         reference = fixed_structure_pass(model, cfg, bare, settled=False)
         assert run_record(measured) == run_record(bare)
         assert_same_observables(measured.observables, reference)
+
+    def test_stage_settling_on_its_last_sweep_keeps_its_observables(self, monkeypatch):
+        """A stage scripted to settle on sweep ``n_max`` is converged, and
+        its observables are the ones measured along that closing sweep."""
+        model = heisenberg_chain(8)
+        cfg = GssConfig(chi_init=4, stages=schedule([8], [4]))
+        references = []
+        walk = gss.sweep
+
+        def closing_sweep(state, cache, model, selection, observers=()):
+            if selection.closing:
+                references.append(gss.ObservableCollector(model, cache))
+                observers = (*observers, references[-1].on_step)
+            return walk(state, cache, model, selection, observers=observers)
+
+        monkeypatch.setattr(gss, "sweep", closing_sweep)
+        scripted_settled(monkeypatch, [True] * sweeps.SETTLED_SWEEPS)
+        (stage,) = run(model, cfg, want_observables=True).stages
+        assert stage.converged and len(stage.reports) == cfg.stages[0].n_max
+        (reference,) = references
+        assert_same_observables(stage.observables, reference.finish())
 
     def test_reconnecting_closing_sweep_falls_back(self, monkeypatch):
         """The first step of every closing sweep is forced to reconnect and

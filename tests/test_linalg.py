@@ -126,6 +126,16 @@ class TestTruncateSpectrum:
         assert (keep, straddles) == (1, False)
         assert 1.0 - weight == pytest.approx(1.0 - 0.64, abs=1e-12)
 
+    def test_gap_kinds_of_the_walk(self):
+        # a gap of 1e-9 between values near 1e-3 is tied absolutely, not relatively
+        values = np.array([1.0, 1e-3, 1e-3 - 1e-9, 1e-4])
+        assert linalg.degenerate_cut(values, 2, 1e-8) == 2
+        assert linalg.degenerate_cut(values, 2, 1e-8, relative=False) == 1
+        # ascending eigenvalues walk the same way
+        assert linalg.degenerate_cut(-values, 2, 1e-8, relative=False) == 1
+        # a zero last kept value counts as tied under the relative gap
+        assert linalg.degenerate_cut(np.array([1.0, 0.0, 0.0]), 2, 1e-8) == 1
+
     def test_sigma_cutoff(self):
         values = np.array([1.0, 0.5, 1e-5, 1e-7])
         assert spectrum_cut(values, chi_max=4, sigma=1e-4)[0] == 2

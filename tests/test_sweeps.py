@@ -94,6 +94,11 @@ class TestRunStage:
         # sweeps entered one settled pair short of the end; sweep 3 does not close
         assert [c.closing for c in calls] == [False, False, False, True, False, False, True]
 
+    def test_settling_on_the_last_allowed_sweep_converges(self):
+        out, converged, calls = drive([report() for _ in range(4)])
+        assert converged and len(out) == 4 == SETTLED_SWEEPS + 1
+        assert calls[-1].closing
+
     def test_zero_energies_settle(self):
         out, converged, _ = drive([report(energy=0.0) for _ in range(6)])
         assert converged
