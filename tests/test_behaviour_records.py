@@ -73,7 +73,8 @@ def gss_record() -> dict:
     config = GssConfig(chi_init=4, stages=schedule([4, 16], [20, 20], mode=1), seed=5)
     log = ChoiceLog(config.eps_s)
     result = run(model, config, observers=[log])
-    inputs = "hierarchical_chain_model(4, 1.0, 0.5); chi_init 4; stages [4, 16] x 20 sweeps; mode 1; seed 5"
+    inputs = ("hierarchical_chain_model(4, 1.0, 0.5); chi_init 4; "
+              "stages [4, 16] x 20 sweeps; mode 1; seed 5")
     return _record([s.reports for s in result.stages], result.state.topology.origin,
                    "energy", log, inputs)
 
@@ -88,7 +89,8 @@ def ft_record() -> dict:
     log = ChoiceLog(config.eps_s)
     state, stage_reports = factorize.fidelity_sweep_run(target, state, config,
                                                         observers=[log])
-    inputs = "gen_quantics_function(30, 4, seed=0); chi_init 4; fidelity stages [4, 8] x 10 sweeps; mode 1"
+    inputs = ("gen_quantics_function(30, 4, seed=0); chi_init 4; "
+              "fidelity stages [4, 8] x 10 sweeps; mode 1")
     return _record(stage_reports, state.topology.origin, "fidelity", log, inputs)
 
 
