@@ -4,7 +4,8 @@ compared with the committed copies under ``tests/records``.
 Each record holds, per sweep, the tree shape, the origin energy or
 fidelity and every bond entropy; per step, the chosen pairing; and the
 sweeps per stage and the smallest pairing margin, how far the closest
-structural decision sat from flipping. A change that alters behaviour on
+structural decision sat from flipping. A record under truncation-error
+selection (mode 2) also keeps its smallest tie margin. A change that alters behaviour on
 purpose regenerates the records and gives the reason in CHANGES.md:
 
     PYTHONPATH=src python tests/test_behaviour_records.py
@@ -27,33 +28,52 @@ from treetn.topology import tree_shape
 RECORDS = Path(__file__).parent / "records"
 ENERGY_RTOL = 1e-13
 ENTROPY_ATOL = 1e-10
+TIE = 1e-13  # truncation errors closer than this to the least one tie (mode 2)
 
 
 class ChoiceLog:
     """Observer keeping each step's chosen pairing and, for a step that
-    compared all three pairings, its margin: under zero-temperature
-    entropy selection pairing 0 competes with its entropy less ``eps_s``,
-    and the margin is the runner-up's score less the winner's."""
+    compared all three pairings, its margins. Under zero-temperature
+    selection pairing 0 competes with its entropy less ``eps_s``, among
+    all pairings (mode 1) or among those whose truncation error ties the
+    least one (mode 2). The pairing margin is the runner-up's score less
+    the winner's, taken when two or more pairings compete. In mode 2 the
+    tie comes first: its margin is how far the closest error gap sits from
+    ``TIE``."""
 
-    def __init__(self, eps_s: float):
+    def __init__(self, eps_s: float, mode: int = 1):
         self.eps_s = eps_s
+        self.mode = mode
         self.pairings: list[int] = []
         self.margins: list[float] = []
+        self.tie_margins: list[float] = []
 
     def __call__(self, state, info):
         choice = info.choice
         self.pairings.append(choice.pairing)
-        if not any(math.isnan(e) for e in choice.entropies):
-            scores = sorted((choice.entropies[0] - self.eps_s, *choice.entropies[1:]))
+        if any(math.isnan(e) for e in choice.entropies):
+            return
+        competing = range(3)
+        if self.mode == 2:
+            low = min(choice.truncation_errors)
+            gaps = [e - low for e in choice.truncation_errors]
+            self.tie_margins.append(min(abs(g - TIE) for g in gaps))
+            competing = [k for k in competing if gaps[k] < TIE]
+        scores = sorted(choice.entropies[k] - (self.eps_s if k == 0 else 0.0)
+                        for k in competing)
+        if len(scores) > 1:
             self.margins.append(scores[1] - scores[0])
 
 
 def _record(stage_reports, origin, quantity, log: ChoiceLog, inputs: str) -> dict:
     field = "energies" if quantity == "energy" else "fidelities"
+    margins = {"smallest_pairing_margin": min(log.margins)}
+    if log.tie_margins:
+        margins["smallest_tie_margin"] = min(log.tie_margins)
     return {
         "inputs": inputs,
         "sweeps_per_stage": [len(reports) for reports in stage_reports],
-        "smallest_pairing_margin": min(log.margins),
+        **margins,
         "sweeps": [
             {
                 "tree_shape": [list(t) for t in tree_shape(r.structure_snapshot)],
@@ -94,7 +114,29 @@ def ft_record() -> dict:
     return _record(stage_reports, state.topology.origin, "fidelity", log, inputs)
 
 
-BUILDERS = {"gss_h16_seed5": (gss_record, "energy"), "ft_quantics_b4": (ft_record, "fidelity")}
+def ft_mode2_record() -> dict:
+    """``ft`` on the 12-leg quantics cosine tensor of seed 1: sequential SVD
+    at chi 4, then fidelity stages at chi 8 and 16 with truncation-error
+    selection (mode 2), each settling before its 20-sweep limit. Of seeds
+    0-2 it has the largest smallest pairing margin; their tie margins all
+    sit within 2e-15 of ``TIE``, set by errors of untruncated pairings."""
+    target = factorize.normalize_target(gen_quantics_function(30, 4, seed=1))
+    config = factorize.FactorizeConfig(chi_init=4, fidelity=schedule([8, 16], [20, 20], mode=2))
+    state = factorize.sequential_svd_to_mpn(target, config.chi_init, config.sigma,
+                                            config.delta_s)
+    log = ChoiceLog(config.eps_s, mode=2)
+    state, stage_reports = factorize.fidelity_sweep_run(target, state, config,
+                                                        observers=[log])
+    inputs = ("gen_quantics_function(30, 4, seed=1); chi_init 4; "
+              "fidelity stages [8, 16] x 20 sweeps; mode 2")
+    return _record(stage_reports, state.topology.origin, "fidelity", log, inputs)
+
+
+BUILDERS = {
+    "gss_h16_seed5": (gss_record, "energy"),
+    "ft_quantics_b4": (ft_record, "fidelity"),
+    "ft_quantics_mode2": (ft_mode2_record, "fidelity"),
+}
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -120,4 +162,6 @@ if __name__ == "__main__":
         record = build()
         (RECORDS / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
         print(f"{name}: sweeps {record['sweeps_per_stage']}, "
-              f"smallest pairing margin {record['smallest_pairing_margin']:.3e}")
+              f"smallest pairing margin {record['smallest_pairing_margin']:.3e}"
+              + (f", tie margin {record['smallest_tie_margin']:.3e}"
+                 if "smallest_tie_margin" in record else ""))
