@@ -62,14 +62,15 @@ class EigenSpectrum:
     eigenvectors: np.ndarray
 
 
-def lapack(routine: str, matrix: np.ndarray, **kwargs):
+def lapack(routine: str, matrix: np.ndarray, shape: tuple | None = None, **kwargs):
     """``np.linalg.<routine>(matrix, **kwargs)``, with a LAPACK failure
-    raised as ``NumericalError`` naming the routine and the matrix shape."""
+    raised as ``NumericalError`` naming the routine and ``shape``, by
+    default the matrix shape."""
     try:
         return getattr(np.linalg, routine)(matrix, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"{routine} of a {matrix.shape} matrix failed: {exc}"
+            f"{routine} of a {shape or matrix.shape} matrix failed: {exc}"
         ) from exc
 
 
@@ -78,6 +79,10 @@ def full_svd(
 ) -> SingularSpectrum | np.ndarray:
     """Full singular value decomposition of a 2-index array; with
     ``vectors=False`` only the singular values, sorted descending.
+
+    A wide matrix (fewer rows than columns) is factored through its plain
+    transpose, which LAPACK does faster: ``A.T = U S Vh`` gives
+    ``A = Vh.T S U.T`` (the R-SVD route of Chan, ACM TOMS 8, 72 (1982)).
 
     ``gram=True`` (values only) takes them from the eigenvalues of the
     smaller Gram matrix instead, at about half the cost. Their squares are
@@ -96,9 +101,13 @@ def full_svd(
         h = matrix.conj().T
         squares = lapack("eigvalsh", matrix @ h if rows <= cols else h @ matrix)
         return np.sqrt(np.maximum(squares[::-1], 0.0))
+    wide = matrix.shape[0] < matrix.shape[1]
+    tall = matrix.T if wide else matrix
     if not vectors:
-        return lapack("svd", matrix, compute_uv=False)
-    u, s, vh = lapack("svd", matrix, full_matrices=False)
+        return lapack("svd", tall, matrix.shape, compute_uv=False)
+    u, s, vh = lapack("svd", tall, matrix.shape, full_matrices=False)
+    if wide:
+        u, vh = vh.T, u.T
     return SingularSpectrum(values=s, left_vectors=u, right_vectors=vh)
 
 

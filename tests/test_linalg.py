@@ -92,6 +92,45 @@ class TestFullSvd:
         with pytest.raises(ValueError, match="no singular vectors"):
             full_svd(np.eye(2), gram=True)
 
+    SHAPES = [(3, 17), (17, 3), (9, 9), (16, 256), (256, 16)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_numpy(self, rng, shape, dtype):
+        """Wide, tall and square, real and complex: the values agree with
+        numpy's, the vectors are orthonormal and rebuild the matrix."""
+        m = rng.standard_normal(shape)
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal(shape)
+        ref = np.linalg.svd(m, compute_uv=False)
+        spec = full_svd(m)
+        only = full_svd(m, vectors=False)
+        for values in (spec.values, only):
+            np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0.0)
+        u, vh = spec.left_vectors, spec.right_vectors
+        k = min(shape)
+        assert u.shape == (shape[0], k) and vh.shape == (k, shape[1])
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(k), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(vh @ vh.conj().T, np.eye(k), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose((u * spec.values) @ vh, m, rtol=0.0,
+                                   atol=1e-13 * ref[0])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_lapack_never_sees_a_wide_matrix(self, monkeypatch, rng, shape, vectors):
+        """A wide matrix reaches LAPACK as its transpose."""
+        svd = np.linalg.svd
+        seen = []
+
+        def tall_only(a, *args, **kwargs):
+            seen.append(a.shape)
+            assert a.shape[0] >= a.shape[1], f"LAPACK handed a wide {a.shape} matrix"
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", tall_only)
+        full_svd(rng.standard_normal(shape), vectors=vectors)
+        assert seen == [tuple(sorted(shape, reverse=True))]
+
 
 class TestTruncateSpectrum:
     """The cut of every decomposition: ``spectrum_cut`` finds it and
@@ -165,7 +204,6 @@ class TestTruncateSpectrum:
         kept = cut_spectrum(spec, keep, weight, straddles)
         pre = spec.values[: kept.rank]
         assert 1.0 - weight == pytest.approx(1.0 - float(np.sum(pre**2)), abs=1e-14)
-
 
 class TestFullEigh:
     def test_two_spin_heisenberg(self):
