@@ -349,11 +349,12 @@ def environment(
 def embed_environment(env: np.ndarray) -> tuple[np.ndarray, float]:
     """Normalize the environment into the new center tensor. Returns it and
     the environment norm, the overlap of the embedded state with the
-    target."""
+    target. The tensor is C-ordered, so that the split of its first pairing
+    hands LAPACK a view."""
     nrm = float(np.linalg.norm(env))
     if nrm == 0.0:
         raise NumericalError("degenerate environment: state orthogonal to target")
-    return env / nrm, nrm
+    return np.divide(env, nrm, order="C"), nrm
 
 
 def fidelity(target: TargetTensor, state: TTNState) -> float:

@@ -7,6 +7,7 @@ concurrently on distinct data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -75,10 +76,12 @@ def lapack(routine: str, matrix: np.ndarray, shape: tuple | None = None, **kwarg
 
 
 def full_svd(
-    matrix: np.ndarray, vectors: bool = True, gram: bool = False
+    matrix: np.ndarray, vectors: bool = True, gram: bool = False, checked: bool = False
 ) -> SingularSpectrum | np.ndarray:
     """Full singular value decomposition of a 2-index array; with
     ``vectors=False`` only the singular values, sorted descending.
+    ``checked=True`` skips the finiteness check of entries the caller has
+    already checked.
 
     A wide matrix (fewer rows than columns) is factored through its plain
     transpose, which LAPACK does faster: ``A.T = U S Vh`` gives
@@ -92,7 +95,7 @@ def full_svd(
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={matrix.ndim}")
-    if not np.isfinite(matrix).all():
+    if not checked and not np.isfinite(matrix).all():
         raise NumericalError("non-finite entries in SVD input")
     if gram:
         if vectors:
@@ -138,7 +141,8 @@ def degenerate_cut(
 
 
 def spectrum_cut(
-    values: np.ndarray, chi_max: int, sigma: float = 0.0, delta_s: float = 0.0
+    values: np.ndarray, chi_max: int, sigma: float = 0.0, delta_s: float = 0.0,
+    squares: np.ndarray | None = None,
 ) -> tuple[int, float, bool]:
     """Where to cut a descending singular spectrum to at most ``chi_max``
     values, silently.
@@ -148,17 +152,21 @@ def spectrum_cut(
     down so the whole multiplet is dropped together; when the multiplet
     cannot be kept whole under ``chi_max`` the hard cap wins. Returns the
     kept count, the kept weight ``sum(kept D^2)`` (the truncation error is
-    one minus it), and whether a multiplet straddles the cap.
+    one minus it), and whether a multiplet straddles the cap; ``squares``
+    are the values squared, if the caller has them.
     ``cut_spectrum`` applies the cut and warns on a straddle."""
     if chi_max < 1:
         raise ValueError(f"chi_max must be positive, got {chi_max}")
     keep = min(chi_max, len(values))
-    # numerical zeros (relative ~1e-14) are rank noise and always dropped
-    above = np.count_nonzero(values > max(sigma, ZERO_FLOOR) * values[0])
-    keep = min(keep, max(above, 1))
+    # numerical zeros (relative ~1e-14) are rank noise and always dropped;
+    # the values are sorted, so they lie behind the last kept one
+    floor = max(sigma, ZERO_FLOOR) * values[0]
+    if not values[keep - 1] > floor:
+        keep = max(np.count_nonzero(values > floor), 1)
     walked = degenerate_cut(values, keep, delta_s)
     keep = walked or keep
-    return keep, float((values[:keep] ** 2).sum()), walked == 0
+    squares = values**2 if squares is None else squares
+    return keep, float(np.add.reduce(squares[:keep])), walked == 0
 
 
 def cut_spectrum(
@@ -176,7 +184,7 @@ def cut_spectrum(
         )
     kept = spec.values[:keep]
     return SingularSpectrum(
-        values=kept / np.sqrt(weight) if weight > 0.0 else kept,
+        values=kept / math.sqrt(weight) if weight > 0.0 else kept,
         left_vectors=spec.left_vectors[:, :keep],
         right_vectors=spec.right_vectors[:keep, :],
     )
@@ -196,16 +204,19 @@ def full_eigh(hermitian: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def entanglement_entropy(singular_values: np.ndarray) -> float:
-    """Von Neumann entropy -sum(D^2 ln D^2) of a Schmidt spectrum.
+def entanglement_entropy(
+    singular_values: np.ndarray, squares: np.ndarray | None = None
+) -> float:
+    """Von Neumann entropy -sum(D^2 ln D^2) of a Schmidt spectrum, from its
+    ``squares`` D^2 if the caller has them.
 
     Zero values contribute nothing (0 ln 0 := 0).
     """
-    w = np.asarray(singular_values, dtype=float) ** 2
+    w = np.asarray(singular_values, dtype=float) ** 2 if squares is None else squares
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
-    return float(-(w * np.log(w)).sum())
+    return float(-np.add.reduce(w * np.log(w)))
 
 
 def lanczos_lowest(

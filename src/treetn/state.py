@@ -215,31 +215,34 @@ def decompose_tensor(
 
     dims = psi.shape
 
-    def split(pairing, vectors=True):
+    def split(pairing):
         perm = PAIRINGS[pairing]
-        mat = psi.transpose(perm).reshape(dims[perm[0]] * dims[perm[1]], -1)
-        return full_svd(mat, vectors=vectors, gram=not vectors and mode == 1)
+        return psi.transpose(perm).reshape(dims[perm[0]] * dims[perm[1]], -1)
 
-    spec = split(0)
-    spectra = [spec.values] + [split(k, vectors=False) for k in (1, 2) if mode != 0]
+    # the first SVD checks every entry of psi; the other pairings permute them
+    spec = full_svd(psi.reshape(dims[0] * dims[1], -1))
+    mats = [None] + [split(k) for k in (1, 2) if mode]
+    spectra = [spec.values] + [
+        full_svd(m, vectors=False, gram=mode == 1, checked=True) for m in mats[1:]]
     entropies = [math.nan] * 3
     trunc_errors = [math.nan] * 3
-    cuts = []
-    for k, values in enumerate(spectra):
-        entropies[k] = entanglement_entropy(values)
-        cuts.append(spectrum_cut(values, chi, sigma, delta_s))
+    cuts = [None] * 3
+
+    def measure(k, values):
+        squares = values**2
+        entropies[k] = entanglement_entropy(values, squares)
+        cuts[k] = spectrum_cut(values, chi, sigma, delta_s, squares)
         trunc_errors[k] = 1.0 - cuts[k][1]
 
+    for k, values in enumerate(spectra):
+        measure(k, values)
     pairing, probs = _choose_pairing(
         entropies, trunc_errors, mode, temperature, rng, eps_s
     )
-    cut = cuts[0]
     if pairing != 0:
-        spec = split(pairing)
-        entropies[pairing] = entanglement_entropy(spec.values)
-        cut = spectrum_cut(spec.values, chi, sigma, delta_s)
-        trunc_errors[pairing] = 1.0 - cut[1]
-    kept = cut_spectrum(spec, *cut)
+        spec = full_svd(mats[pairing] if mode else split(pairing), checked=True)
+        measure(pairing, spec.values)
+    kept = cut_spectrum(spec, *cuts[pairing])
     perm = PAIRINGS[pairing]
     chi_kept = kept.rank
     v_left = kept.left_vectors.reshape(dims[perm[0]], dims[perm[1]], chi_kept)

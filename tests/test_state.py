@@ -172,9 +172,9 @@ def counted_svds(monkeypatch):
     calls = []
     real = treetn.state.full_svd
 
-    def full_svd(matrix, vectors=True, gram=False):
+    def full_svd(matrix, vectors=True, gram=False, **kwargs):
         calls.append("full" if vectors else "gram" if gram else "values")
-        return real(matrix, vectors=vectors, gram=gram)
+        return real(matrix, vectors=vectors, gram=gram, **kwargs)
 
     monkeypatch.setattr(treetn.state, "full_svd", full_svd)
     return calls
@@ -228,6 +228,29 @@ class TestDecomposeCost:
         _, _, _, choice = decompose_tensor(rainbow_tensor(), chi=2, mode=mode)
         assert choice.pairing == 2
         assert calls == ["full"] + [REJECTED_SPECTRUM[mode]] * 2 + ["full"]
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_entries_checked_once(self, monkeypatch, mode):
+        """Every entry is checked for finiteness once, before the first
+        LAPACK call, however many pairings are split."""
+        checks = []
+        isfinite = np.isfinite
+
+        def counted(a):
+            checks.append(a.size)
+            return isfinite(a)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        psi = rainbow_tensor()
+        with warnings.catch_warnings():  # pairing 0 straddles the cap
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, _, _, choice = decompose_tensor(psi, chi=2, mode=mode)
+        assert checks == [psi.size]
+        assert choice.pairing == (0 if mode == 0 else 2)
+        bad = psi.copy()
+        bad[1, 0, 1, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            decompose_tensor(bad, chi=2, mode=mode)
 
     @pytest.mark.parametrize("mode", [1, 2])
     @pytest.mark.parametrize("complex_", [False, True])
