@@ -195,17 +195,18 @@ def contract_with_conjugates(
 
     Every other tensor's third bond points towards the pair, so the rest of
     the network splits into the subtrees behind the (up to four) outer
-    bonds, found by one walk. The contraction starts from ``T_B``, the
-    target contracted with the subtree behind the outer bond ``B`` holding
-    the most sites, and adds each other subtree to it. There is one rule
-    for every contraction: a start meets the isometries it still lacks in
-    one product with their composite (``_absorb_subtree``). ``T_b`` starts
-    from ``T`` of the larger child of the tensor owning ``b`` when that is
-    at most a quarter of the target, and adds the smaller child's subtree
-    and the owner; otherwise it starts from the dense target and adds the
-    whole subtree. ``T_b`` is memoized on the target while every isometry
-    of its subtree is the same array with the same bonds. Entries larger
-    than a quarter of the target are not kept.
+    bonds. The contraction starts from ``T_B``, the target contracted with
+    the subtree behind the outer bond ``B`` holding the most sites, and adds
+    each other subtree to it. There is one rule for every contraction: a
+    start meets the isometries it still lacks in one product with their
+    composite (``_absorb_subtree``). ``T_b`` starts from ``T`` of the larger
+    child of the tensor owning ``b`` when that is at most a quarter of the
+    target (``_within_bound``), and adds the smaller child's subtree and the
+    owner; otherwise it starts from the dense target and adds the whole
+    subtree. ``T_b`` is memoized on the target while every isometry of its
+    subtree is the same array with the same bonds. Entries larger than a
+    quarter of the target are not kept. An entry that holds also gives its
+    subtree's walk, so a step walks only the subtrees whose entries changed.
     """
     topo = state.topology
     t, t_conn = pair
@@ -213,67 +214,66 @@ def contract_with_conjugates(
     if len(shared) != 1:
         raise InvariantViolation(f"tensors {t},{t_conn} do not share one bond")
     outer = [b for b in (*topo.edges[t], *topo.edges[t_conn]) if b not in shared]
-    owners = topo.owners()
-    dims, size = target.data.shape, target.data.size
+    edges, tensors, envs, n = topo.edges, state.tensors, target.envs, topo.n_sites
+    slot3 = [e[2] for e in edges]
 
-    def within_bound(below, chi):
-        """Whether ``T`` of the subtree ``below`` with bond dimension
-        ``chi`` is at most a quarter of the target."""
-        if not below:  # the bond is a site, and T the target itself
-            return False
-        sites = prod(dims[c] for i in below for c in topo.edges[i][:2] if topo.is_physical(c))
-        return 4 * (size // sites * chi) <= size
+    def subtree(b, depth=0):
+        """The walk behind the bond ``b``, away from the pair (children
+        first, slot 1 before slot 2, the owner last), the owner's entry if
+        it holds, else the subtrees behind the owner's two children."""
+        if b < n:  # a site
+            return [], None, ()
+        if depth == len(edges):
+            raise InvariantViolation(f"walk passes every tensor by bond {b}: a cycle")
+        try:
+            o = slot3.index(b)
+            o = slot3.index(b, o + 1) if o in pair else o
+        except ValueError:
+            raise InvariantViolation(f"no tensor outside {pair} points at bond {b}") from None
+        hit = envs.get(o)
+        if hit and all(tensors[i] is a and edges[i] == e for a, e, i in hit[0]):
+            return [i for _, _, i in hit[0]], hit, ()
+        kids = subtree(edges[o][0], depth + 1), subtree(edges[o][1], depth + 1)
+        return kids[0][0] + kids[1][0] + [o], None, kids
 
-    def behind(below):
-        """``T_b`` for the tensors ``below`` a bond ``b``, children first."""
+    def behind(node):
+        """``T_b`` for the ``subtree`` behind a bond ``b``."""
+        below, hit, kids = node
         if not below:
-            return target.data, list(range(topo.n_sites))
-        o = below[-1]
-        deps = [(state.tensors[i], tuple(topo.edges[i])) for i in below]
-        hit = target.envs.get(o)
-        if hit is not None and len(hit[0]) == len(deps) and all(
-            a is x and e == f for (a, e), (x, f) in zip(hit[0], deps)
-        ):
+            return target.data, list(range(n))
+        if hit:
             return hit[1], hit[2]
-        children = _split_walk(topo, owners, below[:-1], topo.edges[o][:2])
-        slot = int(len(children[1]) > len(children[0]))
-        if within_bound(children[slot], state.tensors[o].shape[slot]):
-            acc, legs = behind(children[slot])
-            rest = children[1 - slot] + [o]
+        o = below[-1]
+        slot = int(len(kids[1][0]) > len(kids[0][0]))
+        if _within_bound(topo, target.data.shape, kids[slot][0], tensors[o].shape[slot]):
+            acc, legs = behind(kids[slot])
+            rest = kids[1 - slot][0] + [o]
         else:
             for i in below:
-                target.envs.pop(i, None)
-            acc, legs, rest = target.data, list(range(topo.n_sites)), below
-        acc, legs = _absorb_subtree(acc, legs, topo.edges, state.tensors, rest)
-        if 4 * acc.size <= size:
+                envs.pop(i, None)
+            acc, legs, rest = target.data, list(range(n)), below
+        acc, legs = _absorb_subtree(acc, legs, edges, tensors, rest)
+        if 4 * acc.size <= target.data.size:
             acc.flags.writeable = False
-            target.envs[o] = (deps, acc, legs)
+            envs[o] = ([(tensors[i], edges[i][:], i) for i in below], acc, legs)
         return acc, legs
 
-    order = topo.walk(outer, owners, near=pair)
-    first, *rest = sorted(
-        _split_walk(topo, owners, order, outer, pair), key=len, reverse=True
-    )
+    first, *rest = sorted(map(subtree, outer), key=lambda node: len(node[0]), reverse=True)
     acc, legs = behind(first)
-    for below in rest:
+    for below, _, _ in rest:
         if below:
-            acc, legs = _absorb_subtree(acc, legs, topo.edges, state.tensors, below)
+            acc, legs = _absorb_subtree(acc, legs, edges, tensors, below)
     return acc, legs
 
 
-def _split_walk(topo, owners, order, bonds, near=()):
-    """Cut ``order``, the walk behind ``bonds``, into the walk behind each
-    bond: the walk lists each bond's subtree in turn, ending with the tensor
-    that owns the bond."""
-    blocks, start = [], 0
-    for b in bonds:
-        end = start
-        if not topo.is_physical(b):
-            root = next(i for i in owners[b] if i not in near)
-            end = order.index(root, start) + 1
-        blocks.append(order[start:end])
-        start = end
-    return blocks
+def _within_bound(topo, dims, below, chi):
+    """Whether ``T`` of the subtree ``below``, with bond dimension ``chi``,
+    is at most a quarter of a target of shape ``dims``."""
+    if not below:  # the bond is a site, and T the target itself
+        return False
+    size = prod(dims)
+    sites = prod(dims[c] for i in below for c in topo.edges[i][:2] if topo.is_physical(c))
+    return 4 * (size // sites * chi) <= size
 
 
 def _absorb_subtree(acc, legs, edges, tensors, below):
@@ -294,17 +294,13 @@ def _absorb_subtree(acc, legs, edges, tensors, below):
     parts = {}
     for i in below:
         e1, e2, e3 = edges[i]
-        c1, c2, k = tensors[i].shape
-        w, rows = tensors[i].reshape(c1, c2 * k), [e1]
+        w, (c1, c2, k), rows, more = tensors[i], tensors[i].shape, [e1], [e2]
         if e1 in parts:
             w1, rows = parts.pop(e1)
-            w = w1 @ w
-        w = w.reshape(-1, c2, k)
+            w = (w1 @ w.reshape(c1, c2 * k)).reshape(-1, c2, k)
         if e2 in parts:
             w2, more = parts.pop(e2)
             w = np.matmul(w2, w)
-        else:
-            more = [e2]
         parts[e3] = (w.reshape(-1, k), rows + more)
     ((w, rows),) = parts.values()
     pos = [legs.index(c) for c in rows]

@@ -6,7 +6,7 @@ import pytest
 from conftest import AuditObserver, leaf_partitions
 from treetn import factorize
 from treetn.benchmarks import balanced_tree_edges, gen_multivariate_normal
-from treetn.errors import ConfigError, NumericalError
+from treetn.errors import ConfigError, InvariantViolation, NumericalError
 from treetn.factorize import (
     FactorizeConfig,
     embed_environment,
@@ -19,7 +19,7 @@ from treetn.factorize import (
 )
 from treetn.state import audit_state, merge_center, to_dense
 from treetn.sweeps import schedule
-from treetn.topology import audit_topology, set_distance, tree_shape
+from treetn.topology import Topology, audit_topology, set_distance, tree_shape
 
 
 def rainbow_target(n):
@@ -508,9 +508,8 @@ class TestCachedEnvironment:
         """Each environment calls the kernel once per ``T_b`` it computes
         and once per other non-empty outer subtree, whatever their sizes:
         nothing is folded onto a partial one isometry at a time. A computed
-        ``T_b`` is a memo miss, and each miss splits the subtree's children
-        once (``_split_walk``); the walk behind the outer bonds is split
-        once more."""
+        ``T_b`` is a memo miss, and each miss weighs its start once
+        (``_within_bound``)."""
         gen = np.random.default_rng(7)
         t = normalize_target(gen.standard_normal((2,) * 12))
         state = sequential_svd_to_mpn(t, 2)
@@ -527,19 +526,19 @@ class TestCachedEnvironment:
         envs = []
 
         def checked(target, st, pair):
-            calls.update(kernel=0, split=0)
+            calls.update(kernel=0, bound=0)
             out = contract(target, st, pair)
             topo = st.topology
             outer = set(topo.edges[pair[0]]) ^ set(topo.edges[pair[1]])
             subtrees = sum(not topo.is_physical(b) for b in outer)
-            misses = calls["split"] - 1
+            misses = calls["bound"]
             assert calls["kernel"] == misses + max(subtrees - 1, 0)
             envs.append(misses)
             return out
 
         monkeypatch.setattr(factorize, "contract_with_conjugates", checked)
         monkeypatch.setattr(factorize, "_absorb_subtree", counted("kernel", factorize._absorb_subtree))
-        monkeypatch.setattr(factorize, "_split_walk", counted("split", factorize._split_walk))
+        monkeypatch.setattr(factorize, "_within_bound", counted("bound", factorize._within_bound))
         pairings = []
         cfg = FactorizeConfig(
             chi_init=2, fidelity=schedule([2, 4, 8], [3, 2, 2], mode=1, t0=0.5), fidelity_seed=7
@@ -582,6 +581,36 @@ class TestCachedEnvironment:
         acc, legs = factorize.contract_with_conjugates(t, state, (p, q))
         assert_matches_full_rebuild(t, state, (p, q), acc, legs)
         assert_entries_bounded(t)
+
+    def test_step_walks_only_changed_subtrees(self, monkeypatch, rng):
+        """An environment builds no owner map and no walk of the whole
+        tree; with every entry holding, it searches no subtree behind the
+        owner of an entry."""
+        t = normalize_target(rng.standard_normal((2,) * 12))
+        state = sequential_svd_to_mpn(t, 4)
+        p, q = state.topology.center_tensors()
+        first, legs = factorize.contract_with_conjugates(t, state, (p, q))
+
+        def whole_tree(*args, **kwargs):
+            raise AssertionError("whole-tree bookkeeping")
+
+        monkeypatch.setattr(Topology, "owners", whole_tree)
+        monkeypatch.setattr(Topology, "walk", whole_tree)
+        searched = []
+        monkeypatch.setattr(factorize, "_within_bound", lambda *args: searched.append(args))
+        again, again_legs = factorize.contract_with_conjugates(t, state, (p, q))
+        assert again_legs == legs and not searched
+        np.testing.assert_array_equal(again, first)
+
+    def test_missing_owner_names_the_bond(self, rng):
+        t = normalize_target(rng.standard_normal((2,) * 8))
+        state = sequential_svd_to_mpn(t, 2)
+        edges = state.topology.edges
+        p, q = state.topology.center_tensors()
+        leaf = next(i for i, e in enumerate(edges) if i not in (p, q) and e[0] < 8 and e[1] < 8)
+        edges[leaf] = [*edges[leaf][:2], 99]
+        with pytest.raises(InvariantViolation, match="points at bond"):
+            factorize.contract_with_conjugates(t, state, (p, q))
 
     def test_entries_are_read_only(self, rng):
         t = normalize_target(rng.standard_normal((2,) * 10))
