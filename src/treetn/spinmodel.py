@@ -161,12 +161,13 @@ class SpinModel:
                     f"{self.exchange_type}, got {row}"
                 )
         _check_pairs(self.exchange_rows, n, "exchange table")
-        for axis, rows in self.dm_tables.items():
-            _check_pairs(rows, n, f"DM_{axis} table")
-        for axis, rows in self.sod_tables.items():
-            _check_pairs(rows, n, f"SOD_{axis} table")
-        for axis, table in self.field_tables.items():
-            _check_sites(table, n, f"MF_{axis}")
+        for tables, what, check in ((self.dm_tables, "DM_{} table", _check_pairs),
+                                    (self.sod_tables, "SOD_{} table", _check_pairs),
+                                    (self.field_tables, "MF_{}", _check_sites)):
+            for axis, table in tables.items():
+                if axis not in AXES:
+                    raise LoadError(f"{what.format(axis)}: unknown axis {axis!r}, want x, y or z")
+                check(table, n, what.format(axis))
         _check_sites(self.sia_table, n, "SIA")
 
         self.pair_terms = self._build_pair_terms()

@@ -127,6 +127,23 @@ class TestSpinModelValidation:
         with pytest.raises(LoadError, match=message):
             SpinModel(n_sites=4, spin_sizes=[0.5] * 4, **tables)
 
+    @pytest.mark.parametrize("tables, message", [
+        ({"field_tables": {"w": {0: 0.3}}}, r"MF_w: unknown axis 'w'"),
+        ({"dm_tables": {"q": [(0, 1, 0.2)]}}, r"DM_q table: unknown axis 'q'"),
+        ({"sod_tables": {"xy": [(0, 1, 0.2)]}}, r"SOD_xy table: unknown axis 'xy'"),
+    ])
+    def test_unknown_axis_named(self, tables, message):
+        with pytest.raises(LoadError, match=message):
+            SpinModel(n_sites=4, spin_sizes=[0.5] * 4, **tables)
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_every_axis_builds(self, axis):
+        model = SpinModel(
+            n_sites=4, spin_sizes=[0.5] * 4, field_tables={axis: {0: 0.3}},
+            dm_tables={axis: [(0, 1, 0.2)]}, sod_tables={axis: [(1, 2, 0.1)]},
+        )
+        assert model.pair_terms and model.site_terms
+
     def test_spin_count_mismatch(self):
         with pytest.raises(LoadError):
             SpinModel(n_sites=4, spin_sizes=[0.5] * 3)
