@@ -268,9 +268,8 @@ def contract_with_conjugates(
 
 def _within_bound(topo, dims, below, chi):
     """Whether ``T`` of the subtree ``below``, with bond dimension ``chi``,
-    is at most a quarter of a target of shape ``dims``."""
-    if not below:  # the bond is a site, and T the target itself
-        return False
+    is at most a quarter of a target of shape ``dims``; a site's ``T``, the
+    target itself, is not."""
     size = prod(dims)
     sites = prod(dims[c] for i in below for c in topo.edges[i][:2] if topo.is_physical(c))
     return 4 * (size // sites * chi) <= size

@@ -79,13 +79,11 @@ def full_svd(
     matrix: np.ndarray, vectors: bool = True, gram: bool = False, checked: bool = False
 ) -> SingularSpectrum | np.ndarray:
     """Full singular value decomposition of a 2-index array; with
-    ``vectors=False`` only the singular values, sorted descending.
-    ``checked=True`` skips the finiteness check of entries the caller has
-    already checked.
-
-    A wide matrix (fewer rows than columns) is factored through its plain
-    transpose, which LAPACK does faster: ``A.T = U S Vh`` gives
-    ``A = Vh.T S U.T`` (the R-SVD route of Chan, ACM TOMS 8, 72 (1982)).
+    ``vectors=False`` only the singular values, sorted descending. A wide
+    matrix is factored through its plain transpose, which LAPACK does
+    faster (``A.T = U S Vh`` gives ``A = Vh.T S U.T``, the R-SVD route of
+    Chan, ACM TOMS 8, 72 (1982)). ``checked=True`` skips the check for
+    non-finite entries, which the caller has made.
 
     ``gram=True`` (values only) takes them from the eigenvalues of the
     smaller Gram matrix instead, at about half the cost. Their squares are
@@ -152,9 +150,8 @@ def spectrum_cut(
     down so the whole multiplet is dropped together; when the multiplet
     cannot be kept whole under ``chi_max`` the hard cap wins. Returns the
     kept count, the kept weight ``sum(kept D^2)`` (the truncation error is
-    one minus it), and whether a multiplet straddles the cap; ``squares``
-    are the values squared, if the caller has them.
-    ``cut_spectrum`` applies the cut and warns on a straddle."""
+    one minus it), and whether a multiplet straddles the cap. ``squares``
+    are the values squared; ``cut_spectrum`` applies the cut."""
     if chi_max < 1:
         raise ValueError(f"chi_max must be positive, got {chi_max}")
     keep = min(chi_max, len(values))
@@ -204,9 +201,7 @@ def full_eigh(hermitian: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def entanglement_entropy(
-    singular_values: np.ndarray, squares: np.ndarray | None = None
-) -> float:
+def entanglement_entropy(singular_values: np.ndarray, squares=None) -> float:
     """Von Neumann entropy -sum(D^2 ln D^2) of a Schmidt spectrum, from its
     ``squares`` D^2 if the caller has them.
 
