@@ -5,7 +5,8 @@ Each record holds, per sweep, the tree shape, the origin energy or
 fidelity and every bond entropy; per step, the chosen pairing; and the
 sweeps per stage and the smallest pairing margin, how far the closest
 structural decision sat from flipping. A record under truncation-error
-selection (mode 2) also keeps its smallest tie margin. A change that alters behaviour on
+selection (mode 2) also keeps its smallest tie margin, and the gss record
+the final stage's single-site moments and pair correlations. A change that alters behaviour on
 purpose regenerates the records and gives the reason in CHANGES.md:
 
     PYTHONPATH=src python tests/test_behaviour_records.py
@@ -28,6 +29,7 @@ from treetn.topology import tree_shape
 RECORDS = Path(__file__).parent / "records"
 ENERGY_RTOL = 1e-13
 ENTROPY_ATOL = 1e-10
+OBSERVABLE_ATOL = 1e-10
 TIE = 1e-13  # truncation errors closer than this to the least one tie (mode 2)
 
 
@@ -88,15 +90,23 @@ def _record(stage_reports, origin, quantity, log: ChoiceLog, inputs: str) -> dic
 
 def gss_record() -> dict:
     """``gss`` on the N=16 hierarchical chain, chi 4 then 16, entropy
-    selection (mode 1) on the first stage, seed 5."""
+    selection (mode 1) on the first stage, seed 5, with observables: the
+    final stage's moments ``<s^x>, <s^y>, <s^z>`` per site and the nine
+    correlation components of all 120 site pairs."""
     model = hierarchical_chain_model(4, 1.0, 0.5)
     config = GssConfig(chi_init=4, stages=schedule([4, 16], [20, 20], mode=1), seed=5)
     log = ChoiceLog(config.eps_s)
-    result = run(model, config, observers=[log])
+    result = run(model, config, observers=[log], want_observables=True)
     inputs = ("hierarchical_chain_model(4, 1.0, 0.5); chi_init 4; "
               "stages [4, 16] x 20 sweeps; mode 1; seed 5")
-    return _record([s.reports for s in result.stages], result.state.topology.origin,
-                   "energy", log, inputs)
+    record = _record([s.reports for s in result.stages], result.state.topology.origin,
+                     "energy", log, inputs)
+    obs = result.observables
+    record["observables"] = {
+        "single": {str(i): list(m) for i, m in sorted(obs.single.items())},
+        "pairs": {f"{i},{j}": c for (i, j), c in sorted(obs.pairs.items())},
+    }
+    return record
 
 
 def ft_record() -> dict:
@@ -154,6 +164,17 @@ def test_record_reproduces(name):
         for bond, s in old["entropies"].items():
             assert new["entropies"][bond] == pytest.approx(s, rel=0.0, abs=ENTROPY_ATOL), (
                 f"{where}, bond {bond}")
+    assert fresh.keys() == stored.keys()
+    if "observables" in stored:
+        new, old = fresh["observables"], stored["observables"]
+        assert new["single"].keys() == old["single"].keys()
+        assert new["pairs"].keys() == old["pairs"].keys()
+        for site, moments in old["single"].items():
+            assert new["single"][site] == pytest.approx(moments, rel=0.0, abs=OBSERVABLE_ATOL), (
+                f"site {site}")
+        for pair, components in old["pairs"].items():
+            assert new["pairs"][pair] == pytest.approx(components, rel=0.0, abs=OBSERVABLE_ATOL), (
+                f"pair {pair}")
 
 
 if __name__ == "__main__":
