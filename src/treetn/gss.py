@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .linalg import degenerate_cut, full_eigh, lanczos_lowest
+from .linalg import LANCZOS_TOL, degenerate_cut, full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
     build_superblock_plan,
@@ -51,9 +51,10 @@ __all__ = [
 # column order of the two-site correlation components
 CORRELATION_ORDER = ("xx", "yy", "zz", "yz", "zy", "zx", "xz", "xy", "yx")
 
-# size of the fixed direction mixed into an eigensolver start vector; see
-# ``sweep`` for the starts that receive it
-LANCZOS_NOISE = 1e-7
+# size of the fixed direction mixed into an eigensolver start vector over the
+# residual bound its solve stops at: trapped starts escape at 1e4 with the
+# default bound and at 1e3 with 1e-9. See ``sweep`` for the starts it enters
+NOISE_RATIO = 1e4
 
 # read-only normals of the Philox(0x5EED) stream behind that direction. A
 # shorter draw is a prefix of a longer one, so every caller reads the same
@@ -143,9 +144,9 @@ def degenerate_keep_count(eigenvalues: np.ndarray, chi: int, delta_e: float) -> 
     return keep
 
 
-def _perturb(psi: np.ndarray) -> np.ndarray:
-    """Mix a fixed pseudo-random direction of size ``LANCZOS_NOISE`` into a
-    normalized vector.
+def _perturb(psi: np.ndarray, tol: float) -> np.ndarray:
+    """Mix a fixed pseudo-random direction of size ``NOISE_RATIO * tol`` into
+    a normalized vector whose solve stops at the residual bound ``tol``.
 
     Symmetric Hamiltonians trap an exactly symmetric start vector in its
     invariant subspace, where the eigensolver converges to an excited
@@ -164,7 +165,7 @@ def _perturb(psi: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(psi):
         noise = noise + 1j * draw[n:2 * n].reshape(psi.shape)
     noise = noise / np.linalg.norm(noise)
-    out = psi + LANCZOS_NOISE * noise.astype(psi.dtype)
+    out = psi + NOISE_RATIO * tol * noise.astype(psi.dtype)
     return out / np.linalg.norm(out)
 
 
@@ -212,8 +213,9 @@ def initialize_ttn(
     phi0 = np.tensordot(
         state.tensors[p][:, :, :k], state.tensors[q][:, :, :k], axes=[2, 2]
     )
+    # the solver's default bound, LANCZOS_TOL relative to max(1, |E|)
     energy, psi = lanczos_lowest(
-        plan.apply, _perturb(phi0 / np.linalg.norm(phi0)), plan.diagonal(phi0.shape)
+        plan.apply, _perturb(phi0 / np.linalg.norm(phi0), LANCZOS_TOL), plan.diagonal(phi0.shape)
     )
 
     v_p, weights, v_q, _ = decompose_tensor(
@@ -237,13 +239,16 @@ def sweep(
     by ``_perturb`` unless ``selection.settled``: a perturbed solve reaches
     the lowest state of its superblock, and after a settled pair of
     perturbed sweeps the merged tensors already are those states, up to the
-    convergence tolerances."""
+    convergence tolerances. Each solve stops at the absolute residual
+    ``selection.eps_s / 10``, so entropies move by about a tenth of what the
+    convergence rule reads, energies by the square of that over the gap."""
+    tol = selection.eps_s / 10
 
     def update(merge, info: StepInfo):
         psi = merge()
         plan = build_superblock_plan(model, cache, info.merge_bonds)
-        start = psi if selection.settled else _perturb(psi / np.linalg.norm(psi))
-        energy, psi = lanczos_lowest(plan.apply, start, plan.diagonal(psi.shape))
+        start = psi if selection.settled else _perturb(psi / np.linalg.norm(psi), tol)
+        energy, psi = lanczos_lowest(plan.apply, start, plan.diagonal(psi.shape), tol=tol)
         return psi, {"energy": energy}
 
     return run_sweep(

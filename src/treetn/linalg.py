@@ -218,6 +218,7 @@ def lanczos_lowest(
     apply: Callable[[np.ndarray], np.ndarray],
     init: np.ndarray,
     diagonal: np.ndarray | None = None,
+    tol: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a Hermitian operator given by its action, by
     Davidson's method.
@@ -233,7 +234,10 @@ def lanczos_lowest(
     a residual that adds no direction signals an invariant subspace and
     ends the pass. Restarts from the current best vector, at most
     ``LANCZOS_RESTARTS`` times, until the residual satisfies
-    ``|H v - E v| <= LANCZOS_TOL * max(1, |E|)``.
+    ``|H v - E v| <= max(tol, LANCZOS_TOL * max(1, |E|))``: an absolute
+    ``tol`` loosens the default relative bound, never below rounding. The
+    energy error is then at most ``|H v - E v|^2 / gap``, the angle
+    ``|H v - E v| / gap``.
     """
     vec = np.asarray(init)
     dim = vec.size
@@ -249,13 +253,13 @@ def lanczos_lowest(
         diagonal = np.ravel(diagonal).astype(float, copy=False)
 
     for _ in range(LANCZOS_RESTARTS):
-        energy, vec, residual = _davidson_cycle(
-            apply, vec, min(LANCZOS_MAX_KRYLOV, dim), diagonal
+        energy, vec, residual, bound = _davidson_cycle(
+            apply, vec, min(LANCZOS_MAX_KRYLOV, dim), diagonal, tol or 0.0
         )
-        if residual <= LANCZOS_TOL * max(1.0, abs(energy)):
+        if residual <= bound:
             return energy, vec
     warnings.warn(
-        f"Lanczos residual {residual:.3e} above tolerance after "
+        f"Lanczos residual {residual:.2e} above {bound:.2e} after "
         f"{LANCZOS_RESTARTS} restarts",
         RuntimeWarning,
         stacklevel=2,
@@ -263,8 +267,9 @@ def lanczos_lowest(
     return energy, vec
 
 
-def _davidson_cycle(apply, v0, max_basis, diagonal):
-    """One restarted Davidson pass; returns (energy, vector, residual norm).
+def _davidson_cycle(apply, v0, max_basis, diagonal, tol):
+    """One restarted Davidson pass; returns (energy, vector, residual norm,
+    ``lanczos_lowest``'s bound on that norm at this energy).
     The basis vectors and their products are rows of two arrays that double
     when full and turn complex when a product does; each product adds one
     row to the projected matrix, and the residual of its lowest pair is
@@ -291,7 +296,8 @@ def _davidson_cycle(apply, v0, max_basis, diagonal):
         np.dot(s, products[:k], out=resid)
         resid -= theta * ritz
         residual = float(np.linalg.norm(resid))
-        if residual <= LANCZOS_TOL * max(1.0, abs(theta)) or k == max_basis:
+        bound = max(tol, LANCZOS_TOL * max(1.0, abs(theta)))
+        if residual <= bound or k == max_basis:
             break
         if k == len(basis):
             basis, products = (_grown(a, min(2 * k, max_basis)) for a in (basis, products))
@@ -313,7 +319,7 @@ def _davidson_cycle(apply, v0, max_basis, diagonal):
                 a.astype(hv.dtype) for a in (basis, products, proj, ritz, resid))
         products[k] = hv
         k += 1
-    return theta, ritz.reshape(shape) / np.linalg.norm(ritz), residual
+    return theta, ritz.reshape(shape) / np.linalg.norm(ritz), residual, bound
 
 
 def _grown(a, rows):

@@ -1,5 +1,7 @@
 """Tests for initialization, sweeps, staged runs, and observables."""
 
+import inspect
+import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -47,14 +49,18 @@ class TestDegenerateKeep:
             assert degenerate_keep_count(vals, chi=2, delta_e=1e-8) == 2
 
 
-def perturb_fresh(psi):
+# the sweep's solver bound at the default eps_s (TestSolverBound pins it)
+SWEEP_TOL = SelectionSettings(chi=1).eps_s / 10
+
+
+def perturb_fresh(psi, tol):
     """The Lanczos start perturbation drawn from a fresh generator."""
     rng = np.random.Generator(np.random.Philox(0x5EED))
     noise = rng.standard_normal(psi.shape)
     if np.iscomplexobj(psi):
         noise = noise + 1j * rng.standard_normal(psi.shape)
     noise /= np.linalg.norm(noise)
-    out = psi + gss.LANCZOS_NOISE * noise.astype(psi.dtype)
+    out = psi + gss.NOISE_RATIO * tol * noise.astype(psi.dtype)
     return out / np.linalg.norm(out)
 
 
@@ -69,12 +75,12 @@ class TestPerturb:
             if complex_:
                 psi = psi + 1j * rng.standard_normal(shape)
             psi /= np.linalg.norm(psi)
-            out = gss._perturb(psi)
+            out = gss._perturb(psi, SWEEP_TOL)
             assert out.dtype == psi.dtype
-            np.testing.assert_array_equal(out, perturb_fresh(psi))
+            np.testing.assert_array_equal(out, perturb_fresh(psi, SWEEP_TOL))
 
     def test_noise_buffer_is_read_only(self):
-        gss._perturb(np.ones((3, 2, 2)) / np.sqrt(12))
+        gss._perturb(np.ones((3, 2, 2)) / np.sqrt(12), SWEEP_TOL)
         assert not gss._noise_draw.flags.writeable
 
     @pytest.mark.parametrize("preconditioned", [True, False])
@@ -82,7 +88,8 @@ class TestPerturb:
         """Two decoupled 30-state sectors (the first leg labels them) and a
         start at the exact ground state of the higher one: the operator
         never leaves that sector, so only the noise reaches the lower
-        ground, with or without the diagonal."""
+        ground, with or without the diagonal. Noise and bound are the
+        sweep's."""
         rng = np.random.default_rng(11)
         a, b = rng.standard_normal((2, 30, 30))
         blocks = np.stack([(a + a.T) / 2, (b + b.T) / 2 + 3.0])
@@ -95,10 +102,11 @@ class TestPerturb:
         diagonal = np.stack([np.diag(block) for block in blocks]) if preconditioned else None
         start = np.zeros((2, 30))
         start[1] = lows[1].eigenvectors[:, 0]
-        energy, vec = lanczos_lowest(apply, gss._perturb(start), diagonal)
+        energy, vec = lanczos_lowest(
+            apply, gss._perturb(start, SWEEP_TOL), diagonal, tol=SWEEP_TOL)
         assert energy == pytest.approx(lows[0].eigenvalues[0], abs=1e-10)
         assert np.linalg.norm(vec[0]) == pytest.approx(1.0, abs=1e-9)
-        trapped, _ = lanczos_lowest(apply, start, diagonal)
+        trapped, _ = lanczos_lowest(apply, start, diagonal, tol=SWEEP_TOL)
         assert trapped == pytest.approx(lows[1].eigenvalues[0], abs=1e-10)
 
     # chi_init 1 cuts the tied pair of the strong antiferromagnetic bond
@@ -126,9 +134,9 @@ def traced_solves(monkeypatch):
     log = [[0, 0]]
     perturb, solve, walk = gss._perturb, gss.lanczos_lowest, gss.run_sweep
 
-    def counted_perturb(psi):
+    def counted_perturb(*args):
         log[-1][0] += 1
-        return perturb(psi)
+        return perturb(*args)
 
     def counted_solve(*args, **kwargs):
         log[-1][1] += 1
@@ -213,6 +221,37 @@ class TestNoisePolicy:
         (noisy, solves), (quiet, again) = log[1:]
         assert noisy == solves == again > 0
         assert quiet == 0
+
+
+class TestSolverBound:
+    """Sweep solves stop at the absolute residual ``eps_s / 10``, floored at
+    the solver's relative bound; the initialization keeps that default."""
+
+    @pytest.mark.parametrize("eps_s", [1e-8, 1e-6])
+    def test_sweep_solves_at_tenth_of_eps_s(self, monkeypatch, eps_s):
+        solve = gss.lanczos_lowest
+        tols = []
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(solve).bind(*args, **kwargs).arguments
+            tols.append(bound.get("tol"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gss, "lanczos_lowest", recorded)
+        run(heisenberg_chain(6), GssConfig(chi_init=4, stages=schedule([8], [4]), eps_s=eps_s),
+            want_observables=True)
+        init, *swept = tols
+        assert init is None
+        assert swept and all(tol == eps_s / 10 for tol in swept)
+
+    def test_large_couplings_stop_at_rounding(self):
+        """Couplings of 1e7 put the rounding of ``H v`` far above
+        ``eps_s / 10``; the relative floor lets every solve stop there."""
+        model = hierarchical_chain_model(3, 1e7, 0.5)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Lanczos residual")
+            result = run(model, GssConfig(chi_init=4, stages=schedule([4, 8], [8, 8])))
+        assert result.energy == pytest.approx(ed_oracle(model).energy, rel=1e-12)
 
 
 class TestInitializeTtn:

@@ -414,6 +414,21 @@ class TestLanczos:
         assert energy == pytest.approx(-2.0, abs=1e-12)
         assert len(calls) == 69
 
+    def test_missed_bound_named(self):
+        """An operator whose products carry noise of 1e-6 never meets an
+        absolute bound of 1e-9; the warning names the residual and the
+        bound, after the prefix perfbench counts."""
+        rng = np.random.default_rng(0)
+        h = np.diag(np.arange(8.0))
+
+        def apply(v):
+            return h @ v + 1e-6 * rng.standard_normal(v.shape)
+
+        match = r"^Lanczos residual \d\.\d\de-0[67] above 1\.00e-09 after 10 restarts$"
+        with pytest.warns(RuntimeWarning, match=match):
+            energy, _ = lanczos_lowest(apply, np.ones(8), tol=1e-9)
+        assert energy == pytest.approx(0.0, abs=1e-5)
+
     def test_reorthogonalize_second_pass(self, rng):
         """A vector almost inside the span loses nearly all of its norm in
         the first pass; the second pass restores orthogonality to rounding."""
