@@ -53,7 +53,7 @@ CORRELATION_ORDER = ("xx", "yy", "zz", "yz", "zy", "zx", "xz", "xy", "yx")
 
 # size of the fixed direction mixed into an eigensolver start vector over the
 # residual bound its solve stops at: trapped starts escape at 1e4 with the
-# default bound and at 1e3 with 1e-9. See ``sweep`` for the starts it enters
+# default bound, and at 1e3 with 1e-9. ``sweep`` says which starts get it
 NOISE_RATIO = 1e4
 
 # read-only normals of the Philox(0x5EED) stream behind that direction. A
@@ -213,7 +213,7 @@ def initialize_ttn(
     phi0 = np.tensordot(
         state.tensors[p][:, :, :k], state.tensors[q][:, :, :k], axes=[2, 2]
     )
-    # the solver's default bound, LANCZOS_TOL relative to max(1, |E|)
+    # solved to the default bound, whose floor LANCZOS_TOL sets the noise
     energy, psi = lanczos_lowest(
         plan.apply, _perturb(phi0 / np.linalg.norm(phi0), LANCZOS_TOL), plan.diagonal(phi0.shape)
     )

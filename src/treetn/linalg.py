@@ -234,9 +234,10 @@ def lanczos_lowest(
     a residual that adds no direction signals an invariant subspace and
     ends the pass. Restarts from the current best vector, at most
     ``LANCZOS_RESTARTS`` times, until the residual satisfies
-    ``|H v - E v| <= max(tol, LANCZOS_TOL * max(1, |E|))``: an absolute
-    ``tol`` loosens the default relative bound, never below rounding. The
-    energy error is then at most ``|H v - E v|^2 / gap``, the angle
+    ``|H v - E v| <= max(tol, LANCZOS_TOL * max(1, |E|))``. An absolute
+    ``tol`` loosens the default relative bound, which stays as a floor: a
+    residual below the operator's rounding is never reached. The energy
+    error is then at most ``|H v - E v|^2 / gap``, the angle
     ``|H v - E v| / gap``.
     """
     vec = np.asarray(init)

@@ -6,8 +6,9 @@ fidelity and every bond entropy; per step, the chosen pairing; and the
 sweeps per stage and the smallest pairing margin, how far the closest
 structural decision sat from flipping. A record under truncation-error
 selection (mode 2) also keeps its smallest tie margin, and the gss record
-the final stage's single-site moments and pair correlations. A change that alters behaviour on
-purpose regenerates the records and gives the reason in CHANGES.md:
+the final stage's single-site moments and pair correlations. A change that
+alters behaviour on purpose regenerates the records and gives the reason
+in CHANGES.md:
 
     PYTHONPATH=src python tests/test_behaviour_records.py
 """
