@@ -4,8 +4,9 @@ The search initializes tensors leaf-to-root by keeping the lowest block
 eigenvectors (degeneracy-aware), solves the origin-bond superblock, then
 runs flag-driven two-tensor sweeps with optional structural reconnection,
 staged over an ascending bond-dimension schedule. Every superblock is
-solved by ``linalg.lanczos_lowest``, Davidson's method preconditioned with
-the superblock diagonal (``SuperblockPlan.diagonal``).
+solved by ``linalg.lanczos_lowest``, Davidson's method, in its legs' block
+eigenbases (``operators.eigenbasis_plan``), where the block terms are one
+diagonal array and the preconditioner uses that basis's exact diagonal.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from .linalg import LANCZOS_TOL, degenerate_cut, full_eigh, lanczos_lowest
 from .operators import (
     OperatorCache,
     build_superblock_plan,
+    eigenbasis_plan,
     init_cache,
     refresh_bond,
+    rotate_legs,
     xyz_stack,
 )
 from .spinmodel import SpinModel
@@ -169,6 +172,15 @@ def _perturb(psi: np.ndarray, tol: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+def _solve(model, cache, legs, start, tol=None):
+    """``lanczos_lowest`` on the superblock of ``legs`` from ``start``, in
+    its legs' eigenbases; the vector is returned in the original basis."""
+    plan = build_superblock_plan(model, cache, legs)
+    rotated, diagonal, bases = eigenbasis_plan(cache, plan, legs)
+    energy, psi = lanczos_lowest(rotated.apply, rotate_legs(start, bases), diagonal, tol=tol)
+    return energy, rotate_legs(psi, bases, back=True)
+
+
 def initialize_ttn(
     model: SpinModel,
     topology: Topology,
@@ -208,15 +220,12 @@ def initialize_ttn(
             refresh_bond(cache, model, state, i)
 
     legs = (*topology.edges[p][:2], *topology.edges[q][:2])
-    plan = build_superblock_plan(model, cache, legs)
     k = min(state.tensors[p].shape[2], state.tensors[q].shape[2])
     phi0 = np.tensordot(
         state.tensors[p][:, :, :k], state.tensors[q][:, :, :k], axes=[2, 2]
     )
     # solved to the default bound, whose floor LANCZOS_TOL sets the noise
-    energy, psi = lanczos_lowest(
-        plan.apply, _perturb(phi0 / np.linalg.norm(phi0), LANCZOS_TOL), plan.diagonal(phi0.shape)
-    )
+    energy, psi = _solve(model, cache, legs, _perturb(phi0 / np.linalg.norm(phi0), LANCZOS_TOL))
 
     v_p, weights, v_q, _ = decompose_tensor(
         psi, chi_init, mode=0, sigma=0.0, delta_s=delta_s
@@ -246,9 +255,8 @@ def sweep(
 
     def update(merge, info: StepInfo):
         psi = merge()
-        plan = build_superblock_plan(model, cache, info.merge_bonds)
         start = psi if selection.settled else _perturb(psi / np.linalg.norm(psi), tol)
-        energy, psi = lanczos_lowest(plan.apply, start, plan.diagonal(psi.shape), tol=tol)
+        energy, psi = _solve(model, cache, info.merge_bonds, start, tol)
         return psi, {"energy": energy}
 
     return run_sweep(

@@ -9,7 +9,8 @@ never as standalone matrices, so products survive truncation exactly.
 
 Every Hamiltonian on a set of legs is a ``SuperblockPlan``: the four-leg
 superblock of a sweep step, and the two-leg block whose projection through
-an isometry becomes the parent's block Hamiltonian.
+an isometry becomes the parent's block Hamiltonian. A superblock is solved
+in the eigenbases of its legs' block Hamiltonians (``eigenbasis_plan``).
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
 from .errors import InvariantViolation
+from .linalg import lapack
 from .spinmodel import SpinModel
 from .state import TTNState
 
@@ -34,6 +37,8 @@ __all__ = [
     "refresh_bond",
     "SuperblockPlan",
     "build_superblock_plan",
+    "eigenbasis_plan",
+    "rotate_legs",
 ]
 
 
@@ -41,10 +46,13 @@ __all__ = [
 class OperatorCache:
     """Per bond, the ``z`` and ``+`` operators of its sites as one
     ``(len(sites[bond]), 2, d, d)`` array, rows in ascending site order
-    (read only in this module); block Hamiltonians per auxiliary bond."""
+    (read only in this module); block Hamiltonians per bond whose region has
+    terms, each stored and dropped together with its eigenvalues and
+    eigenvectors in ``block_eig``."""
 
     spin_ops: dict[int, np.ndarray] = field(default_factory=dict)
     block_h: dict[int, np.ndarray] = field(default_factory=dict)
+    block_eig: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     sites: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def dimension(self, bond: int) -> int:
@@ -59,7 +67,7 @@ def init_cache(model: SpinModel) -> OperatorCache:
         cache.sites[r] = (r,)
         h = _site_block(model, cache, r)
         if h is not None:
-            cache.block_h[r] = h
+            cache.block_h[r], cache.block_eig[r] = h, lapack("eigh", h)
     return cache
 
 
@@ -172,9 +180,11 @@ def refresh_bond(
     cache.sites[e3] = tuple(sorted(sites))
     plan = build_superblock_plan(model, cache, (e1, e2))
     if plan.single or plan.double:
-        cache.block_h[e3] = _project(v, plan.apply(v))
+        h = _project(v, plan.apply(v))
+        cache.block_h[e3], cache.block_eig[e3] = h, lapack("eigh", h)
     else:
         cache.block_h.pop(e3, None)
+        cache.block_eig.pop(e3, None)
 
 
 def _apply_axis(phi: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
@@ -189,32 +199,22 @@ def _apply_axis(phi: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
 class SuperblockPlan:
     """Precombined term list for repeatedly applying the superblock
     Hamiltonian to a tensor without forming the dense matrix. Leg ``i`` of
-    the tensor is the ``i``-th plan bond; trailing legs are spectators."""
+    the tensor is the ``i``-th plan bond; trailing legs are spectators.
+    ``levels`` is a diagonal term, one product; a plan that has one as an
+    array of the plan legs' shape takes no spectators."""
 
     single: list[tuple[int, np.ndarray]]
     double: list[tuple[int, int, np.ndarray, np.ndarray]]
     dtype: np.dtype
+    levels: np.ndarray | float = 0.0
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        out = np.zeros(phi.shape, dtype=np.result_type(phi.dtype, self.dtype))
+        out = np.multiply(self.levels, phi, dtype=np.result_type(phi.dtype, self.dtype))
         for axis, m in self.single:
             out += _apply_axis(phi, m, axis)
         for ax_a, ax_b, ma, mb in self.double:
             out += _apply_axis(_apply_axis(phi, mb, ax_b), ma, ax_a)
         return out
-
-    def diagonal(self, shape) -> np.ndarray:
-        """The real diagonal of the Hamiltonian as an array of the tensor's
-        ``shape``: each term's leg diagonals broadcast over the other legs."""
-        def on_leg(m, axis):
-            return np.diagonal(m).reshape(-1, *[1] * (len(shape) - axis - 1))
-
-        out = np.zeros(shape, dtype=self.dtype)
-        for axis, m in self.single:
-            out += on_leg(m, axis)
-        for ax_a, ax_b, ma, mb in self.double:
-            out += on_leg(ma, ax_a) * on_leg(mb, ax_b)
-        return out.real
 
 
 def build_superblock_plan(
@@ -249,3 +249,40 @@ def build_superblock_plan(
                 )
                 double.append((ax_a, ax_b, *((kept, folded) if k == 0 else (folded, kept))))
     return SuperblockPlan(single=single, double=double, dtype=model.dtype)
+
+
+def eigenbasis_plan(
+    cache: OperatorCache, plan: SuperblockPlan, leg_bonds
+) -> tuple[SuperblockPlan, np.ndarray, list]:
+    """``plan``, built on ``leg_bonds``, as ``B† H B`` in its legs' cached
+    block eigenbases ``U``: single terms become eigenvalues summed into
+    ``levels``, pair operators on rotated legs ``U† m U`` (one batch per
+    leg); a leg without a single term is not rotated. Returns that plan, its
+    real diagonal and per leg ``U`` or None, for ``rotate_legs``."""
+    bases, values = [None] * len(leg_bonds), [np.zeros(cache.dimension(b)) for b in leg_bonds]
+    for axis, _ in plan.single:
+        values[axis], bases[axis] = cache.block_eig[leg_bonds[axis]]
+    ops = [list(term[2:]) for term in plan.double]
+    for axis, u in enumerate(bases):
+        slots = [(t, s) for t, term in enumerate(plan.double) for s in (0, 1) if term[s] == axis]
+        if u is not None and slots:
+            for (t, s), m in zip(slots, u.conj().T @ np.stack([ops[t][s] for t, s in slots]) @ u):
+                ops[t][s] = m
+    double = [(a, b, *m) for (a, b, _, _), m in zip(plan.double, ops)]
+    pairs = {}  # per pair of legs, the summed diagonals of its terms
+    for a, b, ma, mb in double:
+        pairs[a, b] = pairs.get((a, b), 0) + ma.diagonal()[:, None] * mb.diagonal()
+    levels = reduce(np.add.outer, values)
+    diagonal = levels.copy()
+    for (a, b), pair in pairs.items():
+        diagonal += pair.real.reshape([len(v) if k in (a, b) else 1 for k, v in enumerate(values)])
+    return SuperblockPlan([], double, plan.dtype, levels), diagonal, bases
+
+
+def rotate_legs(phi: np.ndarray, bases, back: bool = False) -> np.ndarray:
+    """``phi`` with leg ``i`` taken into the basis ``bases[i]`` (``U† phi``),
+    or with ``back`` out of it (``U phi``); a leg whose basis is None stays."""
+    for axis, u in enumerate(bases):
+        if u is not None:
+            phi = _apply_axis(phi, u if back else u.conj().T, axis)
+    return phi

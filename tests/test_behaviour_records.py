@@ -7,16 +7,20 @@ sweeps per stage and the smallest pairing margin, how far the closest
 structural decision sat from flipping. A record under truncation-error
 selection (mode 2) also keeps its smallest tie margin, and the gss record
 the final stage's single-site moments and pair correlations. A change that
-alters behaviour on purpose regenerates the records and gives the reason
-in CHANGES.md:
+alters behaviour on purpose regenerates the records it alters, by name,
+and gives the reason in CHANGES.md:
 
-    PYTHONPATH=src python tests/test_behaviour_records.py
+    PYTHONPATH=src python tests/test_behaviour_records.py gss_h16_seed5
+
+Without names every record is rewritten. An unknown name rewrites none and
+exits non-zero.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,9 +183,13 @@ def test_record_reproduces(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(BUILDERS)
+    unknown = [name for name in names if name not in BUILDERS]
+    if unknown:
+        sys.exit(f"unknown record {', '.join(unknown)}; known: {', '.join(BUILDERS)}")
     RECORDS.mkdir(exist_ok=True)
-    for name, (build, _) in BUILDERS.items():
-        record = build()
+    for name in names:
+        record = BUILDERS[name][0]()
         (RECORDS / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
         print(f"{name}: sweeps {record['sweeps_per_stage']}, "
               f"smallest pairing margin {record['smallest_pairing_margin']:.3e}"

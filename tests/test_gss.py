@@ -254,6 +254,35 @@ class TestSolverBound:
         assert result.energy == pytest.approx(ed_oracle(model).energy, rel=1e-12)
 
 
+class TestEigenbasisSolve:
+    """Each superblock is solved in its legs' block eigenbases and handed
+    back in the basis of the network's tensors."""
+
+    def test_ground_state_in_original_basis(self, rng):
+        model = SpinModel(
+            n_sites=6,
+            spin_sizes=[0.5, 1.0, 0.5, 0.5, 1.0, 0.5],
+            exchange_type="XYZ",
+            exchange_rows=[(i, i + 1, 1.0, 0.6, 0.3) for i in range(5)],
+            field_tables={"y": {i: 0.2 for i in range(6)}, "z": {1: 0.3}},
+            dm_tables={"z": [(0, 3, 0.4)]},
+        )
+        topo = build_mpn(6)
+        _, cache, _ = initialize_ttn(model, topo, 4)
+        p, q = topo.center_tensors()
+        legs = (*topo.edges[p][:2], *topo.edges[q][:2])
+        dims = [cache.dimension(b) for b in legs]
+        plan = gss.build_superblock_plan(model, cache, legs)
+        units = np.eye(int(np.prod(dims)), dtype=complex).reshape(-1, *dims)
+        h = np.stack([plan.apply(e).ravel() for e in units], axis=1)
+        exact = full_eigh(h)
+        start = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        energy, psi = gss._solve(model, cache, legs, start)
+        assert energy == pytest.approx(exact.eigenvalues[0], abs=1e-10)
+        assert abs(np.vdot(exact.eigenvectors[:, 0], psi.ravel())) == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(plan.apply(psi), energy * psi, atol=1e-9)
+
+
 class TestInitializeTtn:
     def test_n4_energy_exact(self):
         model = heisenberg_chain(4)

@@ -1,20 +1,25 @@
 """Tests for renormalized operators, block Hamiltonians, and the
 superblock application."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from conftest import heisenberg_chain, random_isometry
 from treetn.benchmarks import dense_hamiltonian
 from treetn.errors import InvariantViolation
+from treetn.gss import initialize_ttn
 from treetn.linalg import full_eigh
 from treetn.operators import (
     _apply_axis,
     _cross_rows,
     build_superblock_plan,
+    eigenbasis_plan,
     init_cache,
     refresh_bond,
     renormalize_spin,
+    rotate_legs,
 )
 from treetn.spinmodel import SpinModel, local_spin_matrices
 from treetn.state import TTNState
@@ -417,8 +422,6 @@ class TestApplySuperblock:
             field_tables={"y": {i: 0.2 for i in range(6)}},
             dm_tables={"z": [(0, 3, 0.4)]},
         )
-        from treetn.gss import initialize_ttn
-
         topo = build_mpn(6)
         state, cache, _ = initialize_ttn(model, topo, 8)
         p, q = topo.center_tensors()
@@ -458,51 +461,96 @@ class TestApplySuperblock:
 
 
 def plan_matrix(plan, dims):
-    """The plan's dense matrix: the plan applied to an identity on a
-    spectator leg, as the initialization builds its block matrices."""
+    """The plan's dense matrix, one column per unit tensor."""
     dim = int(np.prod(dims))
-    return plan.apply(np.eye(dim).reshape(*dims, dim)).reshape(dim, dim)
+    units = np.eye(dim, dtype=plan.dtype).reshape(dim, *dims)
+    return np.stack([plan.apply(e).ravel() for e in units], axis=1)
 
 
-class TestPlanDiagonal:
-    def test_real_two_leg_plan(self, rng):
-        model = field_chain()
-        cache, topo = refreshed_chain(
-            model, [random_isometry(rng, 2, 2, 3), random_isometry(rng, 3, 2, 5)]
-        )
-        legs = (topo.edges[1][2], 3)  # the region of sites 0-2, then site 3
+def leg_product(bases, dims):
+    """``B``, the Kronecker product of per-leg bases, identity where a leg
+    has none."""
+    return reduce(np.kron, [np.eye(d) if u is None else u for u, d in zip(bases, dims)])
+
+
+def complex_center():
+    """The renormalized center superblock of a model with a y field and DM
+    terms, whose leg operators are complex: model, cache and legs."""
+    model = SpinModel(
+        n_sites=6,
+        spin_sizes=[0.5, 1.0, 0.5, 0.5, 1.0, 0.5],
+        exchange_type="XYZ",
+        exchange_rows=[(i, i + 1, 1.0, 0.6, 0.3) for i in range(5)] + [(1, 4, 0.5, 0.2, 0.1)],
+        field_tables={"y": {i: 0.2 for i in range(6)}},
+        dm_tables={"z": [(0, 3, 0.4)], "x": [(2, 5, -0.3)]},
+    )
+    assert model.dtype == complex
+    topo = build_mpn(6)
+    _, cache, _ = initialize_ttn(model, topo, 8)
+    p, q = topo.center_tensors()
+    return model, cache, (*topo.edges[p][:2], *topo.edges[q][:2])
+
+
+def real_two_leg(rng):
+    """The region of sites 0-2 of a field chain, then site 3."""
+    model = field_chain()
+    cache, topo = refreshed_chain(
+        model, [random_isometry(rng, 2, 2, 3), random_isometry(rng, 3, 2, 5)]
+    )
+    return model, cache, (topo.edges[1][2], 3)
+
+
+class TestEigenbasisPlan:
+    """A superblock in its legs' block eigenbases: ``B† H B`` with the block
+    terms as one diagonal array."""
+
+    @pytest.fixture(params=["real_two_leg", "complex_four_leg"])
+    def case(self, request, rng):
+        model, cache, legs = real_two_leg(rng) if request.param == "real_two_leg" else complex_center()
         plan = build_superblock_plan(model, cache, legs)
         assert plan.single and plan.double
         dims = [cache.dimension(b) for b in legs]
-        diag = plan.diagonal(dims)
-        assert diag.shape == tuple(dims) and diag.dtype == float
-        np.testing.assert_allclose(diag.ravel(), np.diag(plan_matrix(plan, dims)), atol=1e-13)
+        return plan, *eigenbasis_plan(cache, plan, legs), dims
 
-    def test_complex_four_leg_plan(self):
-        """The renormalized center superblock of a model with a y field and
-        DM terms, whose leg operators are complex."""
-        model = SpinModel(
-            n_sites=6,
-            spin_sizes=[0.5, 1.0, 0.5, 0.5, 1.0, 0.5],
-            exchange_type="XYZ",
-            exchange_rows=[(i, i + 1, 1.0, 0.6, 0.3) for i in range(5)] + [(1, 4, 0.5, 0.2, 0.1)],
-            field_tables={"y": {i: 0.2 for i in range(6)}},
-            dm_tables={"z": [(0, 3, 0.4)], "x": [(2, 5, -0.3)]},
-        )
-        assert model.dtype == complex
-        from treetn.gss import initialize_ttn
+    def test_matrix_is_rotated_hamiltonian(self, case):
+        plan, rotated, _, bases, dims = case
+        assert rotated.single == [] and len(rotated.double) == len(plan.double)
+        b = leg_product(bases, dims)
+        want = b.conj().T @ plan_matrix(plan, dims) @ b
+        np.testing.assert_allclose(plan_matrix(rotated, dims), want, atol=1e-12)
 
-        topo = build_mpn(6)
-        _, cache, _ = initialize_ttn(model, topo, 8)
-        p, q = topo.center_tensors()
-        legs = (*topo.edges[p][:2], *topo.edges[q][:2])
-        plan = build_superblock_plan(model, cache, legs)
-        dims = [cache.dimension(b) for b in legs]
-        h = plan_matrix(plan, dims)
-        diag = plan.diagonal(dims)
-        assert diag.dtype == float
-        np.testing.assert_allclose(diag.ravel(), np.diag(h).real, atol=1e-12)
+    def test_diagonal_is_real_diagonal(self, case):
+        _, rotated, diagonal, _, dims = case
+        assert diagonal.shape == tuple(dims) and diagonal.dtype == float
+        h = plan_matrix(rotated, dims)
+        np.testing.assert_allclose(diagonal.ravel(), np.diag(h).real, atol=1e-12)
         assert np.max(np.abs(np.diag(h).imag)) < 1e-12
+
+    def test_rotation_round_trip(self, case, rng):
+        plan, _, _, bases, dims = case
+        phi = rng.standard_normal(dims).astype(plan.dtype)
+        if plan.dtype == complex:
+            phi += 1j * rng.standard_normal(dims)
+        inside = rotate_legs(phi, bases)
+        b = leg_product(bases, dims)
+        np.testing.assert_allclose(inside.ravel(), b.conj().T @ phi.ravel(), atol=1e-12)
+        np.testing.assert_allclose(rotate_legs(inside, bases, back=True), phi, atol=1e-12)
+
+    def test_leg_without_single_term_unrotated(self, rng):
+        """Without fields a bare site has no block: its leg keeps its basis
+        and its pair operators, while the region's leg is rotated."""
+        model = heisenberg_chain(6)
+        cache, topo = refreshed_chain(model, [random_isometry(rng, 2, 2, 4)])
+        legs = (topo.edges[0][2], 2)
+        plan = build_superblock_plan(model, cache, legs)
+        assert [axis for axis, _ in plan.single] == [0]
+        rotated, _, bases = eigenbasis_plan(cache, plan, legs)
+        assert bases[0] is not None and bases[1] is None
+        for (_, _, ma, mb), (_, _, ra, rb) in zip(plan.double, rotated.double):
+            assert rb is mb and not np.allclose(ra, ma)
+        b = leg_product(bases, [4, 2])
+        want = b.conj().T @ plan_matrix(plan, [4, 2]) @ b
+        np.testing.assert_allclose(plan_matrix(rotated, [4, 2]), want, atol=1e-12)
 
 
 class TestRefreshBond:
@@ -560,14 +608,14 @@ class TestRefreshBond:
         topo = build_mpn(6)
         cache = init_cache(model)
         e3 = topo.edges[0][2]
-        cache.block_h[e3] = np.eye(3)
+        cache.block_h[e3], cache.block_eig[e3] = np.eye(3), (np.ones(3), np.eye(3))
         state = TTNState(
             topology=topo,
             tensors=[random_isometry(rng, 2, 2, 3)] + [None] * 3,
             center_weights=np.ones(1),
         )
         refresh_bond(cache, model, state, 0)
-        assert e3 not in cache.block_h
+        assert e3 not in cache.block_h and e3 not in cache.block_eig
 
     def test_field_only_region_keeps_block(self, rng):
         model = SpinModel(n_sites=6, spin_sizes=[0.5] * 6, field_tables={"z": {1: 0.5}})
@@ -576,3 +624,28 @@ class TestRefreshBond:
         w = v.reshape(4, 3)
         expected = w.conj().T @ region_hamiltonian(model, (0, 1)) @ w
         np.testing.assert_allclose(cache.block_h[topo.edges[0][2]], expected, atol=1e-12)
+
+    def test_eigenbasis_replaced_with_block(self, rng):
+        """Refreshing a bond through a new isometry replaces its block's
+        eigendecomposition as well: the superblock built next is rotated by
+        the new block's eigenvectors, never by the old ones."""
+        model = field_chain()
+        cache, topo = refreshed_chain(model, [random_isometry(rng, 2, 2, 3)])
+        e3 = topo.edges[0][2]
+        stale = cache.block_h[e3]
+        state = TTNState(
+            topology=topo,
+            tensors=[random_isometry(rng, 2, 2, 3)] + [None] * (topo.n_tensors - 1),
+            center_weights=np.ones(1),
+        )
+        refresh_bond(cache, model, state, 0)
+        h = cache.block_h[e3]
+        assert not np.allclose(h, stale)
+        values, vectors = cache.block_eig[e3]
+        np.testing.assert_allclose(vectors.conj().T @ h @ vectors, np.diag(values), atol=1e-12)
+        legs = (e3, 2)
+        plan = build_superblock_plan(model, cache, legs)
+        rotated, _, bases = eigenbasis_plan(cache, plan, legs)
+        b = leg_product(bases, [3, 2])
+        want = b.conj().T @ plan_matrix(plan, [3, 2]) @ b
+        np.testing.assert_allclose(plan_matrix(rotated, [3, 2]), want, atol=1e-12)
