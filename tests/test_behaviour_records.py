@@ -1,12 +1,15 @@
-"""Seeded behaviour records of the two sweep workflows, recomputed and
+"""Seeded behaviour records of the three sweep workflows (ground-state
+search, fidelity sweeps and bundle reconstruction), recomputed and
 compared with the committed copies under ``tests/records``.
 
 Each record holds, per sweep, the tree shape, the origin energy or
-fidelity and every bond entropy; per step, the chosen pairing; and the
-sweeps per stage and the smallest pairing margin, how far the closest
-structural decision sat from flipping. A record under truncation-error
-selection (mode 2) also keeps its smallest tie margin, and the gss record
-the final stage's single-site moments and pair correlations. A change that
+fidelity (none in a reconstruction) and every bond entropy; per step, the
+chosen pairing; and the sweeps per stage and the smallest pairing margin,
+how far the closest structural decision sat from flipping. A record under
+truncation-error selection (mode 2) also keeps its smallest tie margin,
+the gss record the final stage's single-site moments and pair
+correlations, and the reconstruction record the overlap of the final
+network with the input one. A change that
 alters behaviour on purpose regenerates the records it alters, by name,
 and gives the reason in CHANGES.md:
 
@@ -23,13 +26,15 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treetn import factorize
 from treetn.benchmarks import gen_quantics_function, hierarchical_chain_model
 from treetn.gss import GssConfig, run
+from treetn.state import TTNState, to_dense
 from treetn.sweeps import schedule
-from treetn.topology import tree_shape
+from treetn.topology import build_mpn, tree_shape
 
 RECORDS = Path(__file__).parent / "records"
 ENERGY_RTOL = 1e-13
@@ -73,7 +78,7 @@ class ChoiceLog:
 
 
 def _record(stage_reports, origin, quantity, log: ChoiceLog, inputs: str) -> dict:
-    field = "energies" if quantity == "energy" else "fidelities"
+    field = {"energy": "energies", "fidelity": "fidelities"}.get(quantity)
     margins = {"smallest_pairing_margin": min(log.margins)}
     if log.tie_margins:
         margins["smallest_tie_margin"] = min(log.tie_margins)
@@ -84,7 +89,7 @@ def _record(stage_reports, origin, quantity, log: ChoiceLog, inputs: str) -> dic
         "sweeps": [
             {
                 "tree_shape": [list(t) for t in tree_shape(r.structure_snapshot)],
-                quantity: getattr(r, field)[origin],
+                **({quantity: getattr(r, field)[origin]} if field else {}),
                 "entropies": {str(b): s for b, s in sorted(r.entropies.items())},
             }
             for reports in stage_reports for r in reports
@@ -147,10 +152,47 @@ def ft_mode2_record() -> dict:
     return _record(stage_reports, state.topology.origin, "fidelity", log, inputs)
 
 
+def chain_bundle(n_sites: int, chi: int, seed: int) -> TTNState:
+    """A chain network of random isometries (QR of Gaussian matrices), bond
+    dimensions capped at ``chi``, with random descending center weights."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    topo = build_mpn(n_sites)
+    dims = {b: 2 for b in range(n_sites)}
+    p = (topo.n_tensors - 1) // 2
+    # bond dimensions grow from both chain ends towards the center pair
+    for t in [*range(p + 1), *range(topo.n_tensors - 1, p, -1)]:
+        e1, e2, e3 = topo.edges[t]
+        dims[e3] = min(chi, dims[e1] * dims[e2], dims.get(e3, chi))
+    tensors = []
+    for e1, e2, e3 in topo.edges:
+        q, _ = np.linalg.qr(rng.standard_normal((dims[e1] * dims[e2], dims[e3])))
+        tensors.append(q.reshape(dims[e1], dims[e2], dims[e3]))
+    w = np.sort(rng.random(dims[topo.center]))[::-1]
+    return TTNState(topology=topo, tensors=tensors, center_weights=w / np.linalg.norm(w))
+
+
+def rebuild_record() -> dict:
+    """The reconstruction ``ft`` runs on a bundle: a 12-site chain bundle of
+    bond dimension 8, reshaped at chi 6 with entropy selection (mode 1); it
+    settles after 5 of 20 sweeps. Of 12 and 16 sites, chi 4 and 6, bundle
+    bond dimensions 8 and 16 and seeds 0-5, it has the largest smallest
+    pairing margin."""
+    state = chain_bundle(12, 8, seed=5)
+    before = to_dense(state)
+    config = factorize.FactorizeConfig(chi_init=6, opt_mode=1, n_max=20)
+    log = ChoiceLog(config.eps_s)
+    state, reports = factorize.reconstruct_sweep(state, config, observers=[log])
+    inputs = "chain_bundle(12, 8, seed=5); chi 6; 20 sweeps; mode 1"
+    record = _record([reports], state.topology.origin, None, log, inputs)
+    record["overlap"] = abs(complex(np.vdot(before, to_dense(state))))
+    return record
+
+
 BUILDERS = {
     "gss_h16_seed5": (gss_record, "energy"),
     "ft_quantics_b4": (ft_record, "fidelity"),
     "ft_quantics_mode2": (ft_mode2_record, "fidelity"),
+    "rebuild_chain12": (rebuild_record, None),
 }
 
 
@@ -164,12 +206,15 @@ def test_record_reproduces(name):
     for k, (new, old) in enumerate(zip(fresh["sweeps"], stored["sweeps"])):
         where = f"sweep {k}"
         assert new["tree_shape"] == old["tree_shape"], where
-        assert new[quantity] == pytest.approx(old[quantity], rel=ENERGY_RTOL, abs=0.0), where
+        if quantity:
+            assert new[quantity] == pytest.approx(old[quantity], rel=ENERGY_RTOL, abs=0.0), where
         assert new["entropies"].keys() == old["entropies"].keys(), where
         for bond, s in old["entropies"].items():
             assert new["entropies"][bond] == pytest.approx(s, rel=0.0, abs=ENTROPY_ATOL), (
                 f"{where}, bond {bond}")
     assert fresh.keys() == stored.keys()
+    if "overlap" in stored:
+        assert fresh["overlap"] == pytest.approx(stored["overlap"], rel=ENERGY_RTOL, abs=0.0)
     if "observables" in stored:
         new, old = fresh["observables"], stored["observables"]
         assert new["single"].keys() == old["single"].keys()
