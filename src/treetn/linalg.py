@@ -98,9 +98,7 @@ def full_svd(
     if gram:
         if vectors:
             raise ValueError("a Gram spectrum has no singular vectors")
-        rows, cols = matrix.shape
-        h = matrix.conj().T
-        squares = lapack("eigvalsh", matrix @ h if rows <= cols else h @ matrix)
+        squares = lapack("eigvalsh", gram_matrix(matrix))
         return np.sqrt(np.maximum(squares[::-1], 0.0))
     wide = matrix.shape[0] < matrix.shape[1]
     tall = matrix.T if wide else matrix
@@ -110,6 +108,13 @@ def full_svd(
     if wide:
         u, vh = vh.T, u.T
     return SingularSpectrum(values=s, left_vectors=u, right_vectors=vh)
+
+
+def gram_matrix(matrix: np.ndarray) -> np.ndarray:
+    """The smaller of ``A A†`` and ``A† A``; its eigenvalues are the squared
+    singular values of ``A``."""
+    h = matrix.conj().T
+    return matrix @ h if matrix.shape[0] <= matrix.shape[1] else h @ matrix
 
 
 def degenerate_cut(

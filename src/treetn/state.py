@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import cut_spectrum, entanglement_entropy, full_svd, lapack, spectrum_cut
+from .linalg import (
+    cut_spectrum, entanglement_entropy, full_svd, gram_matrix, lapack, spectrum_cut,
+)
 from .topology import Topology, subtree_sites
 
 __all__ = [
@@ -38,11 +40,17 @@ __all__ = [
 # axis groupings of the left factor; the right factor takes the rest
 PAIRINGS = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 1, 3))
 
+# a pairing is ruled out when its Rényi-2 entropy exceeds S_0 - eps_s by
+# more than this, far above the rounding of either entropy
+SCREEN_MARGIN = 1e-10
+
 
 @dataclass
 class ReconnectChoice:
     """Outcome of a structural selection among the three pairings; the
-    entropy and error of a pairing that was not evaluated read ``nan``."""
+    entropy and error of a pairing that was not evaluated read ``nan``: both
+    other pairings under mode 0, and under zero-temperature entropy
+    selection each one ruled out by its Rényi-2 entropy."""
 
     pairing: int
     entropies: tuple[float, float, float]
@@ -170,15 +178,29 @@ def _choose_pairing(
             raise ValueError("stochastic selection requires a random generator")
         probs = selection_probabilities(entropies, temperature)
         return int(rng.choice(3, p=probs)), tuple(probs)
-    # least entanglement among all pairings (mode 1) or among those tied in
-    # least truncation error (mode 2); pairing 0 is kept within eps_s of it
+    # least entanglement among the evaluated pairings (mode 1) or among those
+    # tied in least truncation error (mode 2); pairing 0 is kept within eps_s
     errors = trunc_errors if mode == 2 else [0.0] * 3
     low = min(errors)
-    tied = [k for k in range(3) if errors[k] - low < 1e-13]
+    tied = [k for k in range(3) if errors[k] - low < 1e-13 and not math.isnan(entropies[k])]
     best = min(tied, key=entropies.__getitem__)
     if 0 in tied and entropies[0] - entropies[best] < eps_s:
         return 0, None
     return best, None
+
+
+def _renyi2_entropy(matrix: np.ndarray) -> float:
+    """Rényi-2 entropy of a split, in the scale of its squared singular
+    values w: ``c (ln c - ln sum w^2)`` with ``c = sum w``, which is
+    ``-ln tr rho^2`` for a normalized tensor. It never exceeds the entropy
+    ``-sum w ln w`` (Rényi 1961), and costs one Gram product. A split too
+    small to square reads ``-inf``."""
+    g = gram_matrix(matrix)
+    c = float(np.trace(g).real)
+    squares = float(np.vdot(g, g).real)
+    if squares == 0.0:
+        return -math.inf
+    return c * (math.log(c) - math.log(squares))
 
 
 def decompose_tensor(
@@ -202,8 +224,12 @@ def decompose_tensor(
     2, then run a full SVD of a chosen pairing other than 0, whose entropy
     and error replace the values-only ones. Mode 1, which chooses by entropy,
     takes those values from Gram matrices; mode 2 runs values-only SVDs,
-    because its degeneracy-aware cut reads the small values. The kept
-    spectrum is truncated to ``chi`` values (degeneracy-aware) and rescaled.
+    because its degeneracy-aware cut reads the small values. At zero
+    temperature, mode 1 first screens pairings 1 and 2: one whose Rényi-2
+    entropy, a lower bound on its entropy, exceeds pairing 0's entropy less
+    ``eps_s`` by ``SCREEN_MARGIN`` cannot be chosen, so it gets no spectrum
+    and its entropy and error are ``nan``. The kept spectrum is truncated to
+    ``chi`` values (degeneracy-aware) and rescaled.
 
     Returns ``(v_left, weights, v_right, choice)`` where the left isometry
     carries the pairing's first two legs and the right one the other two.
@@ -219,14 +245,10 @@ def decompose_tensor(
         perm = PAIRINGS[pairing]
         return psi.transpose(perm).reshape(dims[perm[0]] * dims[perm[1]], -1)
 
-    # the first SVD checks every entry of psi; the other pairings permute them
-    spec = full_svd(psi.reshape(dims[0] * dims[1], -1))
-    mats = [None] + [split(k) for k in (1, 2) if mode]
-    spectra = [spec.values] + [
-        full_svd(m, vectors=False, gram=mode == 1, checked=True) for m in mats[1:]]
     entropies = [math.nan] * 3
     trunc_errors = [math.nan] * 3
     cuts = [None] * 3
+    mats = [None] * 3
 
     def measure(k, values):
         squares = values**2
@@ -234,8 +256,17 @@ def decompose_tensor(
         cuts[k] = spectrum_cut(values, chi, sigma, delta_s, squares)
         trunc_errors[k] = 1.0 - cuts[k][1]
 
-    for k, values in enumerate(spectra):
-        measure(k, values)
+    # the first SVD checks every entry of psi; the other pairings permute them
+    spec = full_svd(psi.reshape(dims[0] * dims[1], -1))
+    measure(0, spec.values)
+    # zero-temperature entropy selection skips the spectrum of a pairing
+    # that cannot beat pairing 0 by eps_s
+    screened = mode == 1 and not temperature > 0.0
+    bound = entropies[0] - eps_s + SCREEN_MARGIN
+    for k in (1, 2) if mode else ():
+        mats[k] = split(k)
+        if not (screened and _renyi2_entropy(mats[k]) > bound):
+            measure(k, full_svd(mats[k], vectors=False, gram=mode == 1, checked=True))
     pairing, probs = _choose_pairing(
         entropies, trunc_errors, mode, temperature, rng, eps_s
     )

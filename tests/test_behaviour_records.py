@@ -48,10 +48,12 @@ class ChoiceLog:
     compared all three pairings, its margins. Under zero-temperature
     selection pairing 0 competes with its entropy less ``eps_s``, among
     all pairings (mode 1) or among those whose truncation error ties the
-    least one (mode 2). The pairing margin is the runner-up's score less
-    the winner's, taken when two or more pairings compete. In mode 2 the
-    tie comes first: its margin is how far the closest error gap sits from
-    ``TIE``."""
+    least one (mode 2). A pairing that mode 1 ruled out by its Rényi-2
+    entropy (entropy ``nan``) does not compete, and a step with one adds
+    no margin, as a step under mode 0 adds none. The pairing margin is the
+    runner-up's score less the winner's, taken when two or more pairings
+    compete. In mode 2 the tie comes first: its margin is how far the
+    closest error gap sits from ``TIE``."""
 
     def __init__(self, eps_s: float, mode: int = 1):
         self.eps_s = eps_s

@@ -13,6 +13,7 @@ from treetn.linalg import cut_spectrum, entanglement_entropy, full_svd, spectrum
 from treetn.state import (
     PAIRINGS,
     TTNState,
+    _renyi2_entropy,
     cooled_temperature,
     decompose_tensor,
     isometry_defect,
@@ -77,19 +78,24 @@ def rainbow_tensor():
 
 class TestDecompose:
     def test_product_keeps_original(self, rng):
+        # every pairing is unentangled, so none can beat pairing 0 by eps_s:
+        # both others are ruled out by their Rényi-2 entropy
         psi = product_tensor(rng)
         _, w, _, choice = decompose_tensor(psi, chi=4, mode=1)
         assert choice.pairing == 0
-        assert all(s == pytest.approx(0.0, abs=1e-12) for s in choice.entropies)
+        assert choice.entropies[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.isnan(choice.entropies[1:]).all()
         assert len(w) == 1
 
     def test_rainbow_selects_pairing_two(self):
+        # pairing 1 cuts both Bell pairs, a flat spectrum whose Rényi-2
+        # entropy equals pairing 0's entropy: it is ruled out
         psi = rainbow_tensor()
         _, _, _, choice = decompose_tensor(psi, chi=4, mode=1)
         assert choice.pairing == 2
         np.testing.assert_allclose(choice.entropies[2], 0.0, atol=1e-12)
         np.testing.assert_allclose(choice.entropies[0], 2 * np.log(2), atol=1e-12)
-        np.testing.assert_allclose(choice.entropies[1], 2 * np.log(2), atol=1e-12)
+        assert np.isnan(choice.entropies[1])
 
     def test_heat_bath_zero_temperature_limit(self, rng):
         psi = rng.standard_normal((2, 2, 2, 2))
@@ -193,9 +199,13 @@ def oracle_pairings(psi, chi):
     return entropies, errors
 
 
-# how the values of pairings 1 and 2 are computed: mode 1 reads only their
-# entropies, mode 2 also cuts them degeneracy-aware
-REJECTED_SPECTRUM = {1: "gram", 2: "values"}
+# the spectra of pairings 1 and 2 that each mode computes for the Bell-pair
+# tensors below: mode 1 reads only entropies, from Gram matrices, and rules
+# out each pairing whose Rényi-2 entropy already exceeds pairing 0's less
+# eps_s (for the rainbow tensor, pairing 1); mode 2 also cuts both
+# degeneracy-aware
+KEPT_SPECTRA = {1: [], 2: ["values"] * 2}
+RAINBOW_SPECTRA = {1: ["gram"], 2: ["values"] * 2}
 
 
 class TestDecomposeCost:
@@ -220,14 +230,30 @@ class TestDecomposeCost:
             np.einsum("ab,cd->abcd", bell, bell), chi=2, mode=mode
         )
         assert choice.pairing == 0
-        assert calls == ["full"] + [REJECTED_SPECTRUM[mode]] * 2
+        assert calls == ["full"] + KEPT_SPECTRA[mode]
 
     @pytest.mark.parametrize("mode", [1, 2])
     def test_reconnect_second_full_svd(self, monkeypatch, mode):
         calls = counted_svds(monkeypatch)
         _, _, _, choice = decompose_tensor(rainbow_tensor(), chi=2, mode=mode)
         assert choice.pairing == 2
-        assert calls == ["full"] + [REJECTED_SPECTRUM[mode]] * 2 + ["full"]
+        assert calls == ["full"] + RAINBOW_SPECTRA[mode] + ["full"]
+
+    @pytest.mark.parametrize(
+        "mode, temperature, spectrum", [(1, 0.5, "gram"), (2, 0.0, "values")])
+    def test_every_pairing_evaluated_unscreened(
+        self, rng, monkeypatch, mode, temperature, spectrum
+    ):
+        """Heat-bath selection needs all three entropies and mode 2 the small
+        values: neither screens, even where every pairing is unentangled."""
+        calls = counted_svds(monkeypatch)
+        _, _, _, choice = decompose_tensor(
+            product_tensor(rng), chi=2, mode=mode, temperature=temperature, rng=rng
+        )
+        # all three entropies tie, so the sampled pairing may need its full SVD
+        assert calls == ["full", spectrum, spectrum] + ["full"] * (choice.pairing != 0)
+        assert not np.isnan(choice.entropies).any()
+        assert not np.isnan(choice.truncation_errors).any()
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_entries_checked_once(self, monkeypatch, mode):
@@ -262,14 +288,94 @@ class TestDecomposeCost:
         psi /= np.linalg.norm(psi)
         entropies, errors = oracle_pairings(psi, chi=3)
         v_l, w, v_r, choice = decompose_tensor(psi, chi=3, mode=mode)
-        np.testing.assert_allclose(choice.entropies, entropies, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(choice.truncation_errors, errors, rtol=0, atol=1e-12)
+        # a pairing ruled out under mode 1 has neither value
+        evaluated = ~np.isnan(choice.entropies)
+        assert evaluated[0] and (mode == 1 or evaluated.all())
+        assert (evaluated == ~np.isnan(choice.truncation_errors)).all()
+        assert evaluated[choice.pairing]
+        np.testing.assert_allclose(
+            np.array(choice.entropies)[evaluated], np.array(entropies)[evaluated],
+            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            np.array(choice.truncation_errors)[evaluated], np.array(errors)[evaluated],
+            rtol=0, atol=1e-12)
         perm = PAIRINGS[choice.pairing]
         assert v_l.shape == (shape[perm[0]], shape[perm[1]], 3)
         assert v_r.shape == (shape[perm[2]], shape[perm[3]], 3)
 
 
-class TestTruncationWarnings:
+def exact_pairings(psi):
+    """Entropy and Rényi-2 entropy ``-ln sum w^2`` of each pairing of a
+    normalized tensor, from the squares ``w`` of np.linalg.svd's values."""
+    out = []
+    for perm in PAIRINGS:
+        d = psi.shape
+        mat = psi.transpose(perm).reshape(d[perm[0]] * d[perm[1]], -1)
+        w = np.linalg.svd(mat, compute_uv=False) ** 2
+        w = w[w > 0.0]
+        out.append((-np.sum(w * np.log(w)), -np.log(np.sum(w**2))))
+    return out
+
+
+class TestRenyiScreen:
+    """Zero-temperature entropy selection (mode 1) rules out a pairing
+    without its spectrum only where its exact entropy could not win."""
+
+    @staticmethod
+    def tensors(kind, gen):
+        for _ in range(25):
+            d = int(gen.integers(2, 5))
+            shape = tuple(int(n) for n in gen.integers(2, 5, size=4))
+            if kind == "real":
+                psi = gen.standard_normal(shape)
+            elif kind == "complex":
+                psi = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+            elif kind == "product":
+                psi = product_tensor(gen, shape)
+            elif kind == "tied":  # every pairing splits into d equal values
+                psi = sum(np.einsum("i,j,k,l->ijkl", *[np.eye(d)[i]] * 4) for i in range(d))
+            else:  # legs (0, 2) and (1, 3) entangled, plus noise
+                pairs = np.einsum("ac,bd->abcd", np.eye(d), np.eye(d))
+                psi = pairs + gen.uniform(0.01, 0.3) * gen.standard_normal((d,) * 4)
+            yield psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "product", "tied", "reconnect"])
+    def test_matches_exact_spectra(self, kind):
+        eps_s = 1e-8
+        gen = np.random.default_rng(29)
+        ruled_out = 0
+        for psi in self.tensors(kind, gen):
+            exact = exact_pairings(psi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # tied cuts straddle chi
+                _, _, _, choice = decompose_tensor(psi, chi=2, mode=1, eps_s=eps_s)
+            # the choice from all three exact entropies
+            best = min(range(3), key=lambda k: exact[k][0])
+            want = 0 if exact[0][0] - exact[best][0] < eps_s else best
+            assert choice.pairing == want
+            for k, (entropy, renyi2) in enumerate(exact):
+                if np.isnan(choice.entropies[k]):
+                    ruled_out += 1
+                    assert k != 0 and np.isnan(choice.truncation_errors[k])
+                    assert entropy >= renyi2 - 1e-12
+                    assert renyi2 > exact[0][0] - eps_s
+                else:
+                    assert choice.entropies[k] == pytest.approx(entropy, rel=0, abs=1e-12)
+        if kind in ("product", "tied"):  # no pairing can beat pairing 0 by eps_s
+            assert ruled_out > 0
+
+    @pytest.mark.parametrize("offset, pairing", [(-1e-9, 2), (1e-9, 0)])
+    def test_threshold_is_tight(self, offset, pairing):
+        """Pairing 2 of the rainbow tensor has one value, so its Rényi-2
+        entropy equals its entropy, 0. It is evaluated, and wins, while
+        pairing 0's entropy 2 ln 2 exceeds it by ``eps_s``; it is ruled out
+        once that gap falls below ``eps_s``."""
+        eps_s = 2 * np.log(2) + offset
+        _, _, _, choice = decompose_tensor(rainbow_tensor(), chi=4, mode=1, eps_s=eps_s)
+        assert choice.pairing == pairing
+        assert np.isnan(choice.entropies[2]) == (pairing == 0)
+
+
     """Only the kept split warns about a multiplet straddling the cap."""
 
     def test_rejected_pairing_is_silent(self):
@@ -306,17 +412,23 @@ def composed_decomposition(psi, chi, mode, eps_s=1e-8, sigma=0.0, delta_s=1e-8):
         return psi.transpose(perm).reshape(psi.shape[perm[0]] * psi.shape[perm[1]], -1)
 
     spec = full_svd(matrix(0))
-    spectra = [spec.values] + [
-        full_svd(matrix(k), vectors=False, gram=mode == 1) for k in (1, 2) if mode != 0
-    ]
     entropies, errors = [np.nan] * 3, [np.nan] * 3
-    for k, values in enumerate(spectra):
+
+    def measure(k, values):
         entropies[k] = entanglement_entropy(values)
         errors[k] = 1.0 - spectrum_cut(values, chi, sigma, delta_s)[1]
+
+    measure(0, spec.values)
+    for k in (1, 2) if mode != 0 else ():
+        # mode 1 rules out a pairing whose Rényi-2 entropy clears S_0 - eps_s
+        bound = entropies[0] - eps_s + treetn.state.SCREEN_MARGIN
+        if mode == 2 or not _renyi2_entropy(matrix(k)) > bound:
+            measure(k, full_svd(matrix(k), vectors=False, gram=mode == 1))
     pairing = 0
     if mode != 0:
         ranked = errors if mode == 2 else [0.0] * 3
-        tied = [k for k in range(3) if ranked[k] - min(ranked) < 1e-13]
+        tied = [k for k in range(3)
+                if ranked[k] - min(ranked) < 1e-13 and not np.isnan(entropies[k])]
         best = min(tied, key=lambda k: entropies[k])
         if not (0 in tied and entropies[0] - entropies[best] < eps_s):
             pairing = best
