@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import (
-    cut_spectrum, entanglement_entropy, full_svd, gram_matrix, lapack, spectrum_cut,
-)
+from .linalg import cut_spectrum, entanglement_entropy, full_svd, gram_matrix, lapack, spectrum_cut
 from .topology import Topology, subtree_sites
 
 __all__ = [
@@ -196,11 +194,8 @@ def _renyi2_entropy(matrix: np.ndarray) -> float:
     ``-sum w ln w`` (Rényi 1961), and costs one Gram product. A split too
     small to square reads ``-inf``."""
     g = gram_matrix(matrix)
-    c = float(np.trace(g).real)
-    squares = float(np.vdot(g, g).real)
-    if squares == 0.0:
-        return -math.inf
-    return c * (math.log(c) - math.log(squares))
+    c, squares = np.trace(g).real, np.vdot(g, g).real
+    return c * (math.log(c) - math.log(squares)) if squares > 0.0 else -math.inf
 
 
 def decompose_tensor(
