@@ -376,6 +376,7 @@ class TestRenyiScreen:
         assert np.isnan(choice.entropies[2]) == (pairing == 0)
 
 
+class TestTruncationWarnings:
     """Only the kept split warns about a multiplet straddling the cap."""
 
     def test_rejected_pairing_is_silent(self):
